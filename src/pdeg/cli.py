@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -293,6 +294,9 @@ def _cmd_sample(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:
+        raise ValueError(f"--jobs {args.jobs} exceeds the {cpus} available CPUs")
     recipe = _resolve_recipe(args)
     report = empirical_error(
         recipe, trials=args.trials, seed=args.seed, jobs=args.jobs

@@ -226,20 +226,32 @@ def _apply_weight_poly(
 ) -> FieldElement:
     if all(v == 0 or v == 1 for v in vals):
         return poly.value_at_weight(int(sum(vals)))
-    # Elementary symmetric prefix recurrence up to the polynomial degree.
+    return weight_poly_at_values(poly, vals, field)
+
+
+def weight_poly_at_values(
+    poly: SymPoly, vals: Sequence[FieldElement], field: FieldSpec
+) -> FieldElement:
+    """sum_k coeffs[k] * e_k(vals), for inputs that need not be 0 or 1.
+
+    e_k is the k-th elementary symmetric polynomial, built by the prefix
+    recurrence e_k <- e_k + v * e_(k-1) up to the polynomial degree; on 0/1
+    inputs it equals C(number of ones, k), which is what SymApply means.
+    """
+    p = field.characteristic
     d = min(poly.degree, len(vals))
-    elem = [field.element(1)] + [field.element(0)] * d
+    elem = [1] + [0] * d
+    top = 0
     for v in vals:
-        top = min(d, len(elem) - 1)
+        if v == 0:
+            continue
+        top = min(top + 1, d)
         for k in range(top, 0, -1):
-            elem[k] = field.add(elem[k], field.mul(elem[k - 1], v))
-    total = field.element(0)
-    for k, c in enumerate(poly.coeffs):
-        if k > d:
-            break
-        if c != 0:
-            total = field.add(total, field.mul(c, elem[k]))
-    return total
+            elem[k] += elem[k - 1] * v
+        if p:
+            elem = [e % p for e in elem]
+    total = sum(c * e for c, e in zip(poly.coeffs, elem))
+    return total % p if p else field.element(total)
 
 
 def _remap_vars(e: PolyExpr, sub: Sequence[int], memo: dict) -> PolyExpr:

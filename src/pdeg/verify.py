@@ -3,19 +3,23 @@
 Error measurement is per Hamming weight: by symmetry of every construction
 (coefficients are drawn identically across variables), the error probability
 at any point depends only on its weight, so the stratified mode evaluates
-draws on one representative point per weight.  Small variable counts can be
-checked exhaustively instead, and a few constructions admit closed-form
-error values.
+draws on one representative point per weight, 1^w 0^(n-w).  It and the
+single-draw mode score a draw in one column pass: an iterative post-order
+walk gives every node its values at all n + 1 weights at once, so no draw
+is walked once per weight.  eval_expr stays the pointwise reference.  Small
+variable counts can be checked exhaustively instead, and a few
+constructions admit closed-form error values.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate
+from operator import add, mul, ne, or_
+from typing import Callable, Iterable, Sequence
 
 from .polyalg import (
     FieldElement,
@@ -38,6 +42,7 @@ from .probpoly import (
     majority_tail,
     recipe_from_json,
     sample_stream,
+    weight_poly_at_values,
 )
 from .symfun import Spectrum
 
@@ -75,111 +80,174 @@ class ErrorReport:
         }
 
 
-class _PrefixEvaluator:
-    """Evaluates expressions on the points 1^w 0^(n-w) for all w at once.
+class _ColumnEvaluator:
+    """Values of expressions on the points 1^w 0^(n-w), w = 0..n, as columns.
 
-    Linear forms reduce to prefix sums over their sorted index lists and
-    weight polynomials to cached value tables, so one draw can be scored on
-    every weight in near-linear time.
+    One iterative post-order pass per draw gives every node its column of
+    n + 1 values.  Variables and linear forms are prefix sums over an index
+    histogram; a weight polynomial looks its input count up in a value table
+    that is built once per evaluator and keyed by the polynomial itself.
+    Arithmetic runs on raw ints or Fractions and is reduced once per node.
     """
 
-    def __init__(self, field: FieldSpec):
+    def __init__(self, field: FieldSpec, n: int):
         self.field = field
-        self.form_cache: dict[int, tuple[list[int], list[FieldElement]]] = {}
-        self.poly_cache: dict[int, dict[int, FieldElement]] = {}
+        self.n = n
+        self.tables: dict[SymPoly, list[FieldElement]] = {}
 
-    def poly_at(self, poly: SymPoly, w: int) -> FieldElement:
-        table = self.poly_cache.setdefault(id(poly), {})
-        val = table.get(w)
-        if val is None:
-            val = poly.value_at_weight(w)
-            table[w] = val
-        return val
+    def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
+        cols: dict[int, list[FieldElement]] = {}
+        # (node, ready): a node is pushed unready, then ready under its
+        # operands, so it is computed after all of them.
+        stack = [(r, False) for r in roots]
+        while stack:
+            e, ready = stack.pop()
+            if id(e) in cols:
+                continue
+            if ready:
+                cols[id(e)] = self._column(e, cols)
+                continue
+            stack.append((e, True))
+            stack.extend((c, False) for c in _column_operands(e) if id(c) not in cols)
+        return [cols[id(r)] for r in roots]
 
-    def eval(self, e: PolyExpr, w: int, memo: dict) -> FieldElement:
-        key = id(e)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        field = self.field
-        p = field.characteristic
+    def _reduce(self, col: list[FieldElement]) -> list[FieldElement]:
+        p = self.field.characteristic
+        return [v % p for v in col] if p else col
+
+    def _prefix(self, pairs: Iterable[tuple[FieldElement, int]]) -> list[FieldElement]:
+        """Column of the sum of c over the pairs (c, i) with i < w, unreduced."""
+        n = self.n
+        hist: list[FieldElement] = [0] * n
+        for c, i in pairs:
+            if i < n:
+                hist[i] += c
+        return list(accumulate(hist, initial=0))
+
+    def _column(self, e: PolyExpr, cols: dict) -> list[FieldElement]:
+        n1 = self.n + 1
+        p = self.field.characteristic
         if isinstance(e, Constant):
-            val = e.value
-        elif isinstance(e, Var):
-            val = 1 if e.index < w else 0
-        elif isinstance(e, LinearForm):
-            cached = self.form_cache.get(key)
-            if cached is None:
-                pairs = sorted(zip(e.indices, e.coeffs))
-                idx = [i for i, _ in pairs]
-                prefix: list[FieldElement] = [0]
-                acc = 0
-                for _, c in pairs:
-                    acc = (acc + c) % p if p else acc + c
-                    prefix.append(acc)
-                cached = (idx, prefix)
-                self.form_cache[key] = cached
-            idx, prefix = cached
-            val = field.element(prefix[bisect.bisect_left(idx, w)])
-        elif isinstance(e, Power):
-            base = self.eval(e.base, w, memo)
-            val = pow(base, e.exponent, p) if p else base**e.exponent
-        elif isinstance(e, Product):
-            val = 1
-            for f in e.factors:
-                val = field.mul(val, self.eval(f, w, memo))
-                if val == 0:
-                    break
-        elif isinstance(e, Sum):
-            acc = e.constant
-            for c, t in e.terms:
-                acc += c * self.eval(t, w, memo)
-            val = acc % p if p else field.element(acc)
-        elif isinstance(e, SymApply):
-            vals = [self.eval(t, w, memo) for t in e.inputs]
-            if all(v == 0 or v == 1 for v in vals):
-                val = self.poly_at(e.poly, int(sum(vals)))
-            else:
-                d = min(e.poly.degree, len(vals))
-                elem = [field.element(1)] + [field.element(0)] * d
-                for v in vals:
-                    for k in range(min(d, len(elem) - 1), 0, -1):
-                        elem[k] = field.add(elem[k], field.mul(elem[k - 1], v))
-                val = field.element(0)
-                for k, c in enumerate(e.poly.coeffs):
-                    if k > d:
-                        break
-                    if c != 0:
-                        val = field.add(val, field.mul(c, elem[k]))
-        else:
-            raise TypeError(f"unknown expression node {type(e)!r}")
-        memo[key] = val
-        return val
+            return self._reduce([e.value] * n1)
+        if isinstance(e, Var):
+            zeros = min(e.index + 1, n1)
+            return [0] * zeros + [1] * (n1 - zeros)
+        if isinstance(e, LinearForm):
+            return self._reduce(self._prefix(zip(e.coeffs, e.indices)))
+        if isinstance(e, Power):
+            k = e.exponent
+            base = cols[id(e.base)]
+            return [pow(v, k, p) for v in base] if p else [v**k for v in base]
+        if isinstance(e, Product):
+            out = cols[id(e.factors[0])] if e.factors else [1] * n1
+            for f in e.factors[1:]:
+                out = list(map(mul, out, cols[id(f)]))
+            return self._reduce(out)
+        if isinstance(e, Sum):
+            if not e.terms:
+                return self._reduce([e.constant] * n1)
+            (c, t), *rest = e.terms
+            k = e.constant
+            out = [k + c * v for v in cols[id(t)]]
+            for c, t in rest:
+                col = cols[id(t)]
+                if c == 1:
+                    out = list(map(add, out, col))
+                else:
+                    out = [a + c * v for a, v in zip(out, col)]
+            return self._reduce(out)
+        if isinstance(e, SymApply):
+            return self._sym_column(e, cols)
+        raise TypeError(f"unknown expression node {type(e)!r}")
+
+    def _sym_column(self, e: SymApply, cols: dict) -> list[FieldElement]:
+        p = self.field.characteristic
+        var_idx = [t.index for t in e.inputs if isinstance(t, Var)]
+        others = [cols[id(t)] for t in e.inputs if not isinstance(t, Var)]
+        counts = self._prefix((1, i) for i in var_idx)
+        if others:
+            counts = list(map(add, counts, map(sum, zip(*others))))
+        # Over GF(2) every reduced value is 0 or 1; elsewhere an input may
+        # take another value, and those weights need the general kernel.
+        bad: set[int] = set()
+        if p != 2:
+            for col in others:
+                if not _BOOLEAN.issuperset(col):
+                    bad.update(w for w, v in enumerate(col) if v != 0 and v != 1)
+        for w in bad:
+            counts[w] = 0
+        table = self._table(e.poly, len(e.inputs))
+        # Over Q a count may be a Fraction with denominator 1.
+        out = [table[int(c)] for c in counts] if p == 0 else [table[c] for c in counts]
+        for w in bad:
+            vals = [1 if i < w else 0 for i in var_idx] + [col[w] for col in others]
+            out[w] = weight_poly_at_values(e.poly, vals, self.field)
+        return out
+
+    def _table(self, poly: SymPoly, m: int) -> list[FieldElement]:
+        """poly's values at weights 0..m (at least), built by Horner steps.
+
+        In the binomial basis row k of the nested sums is c_k plus the
+        prefix sums of row k+1, so each step is one accumulate.
+        """
+        table = self.tables.get(poly)
+        if table is None or len(table) <= m:
+            p = self.field.characteristic
+            coeffs = poly.coeffs[: m + 1]
+            table = [coeffs[-1]] * (m + 1)
+            for c in reversed(coeffs[:-1]):
+                table = list(accumulate(table[:m], initial=c))
+                if p:
+                    table = [v % p for v in table]
+            self.tables[poly] = table
+        return table
 
 
-def _wrong_counts_for_seeds(
-    recipe_json: dict, master_seed: int, lo: int, hi: int
-) -> list[int]:
-    """Per-weight count of draws in [lo, hi) wrong on any component."""
-    recipe = recipe_from_json(recipe_json)
+_BOOLEAN = frozenset((0, 1))
+
+
+def _column_operands(e: PolyExpr) -> Sequence[PolyExpr]:
+    """Operands whose columns e needs; Var inputs of SymApply are counted."""
+    if isinstance(e, Power):
+        return (e.base,)
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Sum):
+        return [t for _, t in e.terms]
+    if isinstance(e, SymApply):
+        return [t for t in e.inputs if not isinstance(t, Var)]
+    return ()
+
+
+def _wrong_counts(recipe: Recipe, draws: Iterable[Sequence[PolyExpr]]) -> list[int]:
+    """Per-weight count of draws wrong on any component."""
     field = recipe.field
     n = recipe.n
-    targets = [s.values for s in recipe.target_spectra()]
+    targets = [
+        [field.element(v) for v in s.values] for s in recipe.target_spectra()
+    ]
+    evaluator = _ColumnEvaluator(field, n)
     counts = [0] * (n + 1)
-    root = SeedStream.from_seed(master_seed)
-    evaluator = _PrefixEvaluator(field)
-    for k in range(lo, hi):
-        draw = sample_stream(recipe, root.child(("trial", k)))
-        for w in range(n + 1):
-            memo: dict = {}
-            for expr, target in zip(draw, targets):
-                value = evaluator.eval(expr, w, memo)
-                if value != field.element(target[w]):
-                    counts[w] += 1
-                    break
-        # Draw-local nodes will not be seen again; drop their caches.
-        evaluator.form_cache.clear()
+    for draw in draws:
+        wrong = [False] * (n + 1)
+        for col, target in zip(evaluator.columns(draw), targets):
+            wrong = list(map(or_, wrong, map(ne, col, target)))
+        counts = list(map(add, counts, wrong))
     return counts
+
+
+def _trial_counts(recipe: Recipe, master_seed: int, lo: int, hi: int) -> list[int]:
+    """Wrong counts over the trial draws lo..hi-1 of the master seed."""
+    root = SeedStream.from_seed(master_seed)
+    draws = (sample_stream(recipe, root.child(("trial", k))) for k in range(lo, hi))
+    return _wrong_counts(recipe, draws)
+
+
+def _trial_counts_from_json(
+    recipe_json: dict, master_seed: int, lo: int, hi: int
+) -> list[int]:
+    """Process-pool entry point: rebuild the recipe, then count."""
+    return _trial_counts(recipe_from_json(recipe_json), master_seed, lo, hi)
 
 
 def empirical_error(
@@ -194,23 +262,18 @@ def empirical_error(
     Randomness-free recipes are checked with a single draw.  For small n
     every point of every weight is evaluated (exhaustive mode); otherwise
     one representative point per weight is used, which matches the draw
-    distribution's symmetry under coordinate permutations.
+    distribution's symmetry under coordinate permutations.  jobs > 1 splits
+    the trials over a process pool, which rebuilds the recipe from its JSON.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n = recipe.n
-    field = recipe.field
-    targets = [s.values for s in recipe.target_spectra()]
 
     if recipe.randomness_free:
         draw = sample_stream(recipe, SeedStream.from_seed(seed))
-        evaluator = _PrefixEvaluator(field)
-        per_weight = []
-        for w in range(n + 1):
-            memo: dict = {}
-            wrong = any(
-                evaluator.eval(expr, w, memo) != field.element(target[w])
-                for expr, target in zip(draw, targets)
-            )
-            per_weight.append(1.0 if wrong else 0.0)
+        per_weight = [float(c) for c in _wrong_counts(recipe, [draw])]
         return _finish_report("single-draw", 1, recipe.eps, per_weight)
 
     if n <= exhaustive_limit:
@@ -223,16 +286,16 @@ def empirical_error(
         ]
         recipe_json = recipe.to_json()
         totals = [0] * (n + 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [
-                pool.submit(_wrong_counts_for_seeds, recipe_json, seed, lo, hi)
+                pool.submit(_trial_counts_from_json, recipe_json, seed, lo, hi)
                 for lo, hi in ranges
             ]
             for fut in futures:
                 for w, c in enumerate(fut.result()):
                     totals[w] += c
     else:
-        totals = _wrong_counts_for_seeds(recipe.to_json(), seed, 0, trials)
+        totals = _trial_counts(recipe, seed, 0, trials)
 
     per_weight = [c / trials for c in totals]
     return _finish_report("stratified", trials, recipe.eps, per_weight)

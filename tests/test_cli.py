@@ -162,7 +162,9 @@ class TestVerify:
         assert payload["report"]["trials"] == 60
         assert payload["exact_error"] is None
 
-    def test_jobs_do_not_change_output(self, capsys):
+    def test_jobs_do_not_change_output(self, capsys, monkeypatch):
+        # --jobs is capped at the CPU count; keep two jobs legal anywhere.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         base = ["verify", "--n", "40", "--thresholds", "2", "--eps", "1/8",
                 "--field", "2", "--trials", "40"]
         cli.main(base)
@@ -170,6 +172,32 @@ class TestVerify:
         cli.main(base + ["--jobs", "2"])
         second = json.loads(capsys.readouterr().out)
         assert first["report"]["per_weight"] == second["report"]["per_weight"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--trials", "0"], ["--trials", "-3"], ["--jobs", "0"]]
+    )
+    def test_rejects_counts_below_one(self, capsys, extra):
+        code, payload, _ = run_cli(
+            capsys,
+            ["verify", "--thresholds", "3", "7", "--n", "100", "--field", "2",
+             "--eps", "1/8"] + extra,
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "ValueError"
+
+    def test_rejects_jobs_above_cpu_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr("pdeg.verify.ProcessPoolExecutor", no_pool)
+        code, payload, _ = run_cli(
+            capsys,
+            ["verify", "--n", "40", "--thresholds", "2", "--eps", "1/8",
+             "--field", "2", "--trials", "40", "--jobs", "4"],
+        )
+        assert code == 2
+        assert "4" in payload["error"]["message"]
 
 
 class TestReduce:

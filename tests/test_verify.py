@@ -2,28 +2,37 @@ from fractions import Fraction
 
 import pytest
 
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec
+from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly
 from pdeg.probpoly import (
+    Constant,
+    ConstantsProfile,
     LinearForm,
     Power,
     Product,
+    Recipe,
     Sum,
     SymApply,
     Var,
     amplify,
     char0_or,
+    compose,
     constant_recipe,
     eval_expr,
     exact_recipe,
+    general_recipe,
     majority_tail,
+    one_minus,
     practical_profile,
     razborov_or,
     sample,
+    sample_stream,
     threshold_tuple,
+    xor_combine,
 )
 from pdeg.polyalg import exact_sympoly
 from pdeg.symfun import named_spectrum, spectrum
 from pdeg.verify import (
+    _ColumnEvaluator,
     DegreeAudit,
     ErrorReport,
     degree_audit,
@@ -38,6 +47,38 @@ from pdeg.verify import (
 GF3 = FieldSpec(3)
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
+TINY_EPS = Fraction(1, 1 << 20)
+# Cramped constants that reach the hashed and recursive threshold branches
+# on a handful of variables, where eval_expr is a cheap reference.
+TINY = ConstantsProfile(
+    name="tiny",
+    A=24,
+    B=24,
+    r_multiplier=0.3,
+    small_error_exponent_divisor=1,
+    subsample_ratio=Fraction(1, 2),
+    window_inner_multiplier=0.5,
+    window_outer_multiplier=0.5,
+    base_n=4,
+    amplify_arity=4,
+)
+
+
+def handmade(inner_sampler, field, n, targets, randomness_free):
+    """A recipe kind that recipe_from_json cannot rebuild."""
+    return Recipe(
+        kind="handmade",
+        field=field,
+        profile=None,
+        n=n,
+        arity=len(targets),
+        eps=QUARTER,
+        declared_degree_bound=n,
+        randomness_free=randomness_free,
+        params={},
+        sampler=inner_sampler,
+        targets=tuple(targets),
+    )
 
 
 class TestEmpiricalError:
@@ -93,6 +134,119 @@ class TestEmpiricalError:
         rep = empirical_error(bad)
         assert not rep.passed
         assert rep.worst == 1.0
+
+
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -3}, {"jobs": 0}])
+    def test_rejects_counts_below_one(self, bad):
+        with pytest.raises(ValueError):
+            empirical_error(razborov_or(20, QUARTER, GF2), **bad)
+        with pytest.raises(ValueError):
+            empirical_error(constant_recipe(GF2, 3, 0), **bad)
+
+    def test_sequential_path_scores_the_recipe_itself(self):
+        base = razborov_or(20, QUARTER, GF2)
+        r = handmade(
+            lambda stream: sample_stream(base, stream),
+            GF2,
+            20,
+            base.target_spectra(),
+            randomness_free=False,
+        )
+        assert empirical_error(r, trials=20, seed=4) == empirical_error(
+            base, trials=20, seed=4
+        )
+
+    def test_deep_chain_does_not_recurse(self):
+        n = 6
+        e = Var(0)
+        for _ in range(5000):
+            e = one_minus(e)
+        # The chain is x_0, i.e. OR, which misses THR 2 at weight 1 only.
+        r = handmade(
+            lambda stream: (e,), GF2, n, [named_spectrum("THR", n, 2)], True
+        )
+        rep = empirical_error(r)
+        assert rep.per_weight == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _column_recipes():
+    cases = []
+    for field in (GF2, GF3, RATIONALS):
+        p = field.characteristic
+        cases += [
+            (f"threshold-exact-{p}", threshold_tuple(
+                12, (1, 3), EIGHTH, field, practical_profile(field))),
+            (f"threshold-hash-{p}", threshold_tuple(12, (1,), TINY_EPS, field, TINY)),
+            (f"threshold-inductive-{p}", threshold_tuple(
+                8, (2, 5), QUARTER, field, TINY)),
+        ]
+    maj12 = exact_recipe(GF2, [named_spectrum("MAJ", 12)])
+    cases += [
+        # Over Q the hashed detectors are integer-valued but not always 0/1.
+        ("threshold-hash-0-n40", threshold_tuple(
+            40, (1,), EIGHTH, RATIONALS, practical_profile(RATIONALS))),
+        ("razborov_or", razborov_or(12, EIGHTH, GF3)),
+        ("razborov_and", razborov_or(12, EIGHTH, GF2, negate=True)),
+        ("char0_or", char0_or(12, EIGHTH)),
+        ("amplify", amplify(razborov_or(12, QUARTER, GF3), Fraction(5, 32))),
+        ("xor", xor_combine(razborov_or(12, EIGHTH, GF2), maj12)),
+        ("compose", compose(
+            razborov_or(2, EIGHTH, GF2), [razborov_or(12, EIGHTH, GF2)] * 2)),
+        ("general", general_recipe(
+            named_spectrum("MAJ", 12), EIGHTH, GF3, practical_profile(GF3))),
+        ("general-Q", general_recipe(
+            spectrum("0110100110010"), EIGHTH, RATIONALS,
+            practical_profile(RATIONALS))),
+    ]
+    return cases
+
+
+def _non_boolean_sym(field):
+    maj3 = exact_sympoly(named_spectrum("MAJ", 3), field)
+    form = LinearForm((1, 1), (0, 1))
+    return (
+        SymApply(maj3, (Var(0), form, Constant(field.element(2)))),
+        SymApply(maj3, (Power(form, 2), Var(3), Var(3))),
+    )
+
+
+class TestColumnEvaluator:
+    """Every column must equal eval_expr at each point 1^w 0^(n-w)."""
+
+    @staticmethod
+    def reference(draw, n, field):
+        return [
+            [eval_expr(e, [1] * w + [0] * (n - w), field) for w in range(n + 1)]
+            for e in draw
+        ]
+
+    @pytest.mark.parametrize(
+        "recipe", [r for _, r in _column_recipes()],
+        ids=[name for name, _ in _column_recipes()],
+    )
+    def test_matches_eval_expr(self, recipe):
+        n, field = recipe.n, recipe.field
+        evaluator = _ColumnEvaluator(field, n)
+        for seed in range(4):
+            draw = sample(recipe, seed)
+            assert evaluator.columns(draw) == self.reference(draw, n, field)
+
+    @pytest.mark.parametrize("field", [GF3, RATIONALS])
+    def test_non_boolean_inputs(self, field):
+        draw = _non_boolean_sym(field)
+        assert _ColumnEvaluator(field, 5).columns(draw) == self.reference(
+            draw, 5, field
+        )
+
+    def test_equal_polys_share_one_table(self):
+        maj = exact_sympoly(named_spectrum("MAJ", 5), GF3)
+        twin = SymPoly(GF3, maj.coeffs)
+        assert twin is not maj
+        xs = tuple(Var(i) for i in range(5))
+        evaluator = _ColumnEvaluator(GF3, 5)
+        got = evaluator.columns((SymApply(maj, xs), SymApply(twin, xs[::-1])))
+        assert got == [list(named_spectrum("MAJ", 5).values)] * 2
+        assert list(evaluator.tables) == [maj]
 
 
 class TestExactError:
