@@ -5,6 +5,12 @@ with coefficients c_0..c_d takes the value sum_k c_k * C(w, k) at Hamming
 weight w.  That basis makes exact interpolation a triangular solve and keeps
 every coefficient an exact field element; floating point never enters a
 polynomial value.
+
+Threshold steps [w >= t] on a window of weights, the piece every
+construction starts from, are built in closed form by threshold_window: their
+forward differences are signed binomials, taken in the field directly.
+interpolate_window interpolates general values on a window and is the
+reference threshold_window is tested against.
 """
 
 from __future__ import annotations
@@ -134,6 +140,9 @@ def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:
     p = field.characteristic
     if p == 0:
         return math.comb(w, k)
+    if p == 2:
+        # Lucas in base 2: C(w, k) is odd exactly when k's bits lie in w's.
+        return 1 if w & k == k else 0
     rows = _pascal_rows(p)
     result = 1
     while k > 0 or w > 0:
@@ -161,12 +170,17 @@ class SymPoly:
     coeffs: tuple[FieldElement, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.field.element(c) for c in self.coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (self.field.element(0),)
-        object.__setattr__(self, "coeffs", coeffs)
+        raw = tuple(self.coeffs)
+        p = self.field.characteristic
+        if all(type(c) is int for c in raw):
+            # Plain ints are already canonical over Q; mod p they only reduce.
+            coeffs = [c % p for c in raw] if p else list(raw)
+        else:
+            coeffs = [self.field.element(c) for c in raw]
+        size = len(coeffs)
+        while size > 1 and coeffs[size - 1] == 0:
+            size -= 1
+        object.__setattr__(self, "coeffs", tuple(coeffs[:size]) or (0,))
 
     @property
     def degree(self) -> int:
@@ -265,6 +279,49 @@ def interpolate_window(
             j = k - i
             shift = 1 if j == 0 else (-1) ** j * math.comb(lo + j - 1, j)
             coeffs[i] += d * shift
+    return SymPoly(field, tuple(coeffs))
+
+
+def threshold_window(t: int, lo: int, hi: int, field: FieldSpec) -> SymPoly:
+    """Polynomial of degree <= hi - lo equal to [w >= t] on weights lo..hi.
+
+    The same polynomial as interpolate_window on the step's values, built in
+    closed form.  With s = t - lo, the k-th forward difference of the step at
+    lo is 0 for k < s and (-1)^(k-s) C(k-1, s-1) for k >= s; the change to
+    the C(w, i) basis adds delta_k * S_(k-i) to coefficient i, with the shift
+    column S_j = (-1)^j C(lo+j-1, j) built once (S_0 = 1; every other S_j is
+    0 when lo = 0, so there the deltas are the coefficients).  In
+    characteristic p every binomial is taken mod p by Lucas' theorem, so each
+    coefficient is a sum of at most hi - lo + 1 products below p**2.
+    """
+    if lo < 0:
+        raise ValueError("window start must be non-negative")
+    if hi < lo:
+        raise ValueError("cannot interpolate an empty window")
+    size = hi - lo + 1
+    s = t - lo
+    if s <= 0:
+        return constant_sympoly(field, 1)
+    if s >= size:
+        return constant_sympoly(field, 0)
+    deltas = []
+    for k in range(s, size):
+        c = binomial_in_field(k - 1, s - 1, field)
+        if c:
+            deltas.append((k, -c if (k - s) & 1 else c))
+    coeffs = [0] * size
+    for k, d in deltas:
+        coeffs[k] = d
+    if lo > 0:
+        for j in range(1, size):
+            shift = binomial_in_field(lo + j - 1, j, field)
+            if shift == 0:
+                continue
+            if j & 1:
+                shift = -shift
+            for k, d in deltas:
+                if k >= j:
+                    coeffs[k - j] += shift * d
     return SymPoly(field, tuple(coeffs))
 
 

@@ -24,8 +24,8 @@ from .polyalg import (
     FieldSpec,
     SymPoly,
     exact_sympoly,
-    interpolate_window,
     periodic_exact,
+    threshold_window,
 )
 from .symfun import (
     Spectrum,
@@ -804,6 +804,14 @@ def char0_or(n: int, eps: Fraction) -> Recipe:
 # -- threshold vectors -------------------------------------------------------
 
 
+def _check_threshold_eps(eps: Fraction) -> None:
+    if not 0 < eps < Fraction(1, 3):
+        raise ValueError(
+            f"error parameter must be in (0, 1/3), got {eps}; "
+            "reduce the error of a coarser recipe instead"
+        )
+
+
 def threshold_tuple(
     n: int,
     thresholds: Sequence[int],
@@ -827,11 +835,7 @@ def threshold_tuple(
     if any(t < 0 or t > n for t in thresholds):
         raise ValueError(f"thresholds must lie in [0, {n}]")
     eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 3):
-        raise ValueError(
-            f"error parameter must be in (0, 1/3), got {eps}; "
-            "reduce the error of a coarser recipe instead"
-        )
+    _check_threshold_eps(eps)
 
     t_max = max(thresholds)
     declared = declared_bound(profile, field, n, t_max, eps)
@@ -842,7 +846,9 @@ def threshold_tuple(
         "t_max": t_max,
     }
 
-    def finish(branch, sampler, structural, randomness_free, extra=None):
+    def finish(
+        branch, sampler, structural, randomness_free, extra=None, children=()
+    ):
         params = dict(base_params)
         params["branch"] = branch
         if extra:
@@ -865,10 +871,12 @@ def threshold_tuple(
             params=params,
             sampler=sampler,
             targets=targets,
+            children=children,
         )
 
     def exact_tuple(branch_label: str):
-        polys = [exact_sympoly(named_spectrum("THR", n, t), field) for t in thresholds]
+        windows = {t: threshold_window(t, 0, n, field) for t in set(thresholds)}
+        polys = [windows[t] for t in thresholds]
         all_vars = tuple(Var(i) for i in range(n))
         exprs = tuple(SymApply(poly, all_vars) for poly in polys)
         structural = max(poly.degree for poly in polys)
@@ -906,13 +914,10 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
             f"hashing range {r} does not dominate threshold {t_max}; "
             "profile constants too small"
         )
-    low_polys = [
-        interpolate_window(
-            [1 if w >= t else 0 for w in range(r + 1)], 0, field
-        )
-        for t in thresholds
-    ]
-    high_polys = [exact_sympoly(named_spectrum("THR", r, t), field) for t in thresholds]
+    # The low part on weights 0..r and the exact r-variable threshold are the
+    # same window polynomial.
+    windows = {t: threshold_window(t, 0, r, field) for t in set(thresholds)}
+    polys = [windows[t] for t in thresholds]
     all_vars = tuple(Var(i) for i in range(n))
 
     eps_or = Fraction(1, 4)
@@ -947,9 +952,9 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
                 detectors.append(gadget)
         det = tuple(detectors)
         out = []
-        for low_poly, high_poly in zip(low_polys, high_polys):
-            p1 = SymApply(low_poly, all_vars)
-            p2 = SymApply(high_poly, det)
+        for poly in polys:
+            p1 = SymApply(poly, all_vars)
+            p2 = SymApply(poly, det)
             out.append(one_minus(Product((one_minus(p1), one_minus(p2)))))
         return tuple(out)
 
@@ -975,13 +980,15 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     ratio = profile.subsample_ratio
     n_hat = int(n * ratio)
 
+    windows: dict[int, SymPoly] = {}
     plans = []
     child_thresholds: list[int] = []
     for t in thresholds:
         lo = max(0, t - H)
         hi = min(n, t + H)
-        window_values = [1 if w >= t else 0 for w in range(lo, hi + 1)]
-        e_poly = interpolate_window(window_values, lo, field)
+        if t not in windows:
+            windows[t] = threshold_window(t, lo, hi, field)
+        e_poly = windows[t]
         if t == 0 or (lo == 0 and hi == n):
             plans.append(("exact", e_poly, None))
             continue
@@ -1039,6 +1046,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         structural,
         False,
         extra={"subsample_n": n_hat, "window_halfwidth": H},
+        children=(child,),
     )
 
 
@@ -1176,10 +1184,15 @@ def general_recipe(
     characteristic): split f = g XOR h, represent g exactly below its period
     and h through the bounded construction, then recombine as g + h - 2gh.
     Route two (always available): telescope f through one full
-    threshold-vector polynomial.  Ties prefer route one.
+    threshold-vector polynomial.  Ties prefer route one.  The routes are
+    compared by declared degree before route two's child is built, so only
+    the winner is constructed.
     """
     eps = Fraction(eps)
     n = f.n
+    if n < 1:
+        raise ValueError("spectrum too small for any construction route")
+    _check_threshold_eps(eps)
 
     decomposition = None
     if n >= 3:
@@ -1191,12 +1204,8 @@ def general_recipe(
 
     coeffs = threshold_combination(f)
     t_top = min_t_constant(f)
-    direct_child = (
-        threshold_tuple(n, tuple(range(1, n + 1)), eps, field, profile)
-        if n >= 1
-        else None
-    )
-    direct_declared = direct_child.declared_degree_bound if direct_child else 0
+    # The declared bound threshold_tuple(n, 1..n) would carry.
+    direct_declared = declared_bound(profile, field, n, n, eps)
 
     if decomposition is not None:
         report, g_poly, h_recipe = decomposition
@@ -1232,8 +1241,7 @@ def general_recipe(
                 children=(h_recipe,),
             )
 
-    if direct_child is None:
-        raise ValueError("spectrum too small for any construction route")
+    direct_child = threshold_tuple(n, tuple(range(1, n + 1)), eps, field, profile)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         parts = sample_stream(direct_child, stream)
@@ -1292,7 +1300,8 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
     if ell == 1:
         return recipe
     field = recipe.field
-    maj_poly = exact_sympoly(named_spectrum("MAJ", ell), field)
+    # Majority of ell votes is the step at floor(ell/2) + 1.
+    maj_poly = threshold_window(ell // 2 + 1, 0, ell, field)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         draws = [
@@ -1528,7 +1537,7 @@ def enumerate_draws(
     if recipe.kind == "amplify":
         child = recipe.children()[0]
         ell = recipe.params["votes"]
-        maj_poly = exact_sympoly(named_spectrum("MAJ", ell), recipe.field)
+        maj_poly = threshold_window(ell // 2 + 1, 0, ell, recipe.field)
         pools = [list(enumerate_draws(child, limit)) for _ in range(ell)]
         total = 1
         for pool in pools:

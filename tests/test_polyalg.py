@@ -17,6 +17,7 @@ from pdeg.polyalg import (
     expand_multilinear,
     interpolate_window,
     periodic_exact,
+    threshold_window,
 )
 from pdeg.symfun import Spectrum, named_spectrum, period, spectrum
 
@@ -172,6 +173,43 @@ class TestInterpolateWindow:
                 poly = interpolate_window(vals, lo, field)
                 got = [poly.value_at_weight(lo + i) for i in range(m)]
                 assert got == [field.element(v) for v in vals]
+
+
+def step_window_oracle(t, lo, hi, field):
+    return interpolate_window([1 if w >= t else 0 for w in range(lo, hi + 1)], lo, field)
+
+
+class TestThresholdWindow:
+    def test_every_small_window(self):
+        for field in (GF2, GF3, GF5, RATIONALS):
+            for lo in range(13):
+                for hi in range(lo, 13):
+                    # t below lo and above hi give the constant windows.
+                    for t in range(hi + 2):
+                        assert threshold_window(t, lo, hi, field) == (
+                            step_window_oracle(t, lo, hi, field)
+                        ), (t, lo, hi, field)
+
+    def test_every_threshold_at_n_200(self):
+        n = 200
+        for H in (5, 40, 200):
+            for t in range(n + 1):
+                lo, hi = max(0, t - H), min(n, t + H)
+                # interpolate_window reduces integer coefficients into the
+                # field at the end, so its rational result, reduced mod p,
+                # is its result over GF(p).
+                exact = step_window_oracle(t, lo, hi, RATIONALS)
+                assert threshold_window(t, lo, hi, RATIONALS) == exact
+                for field in (GF2, GF3):
+                    assert threshold_window(t, lo, hi, field) == SymPoly(
+                        field, exact.coeffs
+                    ), (t, lo, hi, field)
+
+    def test_invalid_window_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_window(2, -1, 3, RATIONALS)
+        with pytest.raises(ValueError):
+            threshold_window(2, 3, 2, GF2)
 
 
 class TestPeriodicExact:

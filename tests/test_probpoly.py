@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdeg import probpoly
 from pdeg.polyalg import GF2, RATIONALS, FieldSpec, exact_sympoly
 from pdeg.probpoly import (
     ConstantsProfile,
@@ -279,6 +280,9 @@ class TestThresholdTuple:
         assert r.params["subsample_n"] == 10
         assert not r.randomness_free
         assert r.arity == 2
+        (child,) = r.children()
+        assert child.kind == "threshold_tuple"
+        assert child.n == 10
 
     def test_thresholds_validated(self):
         prof = practical_profile(GF2)
@@ -371,13 +375,30 @@ class TestGeneral:
         assert r.params["period_g"] == 2
         assert draw_values(r) == [f.values]
 
-    def test_route_choice_minimizes_declared(self):
+    def test_route_choice_minimizes_declared(self, monkeypatch):
         bits = "".join("10"[w % 2] for w in range(13))
         f = spectrum(bits)
         prof = practical_profile(GF2)
-        r = general_recipe(f, EIGHTH, GF2, prof)
         direct = threshold_tuple(12, tuple(range(1, 13)), EIGHTH, GF2, prof)
+        built = []
+        real = probpoly.threshold_tuple
+
+        def counting(n, thresholds, *args):
+            built.append((n, tuple(thresholds)))
+            return real(n, thresholds, *args)
+
+        monkeypatch.setattr(probpoly, "threshold_tuple", counting)
+        r = general_recipe(f, EIGHTH, GF2, prof)
+        assert r.params["route"] == "decomposition"
         assert r.declared_degree_bound <= direct.declared_degree_bound
+        # The losing direct route is never built.
+        assert (12, tuple(range(1, 13))) not in built
+
+    def test_invalid_eps_rejected_before_either_route(self):
+        f = named_spectrum("MAJ", 6)
+        for eps in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            with pytest.raises(ValueError, match="error parameter"):
+                general_recipe(f, eps, GF2, practical_profile(GF2))
 
 
 class TestCombinators:
