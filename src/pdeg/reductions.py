@@ -21,8 +21,14 @@ from .symfun import (
     period,
     reflect_spectrum,
     restrict,
+    restricted_n,
     spectrum,
 )
+
+
+def _mask(bits: Sequence[int]) -> int:
+    """Pack a 0/1 sequence into an int whose bit i is bits[i]."""
+    return int("".join(map(str, reversed(bits))) or "0", 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,23 +102,70 @@ class ReductionCertificate:
     claimed_degree: int
     extras: dict
 
-    def slot_spectra(self) -> list[Spectrum]:
+    def _source(self) -> Spectrum:
         src = spectrum(self.source)
-        if self.source_reflected:
-            src = reflect_spectrum(src)
+        return reflect_spectrum(src) if self.source_reflected else src
+
+    def slot_spectra(self) -> list[Spectrum]:
+        """Restricted spectra, one per slot: the pointwise view of the slots."""
+        src = self._source()
         return [restrict(src, zeros, ones) for zeros, ones in self.restrictions]
 
     def check(self, field: FieldSpec) -> bool:
         return not self.failures(field)
 
     def failures(self, field: FieldSpec) -> list[tuple[int, FieldElement, int]]:
-        slots = self.slot_spectra()
+        """Weights w where the combiner misses the target, as (w, got, want).
+
+        Works on bit-packed 0/1 weight columns: slot (zeros, ones) reads the
+        source at w + ones, so its column over the target's weights is the
+        source bitmask shifted right by ones.  Each term ANDs its literal
+        columns and adds its coefficient at every set bit.
+        """
+        src = self._source()
         target = spectrum(self.target_spectrum)
+        n = target.n
+        full = (1 << (n + 1)) - 1
+        src_bits = _mask(src.values)
+        columns = []
+        for slot, (zeros, ones) in enumerate(self.restrictions):
+            try:
+                free = restricted_n(src.n, zeros, ones)
+            except ValueError as exc:
+                raise ValueError(f"slot {slot} {(zeros, ones)}: {exc}") from None
+            if free < n:
+                raise ValueError(
+                    f"slot {slot} {(zeros, ones)} leaves {free + 1} weights; "
+                    f"the target needs {n + 1}"
+                )
+            columns.append((src_bits >> ones) & full)
+        for _, literals in self.combiner.terms:
+            for slot, _ in literals:
+                if not 0 <= slot < len(columns):
+                    raise ValueError(
+                        f"combiner reads slot {slot}, but the certificate has "
+                        f"{len(columns)} restrictions"
+                    )
+
+        totals = [0] * (n + 1)
+        for coeff, literals in self.combiner.terms:
+            c = field.element(coeff)
+            if c == 0:
+                continue
+            col = full
+            for slot, pol in literals:
+                col &= columns[slot] if pol else full ^ columns[slot]
+                if not col:
+                    break
+            while col:
+                low = col & -col
+                totals[low.bit_length() - 1] += c
+                col ^= low
+
         out = []
-        for w in range(target.n + 1):
-            values = [field.element(s.values[w]) for s in slots]
-            got = self.combiner.evaluate(values, field)
-            want = field.element(target.values[w])
+        for w, (total, bit) in enumerate(zip(totals, target.values)):
+            got = field.element(total)
+            want = field.element(bit)
             if got != want:
                 out.append((w, got, want))
         return out
@@ -169,10 +222,6 @@ class ShrinkResult:
     support_point: int
 
 
-def _support(f: Sequence[int]) -> frozenset:
-    return frozenset(i for i, v in enumerate(f) if v == 1)
-
-
 def shrink_support(family: Sequence[Sequence[int]]) -> ShrinkResult:
     """Pick at most log2(domain) family members whose product is a point mass.
 
@@ -182,65 +231,79 @@ def shrink_support(family: Sequence[Sequence[int]]) -> ShrinkResult:
     preferring the un-complemented candidate on ties.
     """
     family = [tuple(int(v) for v in f) for f in family]
-    if family:
-        m = len(family[0])
-        if any(len(f) != m for f in family):
-            raise ValueError("family members must share one domain")
-        complements = {f: tuple(1 - v for v in f) for f in family}
-        members = set(family)
-        for f, comp in complements.items():
-            if comp not in members:
-                raise ValueError("family is not closed under complement")
-    else:
-        m = 1
+    if not family:
+        return _shrink_masks([], 1)
+    m = len(family[0])
+    if any(len(f) != m for f in family):
+        raise ValueError("family members must share one domain")
+    if any(v not in (0, 1) for f in family for v in f):
+        raise ValueError("family members must be 0/1")
+    masks = [_mask(f) for f in family]
+    full = (1 << m) - 1
+    present = set(masks)
+    if any(full ^ mask not in present for mask in masks):
+        raise ValueError("family is not closed under complement")
+    return _shrink_masks(masks, m)
 
-    supp = frozenset(range(m))
+
+def _shrink_masks(masks: list[int], m: int) -> ShrinkResult:
+    """The greedy of shrink_support on a complement-closed family of masks."""
+    if m < 1:
+        raise ValueError("family domain has no points")
+    full = (1 << m) - 1
+    first_index: dict[int, int] = {}
+    for idx, mask in enumerate(masks):
+        first_index.setdefault(mask, idx)
+
+    supp = full
     chosen: list[int] = []
 
-    if len(supp) > 1:
+    if m > 1:
         # Opening pick: first non-constant member, smaller-support side.
         start = None
-        for idx, f in enumerate(family):
-            size = len(_support(f))
+        for idx, mask in enumerate(masks):
+            size = mask.bit_count()
             if 0 < size < m:
-                if 2 * size <= m:
-                    start = idx
-                else:
-                    start = family.index(complements[f])
+                start = idx if 2 * size <= m else first_index[full ^ mask]
                 break
         if start is None:
             raise ValueError("hypothesis violation: no non-constant member")
         chosen.append(start)
-        supp = supp & _support(family[start])
+        supp = masks[start]
 
-    while len(supp) > 1:
-        points = sorted(supp)
-        i, j = points[0], points[1]
-        pick = None
-        for idx, f in enumerate(family):
-            if f[i] == 1 and f[j] == 0:
-                pick = idx
-                break
+    size = supp.bit_count()
+    while size > 1:
+        # Separate the two lowest points still in the support.
+        low_i = supp & -supp
+        low_j = (supp ^ low_i) & -(supp ^ low_i)
+        pick = next(
+            (
+                idx
+                for idx, mask in enumerate(masks)
+                if mask & low_i and not mask & low_j
+            ),
+            None,
+        )
         if pick is None:
+            i, j = low_i.bit_length() - 1, low_j.bit_length() - 1
             raise ValueError(
                 f"hypothesis violation: no member separates points ({i}, {j})"
             )
-        keep = supp & _support(family[pick])
-        drop = supp - keep
-        if 2 * len(keep) <= len(supp):
+        keep = supp & masks[pick]
+        kept = keep.bit_count()
+        if 2 * kept <= size:
             chosen.append(pick)
-            supp = keep
+            supp, size = keep, kept
         else:
-            chosen.append(family.index(complements[family[pick]]))
-            supp = drop
+            chosen.append(first_index[full ^ masks[pick]])
+            supp, size = supp ^ keep, size - kept
 
-    bound = max(1, m).bit_length() - 1  # floor(log2 m)
+    bound = m.bit_length() - 1  # floor(log2 m)
     if len(chosen) > bound:
         raise AssertionError(
             f"greedy used {len(chosen)} picks on a domain of {m} points"
         )
-    (point,) = supp
-    return ShrinkResult(chosen=tuple(chosen), support_point=point)
+    return ShrinkResult(chosen=tuple(chosen), support_point=supp.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +343,16 @@ def delta_from_shifts(u: Sequence[int] | str) -> DeltaProduct:
         raise ValueError("pattern must have length at least 2")
     if any(v not in (0, 1) for v in u):
         raise ValueError("pattern must be 0/1")
+
+    # Bit r of shift j is u[(r + j) mod m]: the pattern rotated right by j.
+    full = (1 << m) - 1
+    bits = _mask(u)
+    shifts = [((bits >> j) | (bits << (m - j))) & full for j in range(m)]
     for s in range(1, m):
-        if all(u[(r + s) % m] == u[r] for r in range(m)):
+        if shifts[s] == bits:
             raise ValueError(f"pattern is fixed by the cyclic shift {s}")
 
-    shifts = [tuple(u[(r + j) % m] for r in range(m)) for j in range(m)]
-    family = shifts + [tuple(1 - v for v in f) for f in shifts]
-    result = shrink_support(family)
+    result = _shrink_masks(shifts + [full ^ mask for mask in shifts], m)
     literals = tuple(
         (idx % m, 0 if idx >= m else 1) for idx in result.chosen
     )

@@ -228,17 +228,22 @@ def standard_decomposition(f: Spectrum, characteristic: int = 0) -> Decompositio
     )
 
 
+def restricted_n(n: int, zeros: int, ones: int) -> int:
+    """Inputs left free when `zeros` and `ones` of n inputs are pinned."""
+    if zeros < 0 or ones < 0:
+        raise ValueError("restriction counts must be non-negative")
+    if zeros + ones > n:
+        raise ValueError(f"cannot fix {zeros + ones} of {n} inputs")
+    return n - zeros - ones
+
+
 def restrict(f: Spectrum, zeros: int, ones: int) -> Spectrum:
     """Fix `zeros` inputs to 0 and `ones` inputs to 1.
 
     The result lives on n - zeros - ones variables and its value at weight w
     is Spec f(w + ones).
     """
-    if zeros < 0 or ones < 0:
-        raise ValueError("restriction counts must be non-negative")
-    if zeros + ones > f.n:
-        raise ValueError(f"cannot fix {zeros + ones} of {f.n} inputs")
-    m = f.n - zeros - ones
+    m = restricted_n(f.n, zeros, ones)
     return Spectrum(tuple(f.values[w + ones] for w in range(m + 1)))
 
 

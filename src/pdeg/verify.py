@@ -263,7 +263,9 @@ def empirical_error(
     every point of every weight is evaluated (exhaustive mode); otherwise
     one representative point per weight is used, which matches the draw
     distribution's symmetry under coordinate permutations.  jobs > 1 splits
-    the trials over a process pool, which rebuilds the recipe from its JSON.
+    the trials over a process pool, which rebuilds the recipe from its JSON;
+    a recipe that does not round-trip through recipe_from_json raises
+    ValueError before the pool starts.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -285,6 +287,15 @@ def empirical_error(
             (k, min(k + chunk, trials)) for k in range(0, trials, chunk)
         ]
         recipe_json = recipe.to_json()
+        try:
+            round_trips = recipe_from_json(recipe_json).to_json() == recipe_json
+        except (ValueError, KeyError, TypeError):
+            round_trips = False
+        if not round_trips:
+            raise ValueError(
+                f"recipe kind {recipe.kind!r} does not round-trip through "
+                "recipe_from_json, so pool workers cannot rebuild it; use jobs=1"
+            )
         totals = [0] * (n + 1)
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -84,6 +85,11 @@ class TestShrinkSupport:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="domain"):
             shrink_support([(0, 1), (1, 0, 1)])
+
+    def test_non_binary_entries_rejected(self):
+        # 1 - 2 = -1 and 1 - (-1) = 2, so this family looks complement-closed.
+        with pytest.raises(ValueError, match="0/1"):
+            shrink_support([(2, 0), (-1, 1)])
 
     def test_random_separating_families(self):
         # Invariant sweep: every separating, complement-closed family on up
@@ -279,8 +285,9 @@ class TestMajFromPeriodic:
         assert Fraction(cert.extras["delta"]) == EIGHTH
         ok = p1_to_p4(10300, 1024, EIGHTH, cert.extras["m"], EIGHTH)
         assert all(ok)
-        # Full identity checking is quadratic here; spot-check the combiner
-        # against the slot definitions on a sample of weights instead.
+        # The column check covers every weight; also spot-check the combiner
+        # against the slot definitions pointwise on a sample of weights.
+        assert cert.check(GF2)
         m = cert.extras["m"]
         maj = named_spectrum("MAJ", m)
         target = spectrum(cert.target_spectrum)
@@ -513,3 +520,124 @@ class TestIdentityCheckIntegration:
             cert.combiner,
             RATIONALS,
         )
+
+
+def pointwise_failures(cert, field):
+    """Reference for ReductionCertificate.failures: one weight at a time."""
+    slots = cert.slot_spectra()
+    target = spectrum(cert.target_spectrum)
+    out = []
+    for w in range(target.n + 1):
+        values = [field.element(s.values[w]) for s in slots]
+        got = cert.combiner.evaluate(values, field)
+        want = field.element(target.values[w])
+        if got != want:
+            out.append((w, got, want))
+    return out
+
+
+def _corpus():
+    """Certificates from every reduction, at sizes the pointwise path affords."""
+    certs = []
+    certs += mod_from_periodic(periodic_spectrum("10", 30), GF3)
+    certs += mod_from_periodic(periodic_spectrum("100", 40), GF2)
+    certs += mod_from_periodic(periodic_spectrum("100110", 60), GF5)
+    g32 = TestMajFromPeriodic().build(2000, 32, EIGHTH, GF2)
+    certs.append(maj_from_periodic(g32, EIGHTH, GF2))
+    certs += thr_restrictions(25, 12)
+    nor = complement_spectrum(named_spectrum("OR", 30))
+    certs.append(thr_complement_from_bounded(nor))
+    certs.append(
+        thr_complement_from_bounded(
+            reflect_spectrum(complement_spectrum(named_spectrum("OR", 18)))
+        )
+    )
+    values = [0] * 31
+    values[4] = values[2] = 1
+    certs.append(thr_complement_from_bounded(Spectrum(tuple(values))))
+    certs.append(maj_from_general(named_spectrum("MAJ", 30), GF2))
+    certs.append(maj_from_general(named_spectrum("ETHR", 24, 12), GF2))
+    return certs
+
+
+def _mutants(cert, field, rng):
+    """The certificate, then copies with flipped target bits or other terms."""
+    yield cert
+    bits = list(cert.target_spectrum)
+    for w in rng.sample(range(len(bits)), min(3, len(bits))):
+        bits[w] = "1" if bits[w] == "0" else "0"
+    yield dataclasses.replace(cert, target_spectrum="".join(bits))
+    p = field.characteristic
+    terms = list(cert.combiner.terms)
+    k = rng.randrange(len(terms))
+    coeff, literals = terms[k]
+    # A coefficient that vanishes in the field, and one that does not.
+    zeroed = terms[:k] + [(coeff * p if p else 0, literals)] + terms[k + 1:]
+    yield dataclasses.replace(cert, combiner=LiteralCombiner(tuple(zeroed)))
+    bumped = [(c + rng.randint(-3, 3), lits) for c, lits in terms]
+    yield dataclasses.replace(cert, combiner=LiteralCombiner(tuple(bumped)))
+    if p != 2:
+        halved = [(Fraction(c, 2), lits) for c, lits in terms]
+        yield dataclasses.replace(cert, combiner=LiteralCombiner(tuple(halved)))
+    # Random terms: repeated slots, mixed polarities and constant terms.
+    slots = len(cert.restrictions)
+    mixed = tuple(
+        (
+            rng.randint(-2, 2),
+            tuple(
+                (rng.randrange(slots), rng.randint(0, 1))
+                for _ in range(rng.randint(0, 3))
+            ),
+        )
+        for _ in range(4)
+    )
+    yield dataclasses.replace(cert, combiner=LiteralCombiner(mixed))
+
+
+class TestColumnCheck:
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, GF5, RATIONALS], ids=["GF2", "GF3", "GF5", "Q"]
+    )
+    def test_matches_pointwise_reference(self, field):
+        rng = random.Random(field.characteristic)
+        missed = 0
+        got_types = set()
+        for cert in _corpus():
+            for mutant in _mutants(cert, field, rng):
+                got = mutant.failures(field)
+                want = pointwise_failures(mutant, field)
+                assert got == want
+                assert [tuple(map(type, f)) for f in got] == [
+                    tuple(map(type, f)) for f in want
+                ]
+                missed += bool(want)
+                got_types.update(type(g) for _, g, _ in got)
+        assert missed >= 20  # most mutants miss the target somewhere
+        # Halved coefficients give non-integral values over Q.
+        assert got_types == ({int, Fraction} if field is RATIONALS else {int})
+
+
+class TestMalformedCertificate:
+    def loaded(self, **changes):
+        obj = thr_restrictions(9, 3)[0].to_json()  # one slot (4, 0), MAJ_5
+        obj.update(changes)
+        return ReductionCertificate.from_json(obj)
+
+    def test_literal_slot_out_of_range(self):
+        cert = self.loaded(combiner={"terms": [[1, [[0, 1], [1, 0]]]]})
+        with pytest.raises(ValueError, match="slot 1"):
+            cert.check(GF2)
+        cert = self.loaded(combiner={"terms": [[1, [[-1, 1]]]]})
+        with pytest.raises(ValueError, match="slot -1"):
+            cert.failures(RATIONALS)
+
+    def test_restriction_leaves_too_few_weights(self):
+        cert = self.loaded(restrictions=[[4, 1]])
+        with pytest.raises(ValueError, match=r"slot 0 \(4, 1\) leaves 5 weights"):
+            cert.check(GF2)
+
+    def test_bad_counts_keep_the_restriction_error(self):
+        with pytest.raises(ValueError, match="slot 0.*non-negative"):
+            self.loaded(restrictions=[[-1, 0]]).check(GF2)
+        with pytest.raises(ValueError, match="slot 0.*cannot fix 10 of 9"):
+            self.loaded(restrictions=[[6, 4]]).check(GF2)

@@ -156,6 +156,22 @@ class TestEmpiricalError:
             base, trials=20, seed=4
         )
 
+    def test_pool_rejects_recipes_it_cannot_rebuild(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("pdeg.verify.ProcessPoolExecutor", no_pool)
+        base = razborov_or(20, QUARTER, GF2)
+        r = handmade(
+            lambda stream: sample_stream(base, stream),
+            GF2,
+            20,
+            base.target_spectra(),
+            randomness_free=False,
+        )
+        with pytest.raises(ValueError, match="'handmade'.*jobs=1"):
+            empirical_error(r, trials=20, seed=4, jobs=2)
+
     def test_deep_chain_does_not_recurse(self):
         n = 6
         e = Var(0)
