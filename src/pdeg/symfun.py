@@ -116,9 +116,11 @@ def period(s: Spectrum) -> int:
     """
     if s.n < 1:
         raise ValueError("period requires n >= 1")
-    v = s.values
+    # Bit w of bits is s(w), so the shift equation for b says that bits
+    # shifted down by b equals its low n + 1 - b bits.
+    bits = int(s.text()[::-1], 2)
     for b in range(1, s.n + 1):
-        if v[: len(v) - b] == v[b:]:
+        if bits >> b == bits & ((1 << (s.n + 1 - b)) - 1):
             return b
     return s.n + 1
 

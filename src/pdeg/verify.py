@@ -3,12 +3,18 @@
 Error measurement is per Hamming weight: by symmetry of every construction
 (coefficients are drawn identically across variables), the error probability
 at any point depends only on its weight, so the stratified mode evaluates
-draws on one representative point per weight, 1^w 0^(n-w).  It and the
-single-draw mode score a draw in one column pass: an iterative post-order
-walk gives every node its values at all n + 1 weights at once, so no draw
-is walked once per weight.  eval_expr stays the pointwise reference.  Small
-variable counts can be checked exhaustively instead, and a few
-constructions admit closed-form error values.
+draws on one representative point per weight, 1^w 0^(n-w).  Small variable
+counts are checked exhaustively instead, on every point of the cube
+{0,1}^n.  Every mode scores a draw in one column pass: an iterative
+post-order walk gives every node its values at all the points at once, so
+no draw is walked once per point.  Over GF(2) a cube column is one 2^n-bit
+int, and Sum, Product and SymApply are XOR, AND and a bit-sliced counter.
+
+The multilinear normal form of a draw is unique on the cube, so expand_expr
+reads its coefficients off the root's cube column with a Mobius
+(subset-difference) transform, with no polynomial arithmetic.  eval_expr
+stays the pointwise reference.  A few constructions admit closed-form error
+values.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul, ne, or_
+from functools import cached_property, reduce
+from itertools import accumulate, compress, repeat
+from operator import add, and_, mul, ne, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .polyalg import (
@@ -38,7 +45,6 @@ from .probpoly import (
     Sum,
     SymApply,
     Var,
-    eval_expr,
     majority_tail,
     recipe_from_json,
     sample_stream,
@@ -80,72 +86,113 @@ class ErrorReport:
         }
 
 
+def _post_order(roots: Sequence[PolyExpr], value: Callable) -> list:
+    """The roots' values from one iterative post-order walk of their DAG.
+
+    value(e, vals) computes node e from vals, the finished values keyed by
+    node id, so each shared node is computed once.  The Var inputs of a
+    SymApply are not walked: the evaluators count them directly.
+    """
+    vals: dict[int, object] = {}
+    # (node, ready): a node is pushed unready, then ready under its
+    # operands, so it is computed after all of them.
+    stack = [(r, False) for r in roots]
+    while stack:
+        e, ready = stack.pop()
+        if id(e) in vals:
+            continue
+        if ready:
+            vals[id(e)] = value(e, vals)
+            continue
+        stack.append((e, True))
+        stack.extend((c, False) for c in _column_operands(e) if id(c) not in vals)
+    return [vals[id(r)] for r in roots]
+
+
+def _check_indices(indices: Sequence[int], n: int) -> None:
+    """Raise ValueError naming the first variable index outside 0..n-1."""
+    if indices and (min(indices) < 0 or max(indices) >= n):
+        bad = next(i for i in indices if not 0 <= i < n)
+        raise ValueError(f"variable index {bad} out of range for n={n}")
+
+
 class _ColumnEvaluator:
     """Values of expressions on the points 1^w 0^(n-w), w = 0..n, as columns.
 
-    One iterative post-order pass per draw gives every node its column of
-    n + 1 values.  Variables and linear forms are prefix sums over an index
-    histogram; a weight polynomial looks its input count up in a value table
-    that is built once per evaluator and keyed by the polynomial itself.
-    Arithmetic runs on raw ints or Fractions and is reduced once per node.
+    One post-order pass per draw gives every node its column of values, one
+    per point.  Variables and linear forms come from _linear; a weight
+    polynomial looks its input count up in a value table that is built once
+    per evaluator and keyed by the polynomial itself.  Arithmetic runs on
+    raw ints or Fractions and is reduced once per node.  _CubeColumns
+    changes the point set to the whole cube.
     """
 
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
+        self.size = n + 1
         self.tables: dict[SymPoly, list[FieldElement]] = {}
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
-        cols: dict[int, list[FieldElement]] = {}
-        # (node, ready): a node is pushed unready, then ready under its
-        # operands, so it is computed after all of them.
-        stack = [(r, False) for r in roots]
-        while stack:
-            e, ready = stack.pop()
-            if id(e) in cols:
-                continue
-            if ready:
-                cols[id(e)] = self._column(e, cols)
-                continue
-            stack.append((e, True))
-            stack.extend((c, False) for c in _column_operands(e) if id(c) not in cols)
-        return [cols[id(r)] for r in roots]
+        return _post_order(roots, self._column)
+
+    def spectrum_column(self, values: Sequence[int]) -> list[FieldElement]:
+        """Column of a function of the weight, given its values by weight."""
+        return [self.field.element(v) for v in values]
+
+    def wrong_by_weight(self, cols: Sequence, targets: Sequence) -> list:
+        """Per weight, the points where some column misses its target.
+
+        With one point per weight that is a flag per point.
+        """
+        wrong = [False] * self.size
+        for col, target in zip(cols, targets):
+            wrong = list(map(or_, wrong, map(ne, col, target)))
+        return wrong
+
+    def _linear(
+        self, coeffs: Iterable[FieldElement], indices: Sequence[int]
+    ) -> list[FieldElement]:
+        """Column of the sum of coeffs[j] * x_indices[j], unreduced.
+
+        At 1^w 0^(n-w) that is the sum of the coefficients of x_i, i < w:
+        a prefix sum.
+        """
+        _check_indices(indices, self.n)
+        hist: list[FieldElement] = [0] * self.n
+        for c, i in zip(coeffs, indices):
+            hist[i] += c
+        return list(accumulate(hist, initial=0))
+
+    def _coordinate(self, i: int, point: int) -> int:
+        """x_i at the point with index point."""
+        return 1 if i < point else 0
 
     def _reduce(self, col: list[FieldElement]) -> list[FieldElement]:
         p = self.field.characteristic
         return [v % p for v in col] if p else col
 
-    def _prefix(self, pairs: Iterable[tuple[FieldElement, int]]) -> list[FieldElement]:
-        """Column of the sum of c over the pairs (c, i) with i < w, unreduced."""
-        n = self.n
-        hist: list[FieldElement] = [0] * n
-        for c, i in pairs:
-            if i < n:
-                hist[i] += c
-        return list(accumulate(hist, initial=0))
-
     def _column(self, e: PolyExpr, cols: dict) -> list[FieldElement]:
-        n1 = self.n + 1
+        size = self.size
         p = self.field.characteristic
         if isinstance(e, Constant):
-            return self._reduce([e.value] * n1)
+            return self._reduce([e.value] * size)
         if isinstance(e, Var):
-            zeros = min(e.index + 1, n1)
-            return [0] * zeros + [1] * (n1 - zeros)
+            return self._linear((1,), (e.index,))
         if isinstance(e, LinearForm):
-            return self._reduce(self._prefix(zip(e.coeffs, e.indices)))
+            return self._reduce(self._linear(e.coeffs, e.indices))
         if isinstance(e, Power):
             k = e.exponent
             base = cols[id(e.base)]
             return [pow(v, k, p) for v in base] if p else [v**k for v in base]
         if isinstance(e, Product):
-            out = cols[id(e.factors[0])] if e.factors else [1] * n1
+            out = cols[id(e.factors[0])] if e.factors else [1] * size
             for f in e.factors[1:]:
                 out = list(map(mul, out, cols[id(f)]))
             return self._reduce(out)
         if isinstance(e, Sum):
             if not e.terms:
-                return self._reduce([e.constant] * n1)
+                return self._reduce([e.constant] * size)
             (c, t), *rest = e.terms
             k = e.constant
             out = [k + c * v for v in cols[id(t)]]
@@ -164,24 +211,24 @@ class _ColumnEvaluator:
         p = self.field.characteristic
         var_idx = [t.index for t in e.inputs if isinstance(t, Var)]
         others = [cols[id(t)] for t in e.inputs if not isinstance(t, Var)]
-        counts = self._prefix((1, i) for i in var_idx)
+        counts = self._linear(repeat(1), var_idx)
         if others:
             counts = list(map(add, counts, map(sum, zip(*others))))
         # Over GF(2) every reduced value is 0 or 1; elsewhere an input may
-        # take another value, and those weights need the general kernel.
+        # take another value, and those points need the general kernel.
         bad: set[int] = set()
         if p != 2:
             for col in others:
                 if not _BOOLEAN.issuperset(col):
-                    bad.update(w for w, v in enumerate(col) if v != 0 and v != 1)
-        for w in bad:
-            counts[w] = 0
+                    bad.update(j for j, v in enumerate(col) if v != 0 and v != 1)
+        for j in bad:
+            counts[j] = 0
         table = self._table(e.poly, len(e.inputs))
         # Over Q a count may be a Fraction with denominator 1.
         out = [table[int(c)] for c in counts] if p == 0 else [table[c] for c in counts]
-        for w in bad:
-            vals = [1 if i < w else 0 for i in var_idx] + [col[w] for col in others]
-            out[w] = weight_poly_at_values(e.poly, vals, self.field)
+        for j in bad:
+            vals = [self._coordinate(i, j) for i in var_idx] + [col[j] for col in others]
+            out[j] = weight_poly_at_values(e.poly, vals, self.field)
         return out
 
     def _table(self, poly: SymPoly, m: int) -> list[FieldElement]:
@@ -203,6 +250,222 @@ class _ColumnEvaluator:
         return table
 
 
+class _CubeColumns(_ColumnEvaluator):
+    """Values on the whole cube {0,1}^n as lists of 2^n values, in mask order.
+
+    Entry m of a column is the value at the point whose coordinate i is bit
+    i of m.  Used for every field but GF(2), which has _CubeBits.
+    """
+
+    def __init__(self, field: FieldSpec, n: int):
+        super().__init__(field, n)
+        self.size = 1 << n
+
+    @cached_property
+    def weights(self) -> list[int]:
+        """The Hamming weight of each point."""
+        return [m.bit_count() for m in range(self.size)]
+
+    def spectrum_column(self, values: Sequence[int]) -> list[FieldElement]:
+        by_weight = super().spectrum_column(values)
+        return [by_weight[w] for w in self.weights]
+
+    def wrong_by_weight(self, cols: Sequence, targets: Sequence) -> list[int]:
+        counts = [0] * (self.n + 1)
+        for w in compress(self.weights, super().wrong_by_weight(cols, targets)):
+            counts[w] += 1
+        return counts
+
+    def _linear(
+        self, coeffs: Iterable[FieldElement], indices: Sequence[int]
+    ) -> list[FieldElement]:
+        """Column of the sum of coeffs[j] * x_indices[j], unreduced.
+
+        Built by the subset-sum recurrence: the points with x_i = 1 are the
+        lower 2^i points shifted by 2^i, plus x_i's coefficient.
+        """
+        _check_indices(indices, self.n)
+        by_var: list[FieldElement] = [0] * self.n
+        for c, i in zip(coeffs, indices):
+            by_var[i] += c
+        col: list[FieldElement] = [0]
+        for c in by_var:
+            col += [v + c for v in col] if c else col
+        return col
+
+    def _coordinate(self, i: int, point: int) -> int:
+        return (point >> i) & 1
+
+    def coefficients(self, col: list[FieldElement]) -> dict[frozenset, FieldElement]:
+        """Multilinear coefficients of a cube column, by monomial.
+
+        The Mobius transform: for each i, a[m] -= a[m - 2^i] wherever bit i
+        of m is set.  Each pass runs over whichever is fewer, the 2^i
+        strided slices or the 2^(n-i-1) blocks.
+        """
+        a = list(col)
+        size = len(a)
+        h = 1
+        while h < size:
+            step = 2 * h
+            if h * step <= size:
+                for j in range(h):
+                    a[h + j :: step] = map(sub, a[h + j :: step], a[j::step])
+            else:
+                for lo in range(0, size, step):
+                    a[lo + h : lo + step] = map(sub, a[lo + h : lo + step], a[lo : lo + h])
+            h = step
+        p = self.field.characteristic
+        if p:
+            a = [c % p for c in a]
+        masks = [m for m, c in enumerate(a) if c]
+        # Residues are canonical; over Q, element makes integral values ints.
+        coeffs = [a[m] for m in masks] if p else [self.field.element(a[m]) for m in masks]
+        return dict(zip(_monomials(masks, self.n), coeffs))
+
+
+class _CubeBits:
+    """Values over GF(2) on the whole cube, each column one 2^n-bit int.
+
+    Bit m of a column is the value at the point whose coordinate i is bit i
+    of m.  Sum is XOR and Product is AND.  A SymApply counts its inputs with
+    a bit-sliced ripple-carry counter; by Lucas, C(w, k) is odd iff
+    k & w == k, so its output XORs, for each odd coefficient k, the AND of
+    the count bits set in k.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        size = 1 << n
+        self.full = (1 << size) - 1
+        # x_i is 1 on the upper half of each block of 2^(i+1) points: one
+        # block, doubled until it covers the cube.
+        self.var_masks = []
+        for i in range(n):
+            half = 1 << i
+            mask, width = ((1 << half) - 1) << half, 2 * half
+            while width < size:
+                mask |= mask << width
+                width *= 2
+            self.var_masks.append(mask)
+
+    def columns(self, roots: Sequence[PolyExpr]) -> list[int]:
+        return _post_order(roots, self._column)
+
+    @cached_property
+    def layers(self) -> list[int]:
+        """Column of each weight w = 0..n: the points with exactly w ones."""
+        count = self._count(self.var_masks)
+        full = self.full
+        return [
+            reduce(and_, (c if w >> j & 1 else full ^ c for j, c in enumerate(count)), full)
+            for w in range(self.n + 1)
+        ]
+
+    def spectrum_column(self, values: Sequence[int]) -> int:
+        """Column of a function of the weight, given its values by weight."""
+        return reduce(or_, (lay for lay, v in zip(self.layers, values) if v % 2), 0)
+
+    def wrong_by_weight(self, cols: Sequence[int], targets: Sequence[int]) -> list[int]:
+        """Per weight, the points where some column misses its target."""
+        wrong = 0
+        for col, target in zip(cols, targets):
+            wrong |= col ^ target
+        return [(wrong & lay).bit_count() for lay in self.layers]
+
+    def coefficients(self, col: int) -> dict[frozenset, FieldElement]:
+        """Multilinear coefficients of a cube column, by monomial.
+
+        The Mobius transform over GF(2): n shift-XOR steps.
+        """
+        for i, mask in enumerate(self.var_masks):
+            col ^= (col << (1 << i)) & mask
+        masks = [m for m, b in enumerate(bin(col)[:1:-1]) if b == "1"]
+        return dict.fromkeys(_monomials(masks, self.n), 1)
+
+    def _count(self, cols: Sequence[int]) -> list[int]:
+        """Bits of the number of ones among cols at each point, lowest first."""
+        count = [0] * len(cols).bit_length()
+        for carry in cols:
+            j = 0
+            while carry:
+                count[j], carry = count[j] ^ carry, count[j] & carry
+                j += 1
+        return count
+
+    def _column(self, e: PolyExpr, cols: dict) -> int:
+        full = self.full
+        if isinstance(e, Constant):
+            return full if e.value % 2 else 0
+        if isinstance(e, Var):
+            _check_indices((e.index,), self.n)
+            return self.var_masks[e.index]
+        if isinstance(e, LinearForm):
+            _check_indices(e.indices, self.n)
+            out = 0
+            for c, i in zip(e.coeffs, e.indices):
+                if c % 2:
+                    out ^= self.var_masks[i]
+            return out
+        if isinstance(e, Power):
+            return cols[id(e.base)]
+        if isinstance(e, Product):
+            out = full
+            for f in e.factors:
+                out &= cols[id(f)]
+            return out
+        if isinstance(e, Sum):
+            out = full if e.constant % 2 else 0
+            for c, t in e.terms:
+                if c % 2:
+                    out ^= cols[id(t)]
+            return out
+        if isinstance(e, SymApply):
+            _check_indices([t.index for t in e.inputs if isinstance(t, Var)], self.n)
+            inputs = [
+                self.var_masks[t.index] if isinstance(t, Var) else cols[id(t)]
+                for t in e.inputs
+            ]
+            count = self._count(inputs)
+            # subsets[k] is the AND of the count bits set in k; C(w, k) is 0
+            # for k above the number of inputs.
+            subsets = [full]
+            out = 0
+            for k, c in enumerate(e.poly.coeffs[: len(inputs) + 1]):
+                if k:
+                    low = (k & -k).bit_length() - 1
+                    subsets.append(subsets[k & (k - 1)] & count[low])
+                if c % 2:
+                    out ^= subsets[k]
+            return out
+        raise TypeError(f"unknown expression node {type(e)!r}")
+
+
+def _cube_evaluator(field: FieldSpec, n: int) -> _CubeColumns | _CubeBits:
+    """Column evaluator on {0,1}^n: bit-packed over GF(2), lists elsewhere."""
+    return _CubeBits(n) if field.characteristic == 2 else _CubeColumns(field, n)
+
+
+def _monomials(masks: Sequence[int], n: int) -> list[frozenset]:
+    """For each mask, the set of variables whose bits are set in it.
+
+    Each set is the union of one entry from a table over the low n // 2
+    variables and one from a table over the rest.
+    """
+    half = n // 2
+    low, high = _subsets(range(half)), _subsets(range(half, n))
+    low_mask = (1 << half) - 1
+    return [low[m & low_mask] | high[m >> half] for m in masks]
+
+
+def _subsets(indices: Iterable[int]) -> list[frozenset]:
+    """Every subset of indices, listed by mask: bit j picks the j-th index."""
+    out = [frozenset()]
+    for i in indices:
+        out += [s | {i} for s in out]
+    return out
+
+
 _BOOLEAN = frozenset((0, 1))
 
 
@@ -219,28 +482,34 @@ def _column_operands(e: PolyExpr) -> Sequence[PolyExpr]:
     return ()
 
 
-def _wrong_counts(recipe: Recipe, draws: Iterable[Sequence[PolyExpr]]) -> list[int]:
-    """Per-weight count of draws wrong on any component."""
-    field = recipe.field
-    n = recipe.n
-    targets = [
-        [field.element(v) for v in s.values] for s in recipe.target_spectra()
-    ]
-    evaluator = _ColumnEvaluator(field, n)
-    counts = [0] * (n + 1)
+def _wrong_counts(
+    recipe: Recipe, draws: Iterable[Sequence[PolyExpr]], evaluator
+) -> list[int]:
+    """Per-weight count of wrong points, summed over the draws.
+
+    A point is wrong when some component misses its target there; the
+    evaluator fixes the point set.
+    """
+    targets = [evaluator.spectrum_column(s.values) for s in recipe.target_spectra()]
+    counts = [0] * (recipe.n + 1)
     for draw in draws:
-        wrong = [False] * (n + 1)
-        for col, target in zip(evaluator.columns(draw), targets):
-            wrong = list(map(or_, wrong, map(ne, col, target)))
+        wrong = evaluator.wrong_by_weight(evaluator.columns(draw), targets)
         counts = list(map(add, counts, wrong))
     return counts
 
 
-def _trial_counts(recipe: Recipe, master_seed: int, lo: int, hi: int) -> list[int]:
-    """Wrong counts over the trial draws lo..hi-1 of the master seed."""
+def _trial_draws(
+    recipe: Recipe, master_seed: int, lo: int, hi: int
+) -> Iterable[tuple[PolyExpr, ...]]:
+    """The trial draws lo..hi-1 of the master seed, one at a time."""
     root = SeedStream.from_seed(master_seed)
-    draws = (sample_stream(recipe, root.child(("trial", k))) for k in range(lo, hi))
-    return _wrong_counts(recipe, draws)
+    return (sample_stream(recipe, root.child(("trial", k))) for k in range(lo, hi))
+
+
+def _trial_counts(recipe: Recipe, master_seed: int, lo: int, hi: int) -> list[int]:
+    """Wrong counts at the points 1^w 0^(n-w) over trial draws lo..hi-1."""
+    evaluator = _ColumnEvaluator(recipe.field, recipe.n)
+    return _wrong_counts(recipe, _trial_draws(recipe, master_seed, lo, hi), evaluator)
 
 
 def _trial_counts_from_json(
@@ -275,7 +544,8 @@ def empirical_error(
 
     if recipe.randomness_free:
         draw = sample_stream(recipe, SeedStream.from_seed(seed))
-        per_weight = [float(c) for c in _wrong_counts(recipe, [draw])]
+        counts = _wrong_counts(recipe, [draw], _ColumnEvaluator(recipe.field, n))
+        per_weight = [float(c) for c in counts]
         return _finish_report("single-draw", 1, recipe.eps, per_weight)
 
     if n <= exhaustive_limit:
@@ -313,28 +583,17 @@ def empirical_error(
 
 
 def _exhaustive_error(recipe: Recipe, trials: int, seed: int) -> ErrorReport:
-    """Evaluate every draw on every point of the cube (small n only)."""
+    """Score every draw on every point of the cube (small n only).
+
+    Each draw gets its cube columns from one pass of _cube_evaluator,
+    bit-packed over GF(2).  A point is wrong when any component misses its
+    target there, and the wrong points are counted per weight, so
+    per_weight[w] is that count over trials * C(n, w).
+    """
     n = recipe.n
-    field = recipe.field
-    targets = [s.values for s in recipe.target_spectra()]
-    points_by_weight: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        x = tuple((mask >> i) & 1 for i in range(n))
-        points_by_weight[sum(x)].append(x)
-    wrong = [0] * (n + 1)
-    totals = [0] * (n + 1)
-    root = SeedStream.from_seed(seed)
-    for k in range(trials):
-        draw = sample_stream(recipe, root.child(("trial", k)))
-        for w in range(n + 1):
-            for x in points_by_weight[w]:
-                memo: dict = {}
-                totals[w] += 1
-                for expr, target in zip(draw, targets):
-                    if eval_expr(expr, x, field, memo) != field.element(target[w]):
-                        wrong[w] += 1
-                        break
-    per_weight = [wrong[w] / totals[w] for w in range(n + 1)]
+    draws = _trial_draws(recipe, seed, 0, trials)
+    wrong = _wrong_counts(recipe, draws, _cube_evaluator(recipe.field, n))
+    per_weight = [wrong[w] / (trials * math.comb(n, w)) for w in range(n + 1)]
     return _finish_report("exhaustive", trials, recipe.eps, per_weight)
 
 
@@ -465,56 +724,20 @@ def degree_audit(
 def expand_expr(
     expr: PolyExpr, n: int, field: FieldSpec, memo: dict | None = None
 ) -> MultilinearPoly:
-    """Expand an expression DAG into its multilinear normal form."""
-    if memo is None:
-        memo = {}
-    key = id(expr)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(expr, Constant):
-        out = MultilinearPoly.constant(field, n, expr.value)
-    elif isinstance(expr, Var):
-        out = MultilinearPoly.variable(field, n, expr.index)
-    elif isinstance(expr, LinearForm):
-        out = MultilinearPoly(
-            field,
-            n,
-            {},
-        )
-        for c, i in zip(expr.coeffs, expr.indices):
-            out = out.add(MultilinearPoly(field, n, {frozenset([i]): c}))
-    elif isinstance(expr, Power):
-        base = expand_expr(expr.base, n, field, memo)
-        out = MultilinearPoly.constant(field, n, 1)
-        for _ in range(expr.exponent):
-            out = out.mul(base)
-    elif isinstance(expr, Product):
-        out = MultilinearPoly.constant(field, n, 1)
-        for f in expr.factors:
-            out = out.mul(expand_expr(f, n, field, memo))
-    elif isinstance(expr, Sum):
-        out = MultilinearPoly.constant(field, n, expr.constant)
-        for c, t in expr.terms:
-            out = out.add(expand_expr(t, n, field, memo).scale(c))
-    elif isinstance(expr, SymApply):
-        inputs = [expand_expr(t, n, field, memo) for t in expr.inputs]
-        d = min(expr.poly.degree, len(inputs))
-        elem = [MultilinearPoly.constant(field, n, 1)] + [
-            MultilinearPoly(field, n) for _ in range(d)
-        ]
-        for q in inputs:
-            for k in range(min(d, len(elem) - 1), 0, -1):
-                elem[k] = elem[k].add(elem[k - 1].mul(q))
-        out = MultilinearPoly(field, n)
-        for k, c in enumerate(expr.poly.coeffs):
-            if k > d:
-                break
-            if c != 0:
-                out = out.add(elem[k].scale(c))
-    else:
-        raise TypeError(f"unknown expression node {type(expr)!r}")
-    memo[key] = out
+    """Expand an expression DAG into its multilinear normal form.
+
+    The normal form is the one multilinear polynomial that agrees with the
+    expression on {0,1}^n, so its coefficients are the Mobius transform of
+    the root's cube column; no polynomial arithmetic is done.  Time and
+    memory grow as 2^n: a column is a 2^n-bit int over GF(2) and a list of
+    2^n values elsewhere.  A variable index outside 0..n-1 raises
+    ValueError.  memo is accepted for compatibility and not used: one call
+    walks the DAG once.
+    """
+    cube = _cube_evaluator(field, n)
+    (col,) = cube.columns((expr,))
+    out = MultilinearPoly(field, n)
+    out.terms = cube.coefficients(col)
     return out
 
 

@@ -13,13 +13,25 @@ from fractions import Fraction
 
 import pytest
 
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec
+from pdeg.polyalg import GF2, RATIONALS, FieldSpec, exact_sympoly
 from pdeg.probpoly import (
+    Constant,
+    ConstantsProfile,
+    LinearForm,
+    Power,
+    SymApply,
+    Var,
+    amplify,
+    char0_or,
+    compose,
     eval_expr,
+    exact_recipe,
     general_recipe,
     practical_profile,
+    razborov_or,
     sample,
     threshold_tuple,
+    xor_combine,
 )
 from pdeg.reductions import (
     maj_from_general,
@@ -30,6 +42,7 @@ from pdeg.reductions import (
     thr_restrictions,
 )
 from pdeg.symfun import Spectrum, complement_spectrum, named_spectrum
+from pdeg.verify import empirical_error, expand_expr
 
 GF3 = FieldSpec(3)
 EIGHTH = Fraction(1, 8)
@@ -263,3 +276,187 @@ def test_shrink_support_output_is_pinned():
     rng = random.Random(5150)
     blob = [_shrink_or_error(_random_family(rng)) for _ in range(200)]
     assert _digest(blob) == SHRINK_SUPPORT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive error reports and multilinear expansions.  These digests were
+# recorded while exhaustive scoring still evaluated every cube point with
+# eval_expr and expand_expr still multiplied sparse MultilinearPoly terms.
+
+QUARTER = Fraction(1, 4)
+TINY_EPS = Fraction(1, 1 << 20)
+# Cramped constants that reach the hashed and recursive threshold branches
+# on a handful of variables.
+TINY = ConstantsProfile(
+    name="tiny",
+    A=24,
+    B=24,
+    r_multiplier=0.3,
+    small_error_exponent_divisor=1,
+    subsample_ratio=Fraction(1, 2),
+    window_inner_multiplier=0.5,
+    window_outer_multiplier=0.5,
+    base_n=4,
+    amplify_arity=4,
+)
+CUBE_RECIPES = {
+    "razborov_or GF2 10": lambda: razborov_or(10, QUARTER, GF2),
+    "razborov_and GF3 8": lambda: razborov_or(8, EIGHTH, GF3, negate=True),
+    "razborov_or GF5 8": lambda: razborov_or(8, EIGHTH, GF5),
+    "char0_or Q 6": lambda: char0_or(6, EIGHTH),
+    "amplify GF2 8": lambda: amplify(razborov_or(8, QUARTER, GF2), Fraction(5, 32)),
+    "amplify GF3 8": lambda: amplify(razborov_or(8, QUARTER, GF3), Fraction(5, 32)),
+    "threshold exact GF2 8": lambda: threshold_tuple(
+        8, (1, 3), EIGHTH, GF2, practical_profile(GF2)
+    ),
+    "threshold hash GF3 8": lambda: threshold_tuple(8, (1,), TINY_EPS, GF3, TINY),
+    "threshold hash Q 8": lambda: threshold_tuple(8, (1,), TINY_EPS, RATIONALS, TINY),
+    "threshold inductive GF5 8": lambda: threshold_tuple(
+        8, (2, 5), QUARTER, GF5, TINY
+    ),
+    "threshold inductive Q 8": lambda: threshold_tuple(
+        8, (2, 5), QUARTER, RATIONALS, TINY
+    ),
+    "general MAJ GF2 8": lambda: general_recipe(
+        named_spectrum("MAJ", 8), EIGHTH, GF2, practical_profile(GF2)
+    ),
+    "general MAJ GF5 8": lambda: general_recipe(
+        named_spectrum("MAJ", 8), EIGHTH, GF5, practical_profile(GF5)
+    ),
+    "xor GF2 8": lambda: xor_combine(
+        razborov_or(8, EIGHTH, GF2), exact_recipe(GF2, [named_spectrum("MAJ", 8)])
+    ),
+    "compose GF2 8": lambda: compose(
+        razborov_or(2, EIGHTH, GF2), [razborov_or(8, EIGHTH, GF2)] * 2
+    ),
+}
+
+EXHAUSTIVE_DIGESTS = {
+    "amplify GF2 8": (
+        "25edd981bc99e841d78df4a4d5c77eb8c1b25ff5c5ec76bf2be5785062bd796e"
+    ),
+    "amplify GF3 8": (
+        "6e24ece3730b1b3974e62baf65594e3049b488b49e6ab0a2d758f5c00ac4eb14"
+    ),
+    "char0_or Q 6": (
+        "0f5eceac82aa2950025363971fb1554b002bcac71c3ce35ef803eb433a4fc646"
+    ),
+    "compose GF2 8": (
+        "8ee2cd8eda3461454ca193b5adc3e34fe7e29015ec5143485558219c7247a7ce"
+    ),
+    "razborov_and GF3 8": (
+        "0b5d6c2b298469efb4dd4181936d4841816e7661f645bbfb84fd30298089dfd7"
+    ),
+    "razborov_or GF2 10": (
+        "330591c14b7295982eea7c38ad73010aff4094df0357f8e587dc2c3fbfa49ceb"
+    ),
+    "razborov_or GF5 8": (
+        "e456f6ed07c34c689cd9c3b03577b7e18adf2ec2f20fc47080144e77249b8186"
+    ),
+    "threshold hash GF3 8": (
+        "d42aea4da63aa8b80483f318cf54aa6ea5b2e610ce4be6486618bc43137351db"
+    ),
+    "threshold hash Q 8": (
+        "dde668ae3780015987f18c1f95333d8b73d681a889368ad8ab4f00356a811861"
+    ),
+    "threshold inductive GF5 8": (
+        "802677f476b04139e3ebec46da44dac9279522d45ba9a88ed95e8f3008e898c6"
+    ),
+    "threshold inductive Q 8": (
+        "93485b77688827a58292d19bb22c05903a2fb6f73b4fc3c61fcd5b225d9e4bf4"
+    ),
+    "xor GF2 8": (
+        "f81c5dbc76a492f7427249c8d5e110eed8ae1ea61bee4a2e9c8983c21918427a"
+    ),
+}
+
+EXPAND_DIGESTS = {
+    "amplify GF2 8": (
+        "2981d8fed42ca32ba515ab6929beabb9d770bd52ab45e91c2fbe9fb1b0904354"
+    ),
+    "amplify GF3 8": (
+        "b0b8ca54edd8439598a02d0c23118d5438b664243a77658943df8cc937620856"
+    ),
+    "char0_or Q 6": (
+        "38c3edf0210b9631327780c1da7760b842cae2373481468a67316581157fd13e"
+    ),
+    "compose GF2 8": (
+        "d9a73220920eda8cf73c5d2cf259c8af044c919e52bb49f0a1dbd351058a797a"
+    ),
+    "general MAJ GF2 8": (
+        "af09212999ee6a88fba9f1a7ac05174d41a016e5dbfe91e93942d476218ffb3a"
+    ),
+    "general MAJ GF5 8": (
+        "e177cf6bb644b181acd92039c0fa41e0da076d96ab56786c6b400334de2704aa"
+    ),
+    "razborov_and GF3 8": (
+        "b18a67e56d422388f50a745402a8fe9284a46b394096de57f32a1cab3b799879"
+    ),
+    "razborov_or GF2 10": (
+        "da8610ec1515dd26a31303208270147dc2e4d75a0225d5d839714ed2c4efecd0"
+    ),
+    "razborov_or GF5 8": (
+        "7a05bc4742d10096bd5920de45cb47239d4bbd39c86be7368257d3c646c2af3e"
+    ),
+    "threshold exact GF2 8": (
+        "0e0a92c93d3f2165e373062d4e5b7be431412d0c4f1cb8db9ea7bc0a327ea56f"
+    ),
+    "threshold hash GF3 8": (
+        "134e54fe4fd9ef8487ccb53e2e0447e57947b0ab4b64ca2f7b756d4c0df7d280"
+    ),
+    "threshold hash Q 8": (
+        "085adbe8798ae615c7ebd9ea0c71210a975baea6d44fb5ccabf8723df2e643d9"
+    ),
+    "threshold inductive GF5 8": (
+        "31e08752ee4a6b2e0bf223340c742eea218b011a3c48f31bc4a5debba3103306"
+    ),
+    "threshold inductive Q 8": (
+        "8d2c0c3d8518dd31bdb1e923aee97d7d92b1ca3457c5e93844d29e59ccc1ea8e"
+    ),
+    "xor GF2 8": (
+        "65be6f45685ef6685c6c2d32dfdeba47b7bf4455441f870d467317583e7edc9f"
+    ),
+    "non-boolean GF3": (
+        "e615c8d93eb7e1e7c6d856693c882971cafe14cc7cc8128051bfc209bd63afda"
+    ),
+    "non-boolean GF5": (
+        "03caacfb0398390516a9a569b6807213a700f5184a1727b7e7b32378a384871a"
+    ),
+    "non-boolean Q": (
+        "03dd6817d9d87d2868e2d0cf1a3d44ff72ce0e384aa5214d02d1f35adad49432"
+    ),
+}
+
+
+def _non_boolean_draw(field):
+    """SymApply nodes whose inputs take values other than 0 and 1."""
+    maj3 = exact_sympoly(named_spectrum("MAJ", 3), field)
+    form = LinearForm((1, 2, 1), (0, 1, 3))
+    return (
+        SymApply(maj3, (Var(0), form, Constant(field.element(2)))),
+        SymApply(maj3, (Power(form, 2), Var(3), Var(3), form)),
+    )
+
+
+def _expand_blob(name):
+    if name.startswith("non-boolean"):
+        field = {"GF3": GF3, "GF5": GF5, "Q": RATIONALS}[name.split()[1]]
+        draws = [_non_boolean_draw(field)]
+        n = 5
+    else:
+        recipe = CUBE_RECIPES[name]()
+        field, n = recipe.field, recipe.n
+        draws = [sample(recipe, seed) for seed in range(3)]
+    return [[expand_expr(e, n, field).to_json() for e in draw] for draw in draws]
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_DIGESTS))
+def test_exhaustive_report_is_pinned(name):
+    report = empirical_error(CUBE_RECIPES[name](), trials=6, seed=17)
+    assert report.mode == "exhaustive"
+    assert _digest(report.to_json()) == EXHAUSTIVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPAND_DIGESTS))
+def test_expansion_is_pinned(name):
+    assert _digest(_expand_blob(name)) == EXPAND_DIGESTS[name]

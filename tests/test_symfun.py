@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -109,9 +110,35 @@ def test_period_matches_brute_force_oracle():
             if all(values[i] == values[i + b] for i in range(n - b + 1)):
                 return b
 
-    for n in range(1, 9):
+    for n in range(1, 13):
         for s in all_spectra(n):
             assert period(s) == oracle(s.values), s.text()
+
+
+def _slice_period(values):
+    """The shift equation by tuple slices, one slice compare per b."""
+    for b in range(1, len(values)):
+        if values[: len(values) - b] == values[b:]:
+            return b
+    return len(values)
+
+
+def test_period_matches_slice_definition_on_large_spectra():
+    rng = random.Random(10300)
+    cases = [(10300, 1024, False)] + [
+        (rng.randint(1, 10300), rng.randint(1, 1100), rng.random() < 0.25)
+        for _ in range(40)
+    ]
+    for n, b, flip in cases:
+        b = min(b, n)
+        base = [rng.randint(0, 1) for _ in range(b)]
+        values = [base[w % b] for w in range(n + 1)]
+        if flip:
+            values[rng.randrange(n + 1)] ^= 1
+        assert period(Spectrum(tuple(values))) == _slice_period(values), (n, b, flip)
+    for _ in range(20):
+        values = [rng.randint(0, 1) for _ in range(rng.randint(2, 1500))]
+        assert period(Spectrum(tuple(values))) == _slice_period(values)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly
+from pdeg.polyalg import GF2, RATIONALS, FieldSpec, MultilinearPoly, SymPoly
 from pdeg.probpoly import (
     Constant,
     ConstantsProfile,
@@ -33,6 +34,7 @@ from pdeg.polyalg import exact_sympoly
 from pdeg.symfun import named_spectrum, spectrum
 from pdeg.verify import (
     _ColumnEvaluator,
+    _cube_evaluator,
     DegreeAudit,
     ErrorReport,
     degree_audit,
@@ -45,6 +47,7 @@ from pdeg.verify import (
 )
 
 GF3 = FieldSpec(3)
+GF5 = FieldSpec(5)
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
 TINY_EPS = Fraction(1, 1 << 20)
@@ -173,16 +176,45 @@ class TestEmpiricalError:
             empirical_error(r, trials=20, seed=4, jobs=2)
 
     def test_deep_chain_does_not_recurse(self):
-        n = 6
-        e = Var(0)
-        for _ in range(5000):
-            e = one_minus(e)
-        # The chain is x_0, i.e. OR, which misses THR 2 at weight 1 only.
-        r = handmade(
-            lambda stream: (e,), GF2, n, [named_spectrum("THR", n, 2)], True
-        )
-        rep = empirical_error(r)
+        # At 1^w 0^(n-w) the chain is x_0, i.e. OR, which misses THR 2 at
+        # weight 1 only.
+        rep = empirical_error(_deep_chain_recipe(randomness_free=True))
         assert rep.per_weight == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_deep_chain_exhaustive_does_not_recurse(self):
+        rep = empirical_error(_deep_chain_recipe(randomness_free=False), trials=3)
+        assert rep.mode == "exhaustive"
+        # x_0 against THR 2: wrong where x_0 = 1 below weight 2, and where
+        # x_0 = 0 from weight 2 on.
+        wrong = [comb(5, w - 1) if w else 0 for w in range(2)] + [
+            comb(5, w) for w in range(2, 7)
+        ]
+        assert rep.per_weight == tuple(
+            float(Fraction(k, comb(6, w))) for w, k in enumerate(wrong)
+        )
+
+    @pytest.mark.parametrize("field", [GF2, GF3])
+    @pytest.mark.parametrize("exhaustive_limit", [14, 0])
+    def test_out_of_range_variable_fails_cleanly(self, field, exhaustive_limit):
+        for expr in (Var(7), LinearForm((1, 1), (0, -1)), SymApply(
+            SymPoly(field, (0, 1)), (Var(0), Var(3))
+        )):
+            r = handmade(
+                lambda stream: (expr,), field, 3, [named_spectrum("OR", 3)], False
+            )
+            with pytest.raises(ValueError, match="variable index -?[0-9]+ out of range"):
+                empirical_error(r, trials=2, exhaustive_limit=exhaustive_limit)
+
+
+def _deep_chain_recipe(randomness_free):
+    """A 5000-deep one_minus chain over Var(0) at n = 6, against THR 2."""
+    n = 6
+    e = Var(0)
+    for _ in range(5000):
+        e = one_minus(e)
+    return handmade(
+        lambda stream: (e,), GF2, n, [named_spectrum("THR", n, 2)], randomness_free
+    )
 
 
 def _column_recipes():
@@ -265,6 +297,119 @@ class TestColumnEvaluator:
         assert list(evaluator.tables) == [maj]
 
 
+def _cube_recipes():
+    """Recipes on 8 variables over GF(2), GF(3), GF(5) and Q."""
+    n = 8
+    cases = []
+    for field in (GF2, GF3, GF5, RATIONALS):
+        p = field.characteristic
+        profile = practical_profile(field)
+        if p:
+            base = razborov_or(n, EIGHTH, field)
+            outer = razborov_or(2, EIGHTH, field)
+            cases += [
+                (f"razborov_or-{p}", base),
+                (f"razborov_and-{p}", razborov_or(n, EIGHTH, field, negate=True)),
+                (f"amplify-{p}", amplify(
+                    razborov_or(n, QUARTER, field), Fraction(5, 32))),
+            ]
+        else:
+            base = char0_or(n, EIGHTH)
+            outer = char0_or(2, EIGHTH)
+            cases += [("char0_or", base)]
+        maj = exact_recipe(field, [named_spectrum("MAJ", n)])
+        cases += [
+            (f"xor-{p}", xor_combine(base, maj)),
+            (f"compose-{p}", compose(outer, [base] * 2)),
+            (f"threshold-exact-{p}", threshold_tuple(n, (1, 3), EIGHTH, field, profile)),
+            (f"threshold-hash-{p}", threshold_tuple(n, (1,), TINY_EPS, field, TINY)),
+            (f"threshold-inductive-{p}", threshold_tuple(
+                n, (2, 5), QUARTER, field, TINY)),
+            (f"general-{p}", general_recipe(
+                spectrum("011010011"), EIGHTH, field, profile)),
+        ]
+    return cases
+
+
+def _cube_draws():
+    """(name, n, field, draw) for three draws of each cube recipe, plus
+    hand-built SymApply nodes whose inputs are not all 0/1."""
+    out = []
+    for name, recipe in _cube_recipes():
+        for seed in range(3):
+            out.append((f"{name}-{seed}", recipe.n, recipe.field, sample(recipe, seed)))
+    for field in (GF2, GF3, GF5, RATIONALS):
+        out.append((f"non-boolean-{field.characteristic}", 5, field,
+                    _non_boolean_sym(field)))
+    return out
+
+
+CUBE_DRAWS = _cube_draws()
+
+
+def cube_values(col, n):
+    """A cube column as a list in mask order; GF(2) columns are ints."""
+    if isinstance(col, int):
+        return [(col >> m) & 1 for m in range(1 << n)]
+    return col
+
+
+def sparse_expand(expr, n, field, memo=None):
+    """Multilinear normal form by sparse term arithmetic (the reference)."""
+    if memo is None:
+        memo = {}
+    if id(expr) in memo:
+        return memo[id(expr)]
+    if isinstance(expr, Constant):
+        out = MultilinearPoly.constant(field, n, expr.value)
+    elif isinstance(expr, Var):
+        out = MultilinearPoly.variable(field, n, expr.index)
+    elif isinstance(expr, LinearForm):
+        out = MultilinearPoly(field, n)
+        for c, i in zip(expr.coeffs, expr.indices):
+            out = out.add(MultilinearPoly(field, n, {frozenset([i]): c}))
+    elif isinstance(expr, Power):
+        base = sparse_expand(expr.base, n, field, memo)
+        out = MultilinearPoly.constant(field, n, 1)
+        for _ in range(expr.exponent):
+            out = out.mul(base)
+    elif isinstance(expr, Product):
+        out = MultilinearPoly.constant(field, n, 1)
+        for f in expr.factors:
+            out = out.mul(sparse_expand(f, n, field, memo))
+    elif isinstance(expr, Sum):
+        out = MultilinearPoly.constant(field, n, expr.constant)
+        for c, t in expr.terms:
+            out = out.add(sparse_expand(t, n, field, memo).scale(c))
+    else:
+        inputs = [sparse_expand(t, n, field, memo) for t in expr.inputs]
+        d = min(expr.poly.degree, len(inputs))
+        elem = [MultilinearPoly.constant(field, n, 1)] + [
+            MultilinearPoly(field, n) for _ in range(d)
+        ]
+        for q in inputs:
+            for k in range(d, 0, -1):
+                elem[k] = elem[k].add(elem[k - 1].mul(q))
+        out = MultilinearPoly(field, n)
+        for k, c in enumerate(expr.poly.coeffs[: d + 1]):
+            out = out.add(elem[k].scale(c))
+    memo[id(expr)] = out
+    return out
+
+
+class TestCubeColumns:
+    """Every cube column must equal eval_expr at every point of {0,1}^n."""
+
+    @pytest.mark.parametrize(
+        "n, field, draw", [c[1:] for c in CUBE_DRAWS], ids=[c[0] for c in CUBE_DRAWS]
+    )
+    def test_matches_eval_expr(self, n, field, draw):
+        points = [[(m >> i) & 1 for i in range(n)] for m in range(1 << n)]
+        got = _cube_evaluator(field, n).columns(draw)
+        for e, col in zip(draw, got):
+            assert cube_values(col, n) == [eval_expr(e, x, field) for x in points]
+
+
 class TestExactError:
     def test_randomness_free_all_zero(self):
         r = exact_recipe(GF3, [named_spectrum("THR", 5, 2)])
@@ -336,6 +481,10 @@ class TestDegreeAudit:
         obj = degree_audit(r, draws=3).to_json()
         assert set(obj) >= {"declared", "max_tracked", "draws", "expanded"}
 
+    def test_deep_chain_does_not_recurse(self):
+        audit = degree_audit(_deep_chain_recipe(randomness_free=False), draws=2)
+        assert (audit.max_tracked, audit.max_expanded) == (1, 1)
+
     def test_audit_catches_understated_declaration(self):
         r = razborov_or(4, QUARTER, GF2)
         bad = type(r).__new__(type(r))
@@ -383,6 +532,36 @@ class TestExpandExpr:
         poly = expand_expr(expr, 5, GF2)
         for x in self.points(5):
             assert poly.evaluate(x) == eval_expr(expr, list(x), GF2)
+
+    @pytest.mark.parametrize(
+        "n, field, draw", [c[1:] for c in CUBE_DRAWS], ids=[c[0] for c in CUBE_DRAWS]
+    )
+    def test_matches_sparse_reference(self, n, field, draw):
+        for e in draw:
+            got = expand_expr(e, n, field)
+            want = sparse_expand(e, n, field)
+            assert got.terms == want.terms
+            assert [type(got.terms[m]) for m in want.terms] == [
+                type(c) for c in want.terms.values()
+            ]
+            assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS])
+    @pytest.mark.parametrize(
+        "expr, index",
+        [
+            (Var(3), 3),
+            (Var(-1), -1),
+            (LinearForm((1,), (7,)), 7),
+            (LinearForm((1, 1), (0, -1)), -1),
+            (SymApply(SymPoly(GF2, (0, 1)), (Var(0), Var(5))), 5),
+        ],
+    )
+    def test_out_of_range_variable_fails_cleanly(self, field, expr, index):
+        with pytest.raises(
+            ValueError, match=rf"^variable index {index} out of range for n=3$"
+        ):
+            expand_expr(expr, 3, field)
 
 
 class TestIdentityChecks:
