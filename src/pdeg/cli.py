@@ -23,7 +23,6 @@ from .probpoly import (
     Recipe,
     general_recipe,
     get_profile,
-    eval_expr,
     sample,
     threshold_tuple,
 )
@@ -44,7 +43,7 @@ from .symfun import (
     standard_decomposition,
     threshold_combination,
 )
-from .verify import empirical_error, exact_error
+from .verify import _ColumnEvaluator, empirical_error, exact_error
 
 
 def parse_eps(text: str) -> Fraction:
@@ -271,13 +270,13 @@ def _cmd_sample(args) -> tuple[dict, int]:
     recipe = _resolve_recipe(args)
     field = recipe.field
     exprs = sample(recipe, args.seed)
-    components = []
-    for expr in exprs:
-        values = []
-        for w in range(recipe.n + 1):
-            x = [1] * w + [0] * (recipe.n - w)
-            values.append(field.format_element(eval_expr(expr, x, field)))
-        components.append({"tracked_degree": expr.deg, "values": values})
+    # One column pass gives every component its values at all the points
+    # 1^w 0^(n-w).
+    columns = _ColumnEvaluator(field, recipe.n).columns(exprs)
+    components = [
+        {"tracked_degree": expr.deg, "values": [field.format_element(v) for v in col]}
+        for expr, col in zip(exprs, columns)
+    ]
     payload = {
         "schema_version": 1,
         "command": "sample",

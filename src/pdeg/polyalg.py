@@ -58,8 +58,14 @@ class FieldSpec:
         return self.characteristic > 0
 
     def element(self, x: int | Fraction) -> FieldElement:
-        """Canonical representative: residue in [0, p) or an exact rational."""
+        """Canonical representative: residue in [0, p) or an exact rational.
+
+        Plain ints return at once; bools and Fractions become ints where
+        they are integral, and floats raise TypeError.
+        """
         p = self.characteristic
+        if type(x) is int:
+            return x % p if p else x
         if p == 0:
             if isinstance(x, float):
                 raise TypeError("floating point is not a field element")
@@ -187,12 +193,27 @@ class SymPoly:
         return len(self.coeffs) - 1
 
     def value_at_weight(self, w: int) -> FieldElement:
+        """sum_k coeffs[k] * C(w, k), over k <= min(w, degree) only.
+
+        One kernel per field, reduced once: over GF(2) the parity of the
+        coefficients at submasks of w (C(w, k) is odd iff k & w == k); over
+        GF(p) a raw sum of coefficients times Lucas binomials; over Q a
+        running exact binomial C(w, k + 1) = C(w, k) * (w - k) / (k + 1).
+        """
+        coeffs = self.coeffs[: max(0, min(w, self.degree) + 1)]
         f = self.field
-        total = f.element(0)
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                total = f.add(total, f.mul(c, binomial_in_field(w, k, f)))
-        return total
+        p = f.characteristic
+        if p == 2:
+            return sum(c for k, c in enumerate(coeffs) if c and w & k == k) & 1
+        if p:
+            return sum(c * binomial_in_field(w, k, f) for k, c in enumerate(coeffs) if c) % p
+        total = 0
+        b = 1
+        for k, c in enumerate(coeffs):
+            if c:
+                total += c * b
+            b = b * (w - k) // (k + 1)
+        return f.element(total)
 
     def values(self, n: int) -> tuple[FieldElement, ...]:
         return tuple(self.value_at_weight(w) for w in range(n + 1))

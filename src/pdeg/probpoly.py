@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -28,6 +28,7 @@ from .polyalg import (
     threshold_window,
 )
 from .symfun import (
+    BOOLEAN,
     Spectrum,
     bounded_radius_flagged,
     complement_spectrum,
@@ -139,16 +140,33 @@ class SymApply:
     When every input evaluates to 0 or 1 the value is poly at the number of
     ones; in general the binomial-basis coefficients act on the elementary
     symmetric polynomials of the inputs.  Repeating an input counts it with
-    multiplicity.
+    multiplicity.  The inputs are split once, on creation, into the indices
+    of the Var inputs, which evaluators count straight off the point, and
+    the other inputs, which they walk.
     """
 
     poly: SymPoly
     inputs: tuple["PolyExpr", ...]
     deg: int = 0
+    var_indices: Sequence[int] = dataclass_field(init=False, repr=False)
+    others: tuple["PolyExpr", ...] = dataclass_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         inner = max((e.deg for e in self.inputs), default=0)
         object.__setattr__(self, "deg", self.poly.degree * inner)
+        var_indices, others = [], []
+        for e in self.inputs:
+            if type(e) is Var:
+                var_indices.append(e.index)
+            else:
+                others.append(e)
+        # Var inputs x_0..x_(m-1) in order, the usual case, are stored as a
+        # range: recipes hold such nodes for their whole life, and a tuple
+        # of n indices per node adds up.
+        m = len(var_indices)
+        split = range(m) if var_indices == list(range(m)) else tuple(var_indices)
+        object.__setattr__(self, "var_indices", split)
+        object.__setattr__(self, "others", tuple(others))
 
 
 PolyExpr = Constant | Var | LinearForm | Power | Product | Sum | SymApply
@@ -175,58 +193,89 @@ def sum_of(
 def eval_expr(
     expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec, memo: dict | None = None
 ) -> FieldElement:
-    """Evaluate at a point, sharing work across common subexpressions."""
+    """Evaluate at a point, sharing work across common subexpressions.
+
+    One iterative walk with an explicit stack, so DAG depth is unbounded: a
+    node stays on the stack until its operands are in memo (keyed by node
+    id).  A Product multiplies its known factors in order, stops at the
+    first zero partial product and pushes only its next unknown factor, so
+    factors after a zero are never evaluated.  When the point and a
+    SymApply's other inputs are all 0/1, the SymApply counts its ones
+    (its Var inputs are read straight off the point) and reads its weight
+    polynomial at that count; otherwise it evaluates the elementary
+    symmetric form, weight_poly_at_values.
+    """
     if memo is None:
         memo = {}
-    return _eval(expr, x, field, memo)
-
-
-def _eval(e: PolyExpr, x, field: FieldSpec, memo: dict) -> FieldElement:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     p = field.characteristic
-    if isinstance(e, Constant):
-        val = e.value
-    elif isinstance(e, Var):
-        val = x[e.index]
-    elif isinstance(e, LinearForm):
-        acc = 0
-        for c, i in zip(e.coeffs, e.indices):
-            xi = x[i]
-            if xi:
-                acc += c * xi
-        val = acc % p if p else field.element(acc)
-    elif isinstance(e, Power):
-        base = _eval(e.base, x, field, memo)
-        val = pow(base, e.exponent, p) if p else base**e.exponent
-    elif isinstance(e, Product):
-        val = 1
-        for f in e.factors:
-            val = field.mul(val, _eval(f, x, field, memo))
-            if val == 0:
-                break
-    elif isinstance(e, Sum):
-        acc = e.constant
-        for c, t in e.terms:
-            acc += c * _eval(t, x, field, memo)
-        val = acc % p if p else field.element(acc)
-    elif isinstance(e, SymApply):
-        vals = [_eval(t, x, field, memo) for t in e.inputs]
-        val = _apply_weight_poly(e.poly, vals, field)
-    else:
-        raise TypeError(f"unknown expression node {type(e)!r}")
-    memo[key] = val
-    return val
-
-
-def _apply_weight_poly(
-    poly: SymPoly, vals: Sequence[FieldElement], field: FieldSpec
-) -> FieldElement:
-    if all(v == 0 or v == 1 for v in vals):
-        return poly.value_at_weight(int(sum(vals)))
-    return weight_poly_at_values(poly, vals, field)
+    boolean_point = BOOLEAN.issuperset(x)
+    stack = [expr]
+    while stack:
+        e = stack[-1]
+        key = id(e)
+        if key in memo:
+            stack.pop()
+            continue
+        kind = type(e)
+        if kind is Constant:
+            val = e.value
+        elif kind is Var:
+            val = x[e.index]
+        elif kind is LinearForm:
+            acc = 0
+            for c, i in zip(e.coeffs, e.indices):
+                xi = x[i]
+                if xi:
+                    acc += c * xi
+            val = acc % p if p else field.element(acc)
+        elif kind is Sum:
+            missing = [t for _, t in e.terms if id(t) not in memo]
+            if missing:
+                stack += missing
+                continue
+            acc = e.constant
+            for c, t in e.terms:
+                acc += c * memo[id(t)]
+            val = acc % p if p else field.element(acc)
+        elif kind is SymApply:
+            missing = [t for t in e.others if id(t) not in memo]
+            if missing:
+                stack += missing
+                continue
+            others = [memo[id(t)] for t in e.others]
+            if boolean_point and BOOLEAN.issuperset(others):
+                count = sum(map(x.__getitem__, e.var_indices)) + sum(others)
+                val = e.poly.value_at_weight(int(count))
+            else:
+                vals = list(map(x.__getitem__, e.var_indices)) + others
+                val = weight_poly_at_values(e.poly, vals, field)
+        elif kind is Product:
+            val = 1
+            pending = None
+            for f in e.factors:
+                v = memo.get(id(f))
+                if v is None:
+                    pending = f
+                    break
+                val = val * v % p if p else val * v
+                if val == 0:
+                    break
+            if pending is not None:
+                stack.append(pending)
+                continue
+            if not p:
+                val = field.element(val)
+        elif kind is Power:
+            base = memo.get(id(e.base))
+            if base is None:
+                stack.append(e.base)
+                continue
+            val = pow(base, e.exponent, p) if p else base**e.exponent
+        else:
+            raise TypeError(f"unknown expression node {kind!r}")
+        memo[key] = val
+        stack.pop()
+    return memo[id(expr)]
 
 
 def weight_poly_at_values(

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+# The values a spectrum entry, or a point of the cube, may take.
+BOOLEAN = frozenset((0, 1))
+
+
 @dataclass(frozen=True, slots=True)
 class Spectrum:
     """Value of a symmetric function at each Hamming weight 0..n."""
@@ -22,7 +26,7 @@ class Spectrum:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("spectrum must have length at least 1")
-        if any(v not in (0, 1) for v in self.values):
+        if not BOOLEAN.issuperset(self.values):
             raise ValueError("spectrum entries must be 0 or 1")
 
     @property
@@ -77,16 +81,16 @@ def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
         raise ValueError("n must be non-negative")
     kind = kind.upper()
     if kind == "OR":
-        return Spectrum(tuple(1 if w >= 1 else 0 for w in range(n + 1)))
+        return _step(n, 1)
     if kind == "AND":
-        return Spectrum(tuple(1 if w == n else 0 for w in range(n + 1)))
+        return _step(n, n)
     if kind == "MAJ":
-        return Spectrum(tuple(1 if 2 * w > n else 0 for w in range(n + 1)))
+        return _step(n, n // 2 + 1)
     if kind == "THR":
         (t,) = params
         if not 0 <= t <= n:
             raise ValueError(f"threshold {t} out of range [0, {n}]")
-        return Spectrum(tuple(1 if w >= t else 0 for w in range(n + 1)))
+        return _step(n, t)
     if kind == "ETHR":
         (t,) = params
         if not 0 <= t <= n:
@@ -105,6 +109,11 @@ def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
             raise ValueError("constant must be 0 or 1")
         return Spectrum((c,) * (n + 1))
     raise ValueError(f"unknown function kind: {kind}")
+
+
+def _step(n: int, t: int) -> Spectrum:
+    """The spectrum [w >= t] on weights 0..n, for 0 <= t <= n + 1."""
+    return Spectrum((0,) * t + (1,) * (n + 1 - t))
 
 
 def period(s: Spectrum) -> int:

@@ -13,8 +13,10 @@ int, and Sum, Product and SymApply are XOR, AND and a bit-sliced counter.
 The multilinear normal form of a draw is unique on the cube, so expand_expr
 reads its coefficients off the root's cube column with a Mobius
 (subset-difference) transform, with no polynomial arithmetic.  eval_expr
-stays the pointwise reference.  A few constructions admit closed-form error
-values.
+evaluates one point in one iterative pass and stays the pointwise
+reference.  Every evaluator reads a SymApply's Var inputs off the split its
+node stores on creation and counts them directly.  A few constructions
+admit closed-form error values.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .probpoly import (
     sample_stream,
     weight_poly_at_values,
 )
-from .symfun import Spectrum
+from .symfun import BOOLEAN, Spectrum
 
 EXHAUSTIVE_LIMIT = 14
 
@@ -209,8 +211,8 @@ class _ColumnEvaluator:
 
     def _sym_column(self, e: SymApply, cols: dict) -> list[FieldElement]:
         p = self.field.characteristic
-        var_idx = [t.index for t in e.inputs if isinstance(t, Var)]
-        others = [cols[id(t)] for t in e.inputs if not isinstance(t, Var)]
+        var_idx = e.var_indices
+        others = [cols[id(t)] for t in e.others]
         counts = self._linear(repeat(1), var_idx)
         if others:
             counts = list(map(add, counts, map(sum, zip(*others))))
@@ -219,7 +221,7 @@ class _ColumnEvaluator:
         bad: set[int] = set()
         if p != 2:
             for col in others:
-                if not _BOOLEAN.issuperset(col):
+                if not BOOLEAN.issuperset(col):
                     bad.update(j for j, v in enumerate(col) if v != 0 and v != 1)
         for j in bad:
             counts[j] = 0
@@ -421,11 +423,9 @@ class _CubeBits:
                     out ^= cols[id(t)]
             return out
         if isinstance(e, SymApply):
-            _check_indices([t.index for t in e.inputs if isinstance(t, Var)], self.n)
-            inputs = [
-                self.var_masks[t.index] if isinstance(t, Var) else cols[id(t)]
-                for t in e.inputs
-            ]
+            _check_indices(e.var_indices, self.n)
+            inputs = [self.var_masks[i] for i in e.var_indices]
+            inputs += [cols[id(t)] for t in e.others]
             count = self._count(inputs)
             # subsets[k] is the AND of the count bits set in k; C(w, k) is 0
             # for k above the number of inputs.
@@ -466,9 +466,6 @@ def _subsets(indices: Iterable[int]) -> list[frozenset]:
     return out
 
 
-_BOOLEAN = frozenset((0, 1))
-
-
 def _column_operands(e: PolyExpr) -> Sequence[PolyExpr]:
     """Operands whose columns e needs; Var inputs of SymApply are counted."""
     if isinstance(e, Power):
@@ -478,7 +475,7 @@ def _column_operands(e: PolyExpr) -> Sequence[PolyExpr]:
     if isinstance(e, Sum):
         return [t for _, t in e.terms]
     if isinstance(e, SymApply):
-        return [t for t in e.inputs if not isinstance(t, Var)]
+        return e.others
     return ()
 
 
