@@ -11,16 +11,23 @@ construction starts from, are built in closed form by threshold_window: their
 forward differences are signed binomials, taken in the field directly.
 interpolate_window interpolates general values on a window and is the
 reference threshold_window is tested against.
+
+SymPoly.values tabulates a polynomial at weights 0..m.  In characteristic p
+it uses Lucas' theorem on the whole table: the binomial matrix C(w, k) mod p
+factors over base-p digits, so the table is a digit-by-digit transform of
+the coefficients, packed one per fixed-width slot of a single int.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence, Union
+from itertools import accumulate, combinations
+from typing import NamedTuple, Sequence, Union
 
 from .symfun import Spectrum, period
 
@@ -162,6 +169,122 @@ def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:
     return result
 
 
+@lru_cache(maxsize=16)
+def subset_masks(bits: int, width: int = 1) -> tuple[int, ...]:
+    """Mask i holds a 1 in slot j (of `width` bits), for j < 2^bits, exactly
+    when bit i of j is set.
+
+    Built as one block of 2^(i+1) slots whose upper half is set, doubled
+    until it covers all 2^bits slots.
+    """
+    size = 1 << bits
+    masks = []
+    for i in range(bits):
+        half = 1 << i
+        ones = ((1 << half * width) - 1) // ((1 << width) - 1)
+        mask, span = ones << half * width, 2 * half
+        while span < size:
+            mask |= mask << span * width
+            span *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _zeta_gf2(coeffs: Sequence[int], m: int) -> tuple[int, ...]:
+    """Values at weights 0..m over GF(2), one byte per weight: after the
+    shift-XOR-mask steps byte w holds the parity of the coefficients c_k
+    over the submasks k of w."""
+    bits = m.bit_length()
+    x = int.from_bytes(bytes(coeffs), "little")
+    for i, mask in enumerate(subset_masks(bits, 8)):
+        x ^= (x << (8 << i)) & mask
+    return tuple(x.to_bytes(1 << bits, "little")[: m + 1])
+
+
+class _LucasPlan(NamedTuple):
+    """Masks and shifts of the packed Lucas transform at one table size.
+
+    Slot j, of width 8 * itemsize(typecode) bits, holds the entry for
+    weight j.  digits[i] lists, for each digit value e, the mask of the
+    slots whose base-p digit i is e and the (bit shift, C(d, e) mod p)
+    that move them to digit value d > e.
+    """
+
+    typecode: str
+    slots: int
+    pairs: int
+    digits: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
+
+
+def _lucas_plan(p: int, m: int) -> _LucasPlan | None:
+    """The plan for weights 0..m, or None when a slot would pass 64 bits."""
+    digits, top = 1, m
+    while top >= p:
+        top //= p
+        digits += 1
+    return _lucas_plan_for(p, digits, top)
+
+
+@lru_cache(maxsize=8)
+def _lucas_plan_for(p: int, digits: int, top: int) -> _LucasPlan | None:
+    """Plan over the weights below (top + 1) * p**(digits - 1).
+
+    A digit step multiplies an entry by at most sum_e C(d, e) = 2^d, so
+    every entry stays below (p - 1) * 2^((p - 1) * digits), the slot bound.
+    """
+    bound = (p - 1) << ((p - 1) * digits)
+    typecode = next(
+        (c for c in "BHILQ" if bound.bit_length() <= 8 * array(c).itemsize), None
+    )
+    if typecode is None:
+        return None
+    width = 8 * array(typecode).itemsize
+    rows = _pascal_rows(p)
+    slots = (top + 1) * p ** (digits - 1)
+    pairs = 0
+    steps = []
+    for i in range(digits):
+        stride = p**i
+        high = top if i == digits - 1 else p - 1
+        period = p * stride * width
+        reps = max(1, slots // (p * stride))
+        repeat = ((1 << period * reps) - 1) // ((1 << period) - 1)
+        block = (1 << stride * width) - 1
+        step = []
+        for e in range(high):
+            shifts = tuple(
+                ((d - e) * stride * width, rows[d][e]) for d in range(e + 1, high + 1)
+            )
+            step.append((repeat * (block << e * stride * width), shifts))
+            pairs += len(shifts)
+        steps.append(tuple(step))
+    return _LucasPlan(typecode, slots, pairs, tuple(steps))
+
+
+def _lucas_gfp(
+    coeffs: Sequence[int], m: int, p: int, plan: _LucasPlan
+) -> tuple[int, ...]:
+    """Values at weights 0..m over GF(p), p > 2: the coefficients packed one
+    per slot, transformed one base-p digit at a time, unpacked and reduced
+    once."""
+    packed = array(plan.typecode, coeffs)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    x = int.from_bytes(packed.tobytes(), "little")
+    for step in plan.digits:
+        acc = x
+        for mask, shifts in step:
+            y = x & mask
+            for shift, c in shifts:
+                acc += (y << shift) * c if c > 1 else y << shift
+        x = acc
+    size = packed.itemsize
+    table = array(plan.typecode, x.to_bytes(plan.slots * size, "little")[: (m + 1) * size])
+    if sys.byteorder == "big":
+        table.byteswap()
+    return tuple([v % p for v in table])
+
+
 @dataclass(frozen=True, slots=True)
 class SymPoly:
     """Polynomial in the Hamming weight, in the binomial basis.
@@ -169,7 +292,8 @@ class SymPoly:
     Value at weight w is sum_k coeffs[k] * C(w, k), all arithmetic in the
     attached field.  Trailing zero coefficients are stripped on build, so
     len(coeffs) - 1 is the degree (the zero polynomial keeps one coefficient
-    and reports degree 0).
+    and reports degree 0).  value_at_weight reads one weight; values(m)
+    builds the table at weights 0..m in one transform.
     """
 
     field: FieldSpec
@@ -215,8 +339,36 @@ class SymPoly:
             b = b * (w - k) // (k + 1)
         return f.element(total)
 
-    def values(self, n: int) -> tuple[FieldElement, ...]:
-        return tuple(self.value_at_weight(w) for w in range(n + 1))
+    def values(self, m: int) -> tuple[FieldElement, ...]:
+        """The values at weights 0..m, the whole table at once.
+
+        Only c_0..c_m matter, since C(w, k) = 0 for k > w.  In characteristic
+        p the table is a Lucas transform of the coefficients: by Lucas,
+        C(w, k) mod p is the product of the digit binomials of w and k, so
+        the binomial matrix is a tensor power of Pascal's triangle mod p and
+        is applied one base-p digit at a time, on coefficients packed into
+        one int.  Over GF(2) that is the subset zeta transform, ceil(log2(m+1))
+        shift-XOR-mask steps.  Over Q, and for p so large that the digit
+        steps outnumber the coefficients, it is Horner's rule: row k of the
+        nested sums is c_k plus the prefix sums of row k + 1.  Entries equal
+        value_at_weight's, element types included.
+        """
+        coeffs = self.coeffs[: m + 1]
+        p = self.field.characteristic
+        if p == 2:
+            return _zeta_gf2(coeffs, m)
+        if p:
+            plan = _lucas_plan(p, m)
+            if plan is not None and plan.pairs < len(coeffs) - 1:
+                return _lucas_gfp(coeffs, m, p, plan)
+        table = [coeffs[-1]] * (m + 1)
+        for c in reversed(coeffs[:-1]):
+            table = list(accumulate(table[:m], initial=c))
+            if p:
+                table = [v % p for v in table]
+        if not p and any(type(v) is Fraction for v in table):
+            table = [self.field.element(v) for v in table]
+        return tuple(table)
 
     def add(self, other: "SymPoly") -> "SymPoly":
         if other.field != self.field:

@@ -968,6 +968,8 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
     windows = {t: threshold_window(t, 0, r, field) for t in set(thresholds)}
     polys = [windows[t] for t in thresholds]
     all_vars = tuple(Var(i) for i in range(n))
+    # The low parts do not depend on the draw; every draw shares them.
+    lows = [SymApply(poly, all_vars) for poly in polys]
 
     eps_or = Fraction(1, 4)
     logn = max(1, math.ceil(math.log2(max(n, 2))))
@@ -1001,8 +1003,7 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
                 detectors.append(gadget)
         det = tuple(detectors)
         out = []
-        for poly in polys:
-            p1 = SymApply(poly, all_vars)
+        for poly, p1 in zip(polys, lows):
             p2 = SymApply(poly, det)
             out.append(one_minus(Product((one_minus(p1), one_minus(p2)))))
         return tuple(out)
@@ -1050,11 +1051,13 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         child_thresholds.extend((t_prime, t_plus, t_minus))
         plans.append(("mixed", e_poly, slot))
 
+    # The window polynomials on all n inputs do not depend on the draw;
+    # every draw shares them.
+    all_vars = tuple(Var(i) for i in range(n))
+    e_exprs = tuple(SymApply(e_poly, all_vars) for _, e_poly, _ in plans)
     if not child_thresholds:
-        all_vars = tuple(Var(i) for i in range(n))
-        exprs = tuple(SymApply(poly, all_vars) for _, poly, _ in plans)
         structural = max(poly.degree for _, poly, _ in plans)
-        return finish("inductive", lambda stream: exprs, structural, True)
+        return finish("inductive", lambda stream: e_exprs, structural, True)
 
     if n_hat < 1:
         raise ValueError(f"subsample of n={n} at ratio {ratio} is empty")
@@ -1076,10 +1079,8 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         inner_exprs = sample_stream(child, stream.child("inner"))
         memo: dict = {}
         remapped = tuple(_remap_vars(e, sub, memo) for e in inner_exprs)
-        all_vars = tuple(Var(i) for i in range(n))
         out = []
-        for kind, e_poly, slot in plans:
-            e_expr = SymApply(e_poly, all_vars)
+        for (kind, _, slot), e_expr in zip(plans, e_exprs):
             if kind == "exact":
                 out.append(e_expr)
                 continue
@@ -1608,6 +1609,42 @@ def enumerate_draws(
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+# The recipe kinds recipe_from_json rebuilds: for each, the params that hold
+# child recipes in JSON (a single recipe or a list of them).
+_JSON_CHILD_PARAMS: dict[str, tuple[str, ...]] = {
+    "constant": (),
+    "exact": (),
+    "razborov_or": (),
+    "char0_or": (),
+    "threshold_tuple": (),
+    "t_constant": (),
+    "bounded": (),
+    "general": (),
+    "amplify": ("child",),
+    "compose": ("outer", "inners"),
+    "sum": ("parts",),
+    "xor": ("a", "b"),
+}
+
+
+def unknown_recipe_kinds(obj: dict) -> list:
+    """The kinds in a recipe's JSON tree that recipe_from_json cannot
+    rebuild, in walk order; nothing is built."""
+    unknown = []
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        kind = node.get("kind") if isinstance(node, dict) else None
+        if kind not in _JSON_CHILD_PARAMS:
+            unknown.append(kind)
+            continue
+        params = node.get("params") or {}
+        for name in _JSON_CHILD_PARAMS[kind]:
+            child = params.get(name)
+            stack.extend(child if isinstance(child, list) else [child])
+    return unknown
 
 
 def recipe_from_json(obj: dict) -> Recipe:

@@ -125,13 +125,18 @@ def period(s: Spectrum) -> int:
     """
     if s.n < 1:
         raise ValueError("period requires n >= 1")
-    # Bit w of bits is s(w), so the shift equation for b says that bits
-    # shifted down by b equals its low n + 1 - b bits.
-    bits = int(s.text()[::-1], 2)
-    for b in range(1, s.n + 1):
-        if bits >> b == bits & ((1 << (s.n + 1 - b)) - 1):
+    return _least_period(s.values)
+
+
+def _least_period(v: Sequence[int]) -> int:
+    """Smallest b in 1..len(v) with v[i] = v[i + b] wherever both exist."""
+    # Bit i of bits is v[i], so the shift equation for b says that bits
+    # shifted down by b equals its low len(v) - b bits.
+    bits = int("".join(map(str, reversed(v))), 2)
+    for b in range(1, len(v)):
+        if bits >> b == bits & ((1 << (len(v) - b)) - 1):
             return b
-    return s.n + 1
+    return len(v)
 
 
 def bounded_radius(s: Spectrum) -> int:
@@ -152,13 +157,20 @@ def bounded_radius_flagged(s: Spectrum) -> tuple[int, bool]:
         raise ValueError("bounded_radius requires n >= 1")
     v = s.values
     n = s.n
-    for k in range((n + 2) // 2):
-        window = v[k : n - k + 1]
-        if all(x == window[0] for x in window):
-            return k, False
-    # Reached only for odd n with the two middle values unequal: the least
-    # k whose window [k, n-k] is empty.
-    return (n + 2) // 2, True
+    mid = n // 2
+    x = v[mid]
+    if v[n - mid] != x:
+        # Odd n with the two middle values unequal: the least k whose
+        # window [k, n-k] is empty.
+        return (n + 2) // 2, True
+    # Every nonempty window [k, n-k] holds the middle weight(s), so it is
+    # constant exactly when it lies in the constant run [lo, hi] around them.
+    lo, hi = mid, n - mid
+    while lo > 0 and v[lo - 1] == x:
+        lo -= 1
+    while hi < n and v[hi + 1] == x:
+        hi += 1
+    return max(lo, n - hi), False
 
 
 def complement_spectrum(s: Spectrum) -> Spectrum:
@@ -220,12 +232,7 @@ def standard_decomposition(f: Spectrum, characteristic: int = 0) -> Decompositio
     lo = -(-n // 3)
     hi = (2 * n) // 3
     window = f.values[lo : hi + 1]
-    length = len(window)
-    b = length
-    for cand in range(1, length + 1):
-        if all(window[i] == window[i + cand] for i in range(length - cand)):
-            b = cand
-            break
+    b = _least_period(window)
     g = Spectrum(tuple(window[(w - lo) % b] for w in range(n + 1)))
     h = xor_spectra(f, g)
     per_g = period(g)

@@ -35,6 +35,7 @@ from .polyalg import (
     FieldSpec,
     MultilinearPoly,
     SymPoly,
+    subset_masks,
 )
 from .probpoly import (
     Constant,
@@ -50,6 +51,7 @@ from .probpoly import (
     majority_tail,
     recipe_from_json,
     sample_stream,
+    unknown_recipe_kinds,
     weight_poly_at_values,
 )
 from .symfun import BOOLEAN, Spectrum
@@ -123,17 +125,18 @@ class _ColumnEvaluator:
 
     One post-order pass per draw gives every node its column of values, one
     per point.  Variables and linear forms come from _linear; a weight
-    polynomial looks its input count up in a value table that is built once
-    per evaluator and keyed by the polynomial itself.  Arithmetic runs on
-    raw ints or Fractions and is reduced once per node.  _CubeColumns
-    changes the point set to the whole cube.
+    polynomial looks its input count up in a value table from
+    SymPoly.values (a Lucas transform in characteristic p), built once per
+    evaluator and keyed by the polynomial itself.  Arithmetic runs on raw
+    ints or Fractions and is reduced once per node.  _CubeColumns changes
+    the point set to the whole cube.
     """
 
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
         self.size = n + 1
-        self.tables: dict[SymPoly, list[FieldElement]] = {}
+        self.tables: dict[SymPoly, tuple[FieldElement, ...]] = {}
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
         return _post_order(roots, self._column)
@@ -233,22 +236,11 @@ class _ColumnEvaluator:
             out[j] = weight_poly_at_values(e.poly, vals, self.field)
         return out
 
-    def _table(self, poly: SymPoly, m: int) -> list[FieldElement]:
-        """poly's values at weights 0..m (at least), built by Horner steps.
-
-        In the binomial basis row k of the nested sums is c_k plus the
-        prefix sums of row k+1, so each step is one accumulate.
-        """
+    def _table(self, poly: SymPoly, m: int) -> tuple[FieldElement, ...]:
+        """poly's values at weights 0..m (at least), from SymPoly.values."""
         table = self.tables.get(poly)
         if table is None or len(table) <= m:
-            p = self.field.characteristic
-            coeffs = poly.coeffs[: m + 1]
-            table = [coeffs[-1]] * (m + 1)
-            for c in reversed(coeffs[:-1]):
-                table = list(accumulate(table[:m], initial=c))
-                if p:
-                    table = [v % p for v in table]
-            self.tables[poly] = table
+            table = self.tables[poly] = poly.values(m)
         return table
 
 
@@ -338,18 +330,9 @@ class _CubeBits:
 
     def __init__(self, n: int):
         self.n = n
-        size = 1 << n
-        self.full = (1 << size) - 1
-        # x_i is 1 on the upper half of each block of 2^(i+1) points: one
-        # block, doubled until it covers the cube.
-        self.var_masks = []
-        for i in range(n):
-            half = 1 << i
-            mask, width = ((1 << half) - 1) << half, 2 * half
-            while width < size:
-                mask |= mask << width
-                width *= 2
-            self.var_masks.append(mask)
+        self.full = (1 << (1 << n)) - 1
+        # x_i is 1 at the points whose bit i is set.
+        self.var_masks = subset_masks(n)
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[int]:
         return _post_order(roots, self._column)
@@ -512,8 +495,23 @@ def _trial_counts(recipe: Recipe, master_seed: int, lo: int, hi: int) -> list[in
 def _trial_counts_from_json(
     recipe_json: dict, master_seed: int, lo: int, hi: int
 ) -> list[int]:
-    """Process-pool entry point: rebuild the recipe, then count."""
-    return _trial_counts(recipe_from_json(recipe_json), master_seed, lo, hi)
+    """Process-pool entry point: rebuild the recipe, check that it round-trips,
+    then count."""
+    try:
+        recipe = recipe_from_json(recipe_json)
+        round_trips = recipe.to_json() == recipe_json
+    except (ValueError, KeyError, TypeError):
+        round_trips = False
+    if not round_trips:
+        raise _no_rebuild(recipe_json.get("kind"))
+    return _trial_counts(recipe, master_seed, lo, hi)
+
+
+def _no_rebuild(kind) -> ValueError:
+    return ValueError(
+        f"recipe kind {kind!r} does not round-trip through recipe_from_json, "
+        "so pool workers cannot rebuild it; use jobs=1"
+    )
 
 
 def empirical_error(
@@ -529,9 +527,11 @@ def empirical_error(
     every point of every weight is evaluated (exhaustive mode); otherwise
     one representative point per weight is used, which matches the draw
     distribution's symmetry under coordinate permutations.  jobs > 1 splits
-    the trials over a process pool, which rebuilds the recipe from its JSON;
-    a recipe that does not round-trip through recipe_from_json raises
-    ValueError before the pool starts.
+    the trials over a process pool, whose workers each rebuild the recipe
+    from its JSON; the parent builds nothing.  A recipe kind that
+    recipe_from_json does not know raises ValueError before the pool starts,
+    and a rebuild that does not round-trip raises the same ValueError from
+    its worker.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -554,15 +554,9 @@ def empirical_error(
             (k, min(k + chunk, trials)) for k in range(0, trials, chunk)
         ]
         recipe_json = recipe.to_json()
-        try:
-            round_trips = recipe_from_json(recipe_json).to_json() == recipe_json
-        except (ValueError, KeyError, TypeError):
-            round_trips = False
-        if not round_trips:
-            raise ValueError(
-                f"recipe kind {recipe.kind!r} does not round-trip through "
-                "recipe_from_json, so pool workers cannot rebuild it; use jobs=1"
-            )
+        unknown = unknown_recipe_kinds(recipe_json)
+        if unknown:
+            raise _no_rebuild(unknown[0])
         totals = [0] * (n + 1)
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [

@@ -100,6 +100,80 @@ class TestSymPoly:
         assert constant_sympoly(GF3, 5).coeffs == (2,)
 
 
+KERNEL_FIELDS = [GF2, GF3, GF5, FieldSpec(7), FieldSpec(101), RATIONALS]
+
+
+def _field_id(field):
+    return f"char{field.characteristic}"
+
+
+def _assert_values_match(poly, m, weights=None):
+    """values(m) equals value_at_weight at each weight, element types too."""
+    table = poly.values(m)
+    assert len(table) == m + 1
+    for w in range(m + 1) if weights is None else weights:
+        want = poly.value_at_weight(w)
+        assert (table[w], type(table[w])) == (want, type(want)), (poly, m, w)
+
+
+def _random_poly(rng, field, degree):
+    p = field.characteristic
+    if p:
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+    else:
+        coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(degree)]
+        coeffs.append(Fraction(rng.choice((-1, 1)), rng.choice((1, 2))))
+    return SymPoly(field, tuple(coeffs))
+
+
+class TestValuesKernel:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
+    def test_every_threshold_window(self, field):
+        n = 40
+        for t in range(n + 2):
+            poly = threshold_window(t, 0, n, field)
+            for m in {poly.degree // 2, poly.degree, n, n + 9}:
+                _assert_values_match(poly, m)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
+    def test_random_polys_below_at_and_above_the_degree(self, field):
+        rng = random.Random(field.characteristic)
+        for _ in range(40):
+            poly = _random_poly(rng, field, rng.randint(0, 60))
+            d = poly.degree
+            for m in {0, max(0, d - 1), d, d + 1, 2 * d + 3}:
+                _assert_values_match(poly, m)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS[:-1], ids=_field_id)
+    def test_digit_boundaries(self, field):
+        # m = p^L - 1, p^L and p^L + 1, with the degree at m and past it.
+        p = field.characteristic
+        rng = random.Random(p)
+        q = p
+        while q <= 400:
+            for m in (q - 1, q, q + 1):
+                for degree in (m, m + 3):
+                    _assert_values_match(_random_poly(rng, field, degree), m)
+            q *= p
+
+    @pytest.mark.parametrize("field", [GF2, GF3], ids=_field_id)
+    def test_tables_up_to_ten_thousand_three_hundred(self, field):
+        m = 10300
+        rng = random.Random(m)
+        for t in (1, 2, 3, 5150, 10299, 10300):
+            poly = threshold_window(t, 0, m, field)
+            assert poly.values(m) == named_spectrum("THR", m, t).values
+        # A sparse poly of full degree, read at every digit boundary below
+        # m and at random weights.
+        coeffs = [0] * (m + 1)
+        for k in rng.sample(range(m), 60) + [m]:
+            coeffs[k] = rng.randrange(1, field.characteristic)
+        poly = SymPoly(field, tuple(coeffs))
+        p = field.characteristic
+        edges = {w for q in (p**i for i in range(15)) for w in (q - 1, q, q + 1) if w <= m}
+        _assert_values_match(poly, m, sorted(edges | {m} | set(rng.sample(range(m), 300))))
+
+
 class TestExactSymPoly:
     def test_or_two(self):
         assert exact_sympoly(named_spectrum("OR", 2), RATIONALS).coeffs == (0, 1, -1)

@@ -237,6 +237,27 @@ class TestChar0Or:
             assert eval_expr(expr, [0], RATIONALS) == 0
 
 
+def _weight_polys_of_all_inputs(exprs, n):
+    """The SymApply nodes of a draw whose inputs are x_0..x_(n-1), in walk order."""
+    found, seen, stack = [], set(), list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, SymApply):
+            if not e.others and list(e.var_indices) == list(range(n)):
+                found.append(e)
+            stack.extend(e.inputs)
+        elif isinstance(e, Sum):
+            stack.extend(t for _, t in e.terms)
+        elif isinstance(e, Product):
+            stack.extend(e.factors)
+        elif isinstance(e, Power):
+            stack.append(e.base)
+    return found
+
+
 class TestThresholdTuple:
     def test_exact_branch_small_n(self):
         prof = practical_profile(GF2)
@@ -283,6 +304,16 @@ class TestThresholdTuple:
         (child,) = r.children()
         assert child.kind == "threshold_tuple"
         assert child.n == 10
+
+    @pytest.mark.parametrize(
+        "n,thresholds,branch", [(40, (1, 2), "hash"), (100, (3, 7), "inductive")]
+    )
+    def test_draws_share_their_draw_independent_nodes(self, n, thresholds, branch):
+        r = threshold_tuple(n, thresholds, EIGHTH, GF2, practical_profile(GF2))
+        assert r.params["branch"] == branch
+        first, second = (_weight_polys_of_all_inputs(sample(r, seed), n) for seed in (0, 1))
+        assert len(first) == len(thresholds)
+        assert [id(e) for e in first] == [id(e) for e in second]
 
     def test_thresholds_validated(self):
         prof = practical_profile(GF2)

@@ -157,17 +157,59 @@ def test_bounded_radius_known_values(bits, expected, degenerate):
     assert bounded_radius(spectrum(bits)) == expected
 
 
-def test_bounded_radius_matches_oracle():
-    def oracle(values):
-        n = len(values) - 1
-        for k in range((n + 3) // 2):
-            window = values[k : n - k + 1]
-            if len(set(window)) <= 1:
-                return k, len(window) == 0
+def _radius_oracle(values):
+    """The least k whose window [k, n-k] is constant, by one slice per k."""
+    n = len(values) - 1
+    text = bytes(values)
+    for k in range((n + 3) // 2):
+        window = text[k : n - k + 1]
+        if not window or window.count(window[:1]) == len(window):
+            return k, len(window) == 0
 
-    for n in range(1, 9):
+
+def _decomposition_oracle(values):
+    """The window period and g of standard_decomposition, by slices."""
+    n = len(values) - 1
+    lo, hi = -(-n // 3), (2 * n) // 3
+    window = values[lo : hi + 1]
+    b = _slice_period(window)
+    return b, tuple(window[(w - lo) % b] for w in range(n + 1))
+
+
+def test_bounded_radius_matches_oracle():
+    for n in range(1, 13):
         for s in all_spectra(n):
-            assert bounded_radius_flagged(s) == oracle(s.values), s.text()
+            assert bounded_radius_flagged(s) == _radius_oracle(s.values), s.text()
+
+
+def test_decomposition_matches_slice_oracle():
+    for n in range(3, 13):
+        for s in all_spectra(n):
+            b, g = _decomposition_oracle(s.values)
+            rep = standard_decomposition(s)
+            assert rep.g.values == g, s.text()
+            assert rep.period_g <= b
+
+
+def test_spectrum_scans_match_oracles_on_large_spectra():
+    # Random ends around a middle run that is constant or periodic with a
+    # short period, so both scans stop at every depth.
+    rng = random.Random(61)
+    for j in range(40):
+        n = 10300 if j == 0 else rng.randint(3, 10300)
+        values = [rng.randint(0, 1) for _ in range(n + 1)]
+        b = 1 if rng.random() < 0.5 else rng.randint(2, 40)
+        base = [rng.randint(0, 1) for _ in range(b)]
+        half = rng.randint(0, n // 2)
+        for w in range(n // 2 - half, n - n // 2 + half + 1):
+            values[w] = base[w % b]
+        s = Spectrum(tuple(values))
+        assert bounded_radius_flagged(s) == _radius_oracle(s.values), (n, b, half)
+        period_g, g = _decomposition_oracle(s.values)
+        rep = standard_decomposition(s)
+        assert rep.g.values == g, (n, b, half)
+        assert rep.period_g == period(Spectrum(g)) <= period_g
+        assert bounded_radius_flagged(rep.h) == _radius_oracle(rep.h.values)
 
 
 def test_complement_reflect_xor():
@@ -235,6 +277,27 @@ class TestStandardDecomposition:
                     if c.values[lo : hi + 1] == f.values[lo : hi + 1]
                 )
                 assert rep.period_g == best, f.text()
+
+
+def test_period_budget_failures_have_no_split_at_all():
+    # Gate 2's period budget per(g) <= floor(n/3) fails for 744 spectra
+    # with n in [3, 10].  None of them has any split f = g xor h with
+    # per(g) <= floor(n/3) and B(h) <= ceil(n/3): every g of period at
+    # most b repeats its first b values, so trying every pattern of every
+    # length b up to the cap tries every such g.
+    failing = []
+    for n in range(3, 11):
+        per_cap, rad_cap = n // 3, -(-n // 3)
+        for f in all_spectra(n):
+            if standard_decomposition(f).period_g <= per_cap:
+                continue
+            failing.append(f.text())
+            for b in range(1, per_cap + 1):
+                for base in itertools.product((0, 1), repeat=b):
+                    g = Spectrum(tuple(base[w % b] for w in range(n + 1)))
+                    assert bounded_radius(xor_spectra(f, g)) > rad_cap, (f.text(), g.text())
+    assert len(failing) == 744
+    assert "0010" in failing
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from fractions import Fraction
 from math import comb
 
@@ -31,6 +32,7 @@ from pdeg.probpoly import (
     xor_combine,
 )
 from pdeg.polyalg import exact_sympoly
+from pdeg import verify as verify_module
 from pdeg.symfun import named_spectrum, spectrum
 from pdeg.verify import (
     _ColumnEvaluator,
@@ -175,6 +177,49 @@ class TestEmpiricalError:
         with pytest.raises(ValueError, match="'handmade'.*jobs=1"):
             empirical_error(r, trials=20, seed=4, jobs=2)
 
+    def test_pool_builds_the_recipe_once_per_worker(self, monkeypatch):
+        builds = _count_pool_builds(monkeypatch)
+        r = razborov_or(20, QUARTER, GF2)
+        rep = empirical_error(r, trials=60, seed=5, jobs=3)
+        assert builds == {"pools": 1, "builds": 3}
+        assert rep == empirical_error(r, trials=60, seed=5)
+
+    def test_pool_checks_nested_kinds_before_it_starts(self, monkeypatch):
+        builds = _count_pool_builds(monkeypatch)
+        base = razborov_or(20, QUARTER, GF2)
+        inner = handmade(
+            lambda stream: sample_stream(base, stream),
+            GF2,
+            20,
+            base.target_spectra(),
+            randomness_free=False,
+        )
+        with pytest.raises(ValueError, match="'handmade'.*jobs=1"):
+            empirical_error(amplify(inner, EIGHTH), trials=20, seed=4, jobs=2)
+        assert builds == {"pools": 0, "builds": 0}
+
+    def test_pool_worker_rejects_a_rebuild_that_differs(self, monkeypatch):
+        builds = _count_pool_builds(monkeypatch)
+        base = razborov_or(20, QUARTER, GF2)
+        # A known kind whose JSON no longer matches what its constructor
+        # builds: the kind check passes, the workers' round-trip check not.
+        tampered = Recipe(
+            kind=base.kind,
+            field=base.field,
+            profile=base.profile,
+            n=base.n,
+            arity=base.arity,
+            eps=base.eps,
+            declared_degree_bound=base.declared_degree_bound + 1,
+            randomness_free=False,
+            params=base.params,
+            sampler=lambda stream: sample_stream(base, stream),
+            targets=base.target_spectra(),
+        )
+        with pytest.raises(ValueError, match="'razborov_or'.*jobs=1"):
+            empirical_error(tampered, trials=20, seed=4, jobs=2)
+        assert builds == {"pools": 1, "builds": 2}
+
     def test_deep_chain_does_not_recurse(self):
         # At 1^w 0^(n-w) the chain is x_0, i.e. OR, which misses THR 2 at
         # weight 1 only.
@@ -204,6 +249,38 @@ class TestEmpiricalError:
             )
             with pytest.raises(ValueError, match="variable index -?[0-9]+ out of range"):
                 empirical_error(r, trials=2, exhaustive_limit=exhaustive_limit)
+
+
+def _count_pool_builds(monkeypatch):
+    """Run pool workers in this process; count the pools and recipe builds."""
+    counts = {"pools": 0, "builds": 0}
+    real_rebuild = verify_module.recipe_from_json
+
+    def counting_rebuild(obj):
+        counts["builds"] += 1
+        return real_rebuild(obj)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            counts["pools"] += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            try:
+                fut.set_result(fn(*args))
+            except Exception as exc:
+                fut.set_exception(exc)
+            return fut
+
+    monkeypatch.setattr(verify_module, "recipe_from_json", counting_rebuild)
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", InlinePool)
+    return counts
 
 
 def _deep_chain_recipe(randomness_free):
