@@ -18,7 +18,6 @@ from .probpoly import ConstantsProfile
 from .symfun import (
     Spectrum,
     _is_char_power,
-    bounded_radius_flagged,
     period,
     standard_decomposition,
 )
@@ -92,7 +91,7 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
     if n >= 3:
         decomp = standard_decomposition(f, p)
         b = decomp.period_g
-        radius, degenerate = bounded_radius_flagged(decomp.h)
+        radius, degenerate = decomp.bounded_radius_h, decomp.radius_h_degenerate
     else:
         # Too short to split; the whole spectrum is its own periodic part.
         b = period(f)

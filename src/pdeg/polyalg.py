@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -293,11 +293,15 @@ class SymPoly:
     attached field.  Trailing zero coefficients are stripped on build, so
     len(coeffs) - 1 is the degree (the zero polynomial keeps one coefficient
     and reports degree 0).  value_at_weight reads one weight; values(m)
-    builds the table at weights 0..m in one transform.
+    builds the table at weights 0..m in one transform and caches it on the
+    polynomial, in _table, which equality and hashing ignore.
     """
 
     field: FieldSpec
     coeffs: tuple[FieldElement, ...]
+    _table: tuple[FieldElement, ...] | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         raw = tuple(self.coeffs)
@@ -352,15 +356,43 @@ class SymPoly:
         steps outnumber the coefficients, it is Horner's rule: row k of the
         nested sums is c_k plus the prefix sums of row k + 1.  Entries equal
         value_at_weight's, element types included.
+
+        The table is cached on the polynomial: a later call at a weight the
+        cached table covers reads it (sliced when it is longer), and a call
+        beyond it builds and caches the longer table.
         """
+        table = self.table(m)
+        return table if len(table) == m + 1 else table[: m + 1]
+
+    def table(self, m: int) -> tuple[FieldElement, ...]:
+        """The cached value table, built by values' transform when it does
+        not cover weights 0..m; it may run past m."""
+        table = self._table
+        if table is None or len(table) <= m:
+            table = self._tabulate(m)
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def tabulates_by_transform(self, m: int) -> bool:
+        """True when values(m) is a packed transform, which costs about as
+        much as a few pointwise reads: always over GF(2), and over GF(p)
+        when the Lucas plan has fewer steps than there are coefficients.
+        Over Q, and on the Horner fallback, a table costs O(m * degree)."""
+        p = self.field.characteristic
+        if p == 2:
+            return True
+        if not p:
+            return False
+        plan = _lucas_plan(p, m)
+        return plan is not None and plan.pairs < min(len(self.coeffs), m + 1) - 1
+
+    def _tabulate(self, m: int) -> tuple[FieldElement, ...]:
         coeffs = self.coeffs[: m + 1]
         p = self.field.characteristic
         if p == 2:
             return _zeta_gf2(coeffs, m)
-        if p:
-            plan = _lucas_plan(p, m)
-            if plan is not None and plan.pairs < len(coeffs) - 1:
-                return _lucas_gfp(coeffs, m, p, plan)
+        if self.tabulates_by_transform(m):
+            return _lucas_gfp(coeffs, m, p, _lucas_plan(p, m))
         table = [coeffs[-1]] * (m + 1)
         for c in reversed(coeffs[:-1]):
             table = list(accumulate(table[:m], initial=c))

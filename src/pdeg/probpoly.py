@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, islice, product as iter_product
+from operator import attrgetter, not_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .polyalg import (
@@ -71,8 +72,30 @@ class SeedStream:
         return random.Random(int.from_bytes(digest, "big"))
 
 
+def _below(rng: random.Random, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], drawn without randrange's
+    Python frames.
+
+    CPython's randrange(n) (3.10 to 3.13) is _randbelow_with_getrandbits:
+    getrandbits(n.bit_length()) until the draw is below n.  The same calls
+    are made here in the same order, so the values and the generator state
+    afterwards are the ones randrange gives.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expression DAGs
+
+_deg = attrgetter("deg")
 
 
 @dataclass(eq=False, slots=True)
@@ -118,7 +141,7 @@ class Product:
     deg: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deg", sum(f.deg for f in self.factors))
+        object.__setattr__(self, "deg", sum(map(_deg, self.factors)))
 
 
 @dataclass(eq=False, slots=True)
@@ -130,7 +153,7 @@ class Sum:
     deg: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deg", max((e.deg for _, e in self.terms), default=0))
+        object.__setattr__(self, "deg", max([t.deg for _, t in self.terms], default=0))
 
 
 @dataclass(eq=False, slots=True)
@@ -142,7 +165,8 @@ class SymApply:
     symmetric polynomials of the inputs.  Repeating an input counts it with
     multiplicity.  The inputs are split once, on creation, into the indices
     of the Var inputs, which evaluators count straight off the point, and
-    the other inputs, which they walk.
+    the other inputs, which they walk.  An all-Var input tuple, the usual
+    case, is split in one pass over the inputs.
     """
 
     poly: SymPoly
@@ -152,14 +176,22 @@ class SymApply:
     others: tuple["PolyExpr", ...] = dataclass_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        inner = max((e.deg for e in self.inputs), default=0)
+        inputs = self.inputs
+        try:
+            # Only Var has an index, so this is the all-Var case, and a Var
+            # has degree 1.
+            var_indices = [e.index for e in inputs]
+            others: list = []
+            inner = 1 if inputs else 0
+        except AttributeError:
+            var_indices, others = [], []
+            for e in inputs:
+                if type(e) is Var:
+                    var_indices.append(e.index)
+                else:
+                    others.append(e)
+            inner = max(map(_deg, inputs))
         object.__setattr__(self, "deg", self.poly.degree * inner)
-        var_indices, others = [], []
-        for e in self.inputs:
-            if type(e) is Var:
-                var_indices.append(e.index)
-            else:
-                others.append(e)
         # Var inputs x_0..x_(m-1) in order, the usual case, are stored as a
         # range: recipes hold such nodes for their whole life, and a tuple
         # of n indices per node adds up.
@@ -200,15 +232,25 @@ def eval_expr(
     id).  A Product multiplies its known factors in order, stops at the
     first zero partial product and pushes only its next unknown factor, so
     factors after a zero are never evaluated.  When the point and a
-    SymApply's other inputs are all 0/1, the SymApply counts its ones
-    (its Var inputs are read straight off the point) and reads its weight
-    polynomial at that count; otherwise it evaluates the elementary
-    symmetric form, weight_poly_at_values.
+    SymApply's other inputs are all 0/1, the SymApply counts its ones and
+    reads its weight polynomial at that count; otherwise it evaluates the
+    elementary symmetric form, weight_poly_at_values.  Its Var inputs are
+    read straight off the point; nodes with equal var_indices share one
+    count per call, and nodes with the same other inputs share their
+    values.  The polynomial is read from its cached value table
+    (SymPoly.table) when one covers the count, or when building one is a
+    cheap transform (GF(2), and GF(p) on the Lucas route); over Q and on
+    the Horner fallback an uncached polynomial is read by value_at_weight,
+    so a one-off point never pays for a whole table.
     """
     if memo is None:
         memo = {}
     p = field.characteristic
     boolean_point = BOOLEAN.issuperset(x)
+    # Per call, keyed by value: equal var_indices share one count, and
+    # equal tuples of other inputs share their values and count of ones.
+    var_counts: dict[Sequence[int], int] = {}
+    other_reads: dict[tuple, tuple[list, int | None]] = {}
     stack = [expr]
     while stack:
         e = stack[-1]
@@ -238,16 +280,33 @@ def eval_expr(
                 acc += c * memo[id(t)]
             val = acc % p if p else field.element(acc)
         elif kind is SymApply:
-            missing = [t for t in e.others if id(t) not in memo]
-            if missing:
-                stack += missing
-                continue
-            others = [memo[id(t)] for t in e.others]
-            if boolean_point and BOOLEAN.issuperset(others):
-                count = sum(map(x.__getitem__, e.var_indices)) + sum(others)
-                val = e.poly.value_at_weight(int(count))
+            others = e.others
+            read = other_reads.get(others)
+            if read is None:
+                missing = [t for t in others if id(t) not in memo]
+                if missing:
+                    stack += missing
+                    continue
+                vals = [memo[id(t)] for t in others]
+                ones = int(sum(vals)) if BOOLEAN.issuperset(vals) else None
+                read = other_reads[others] = (vals, ones)
+            other_vals, ones = read
+            if boolean_point and ones is not None:
+                var_idx = e.var_indices
+                count = var_counts.get(var_idx)
+                if count is None:
+                    count = var_counts[var_idx] = int(sum(map(x.__getitem__, var_idx)))
+                count += ones
+                poly = e.poly
+                table = poly._table
+                if table is not None and count < len(table):
+                    val = table[count]
+                elif poly.tabulates_by_transform(m := len(e.inputs)):
+                    val = poly.table(m)[count]
+                else:
+                    val = poly.value_at_weight(count)
             else:
-                vals = list(map(x.__getitem__, e.var_indices)) + others
+                vals = list(map(x.__getitem__, e.var_indices)) + other_vals
                 val = weight_poly_at_values(e.poly, vals, field)
         elif kind is Product:
             val = 1
@@ -304,7 +363,11 @@ def weight_poly_at_values(
 
 
 def _remap_vars(e: PolyExpr, sub: Sequence[int], memo: dict) -> PolyExpr:
-    """Substitute x_j -> x_sub[j] everywhere, preserving node sharing."""
+    """Substitute x_j -> x_sub[j] everywhere, preserving node sharing.
+
+    A SymApply maps its Var inputs through memo directly, and SymApply
+    nodes that share one input tuple share its image too.
+    """
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -322,7 +385,19 @@ def _remap_vars(e: PolyExpr, sub: Sequence[int], memo: dict) -> PolyExpr:
     elif isinstance(e, Sum):
         out = Sum(e.constant, tuple((c, _remap_vars(t, sub, memo)) for c, t in e.terms))
     else:
-        out = SymApply(e.poly, tuple(_remap_vars(t, sub, memo) for t in e.inputs))
+        inputs = memo.get(id(e.inputs))
+        if inputs is None:
+            images = []
+            for t in e.inputs:
+                image = memo.get(id(t))
+                if image is None:
+                    if type(t) is Var:
+                        image = memo[id(t)] = Var(sub[t.index])
+                    else:
+                        image = _remap_vars(t, sub, memo)
+                images.append(image)
+            inputs = memo[id(e.inputs)] = tuple(images)
+        out = SymApply(e.poly, inputs)
     memo[key] = out
     return out
 
@@ -761,7 +836,7 @@ def razborov_or(
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         rng = stream.rng()
-        alphas = [[rng.randrange(p) for _ in range(n)] for _ in range(ell)]
+        alphas = [_below(rng, p, n) for _ in range(ell)]
         return _razborov_exprs(field, n, alphas, negate)
 
     return Recipe(
@@ -804,7 +879,8 @@ def _char0_or_expr(
             if j == 0:
                 chosen = tuple(indices)
             else:
-                chosen = tuple(i for i in indices if rng.randrange(1 << j) == 0)
+                # Each index is kept when its draw below 2^j is 0.
+                chosen = tuple(compress(indices, map(not_, _below(rng, 1 << j, m))))
             summed: PolyExpr
             if chosen:
                 summed = LinearForm((1,) * len(chosen), chosen)
@@ -982,16 +1058,20 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         rng = stream.child("hash").rng()
         buckets: list[list[int]] = [[] for _ in range(r)]
-        for i in range(n):
-            buckets[rng.randrange(r)].append(i)
+        for i, b in enumerate(_below(rng, r, n)):
+            buckets[b].append(i)
         detectors: list[PolyExpr] = []
         if p > 0:
-            for j, members in enumerate(buckets):
+            # One coefficient per variable, drawn bucket by bucket: the n
+            # draws that follow the bucket draws, in that order.
+            coeffs = iter(_below(rng, p, n))
+            for members in buckets:
                 if not members:
                     detectors.append(Constant(field.element(0)))
                     continue
-                coeffs = tuple(rng.randrange(p) for _ in members)
-                form: PolyExpr = LinearForm(coeffs, tuple(members))
+                form: PolyExpr = LinearForm(
+                    tuple(islice(coeffs, len(members))), tuple(members)
+                )
                 if p > 2:
                     form = Power(form, p - 1)
                 detectors.append(form)
@@ -1075,7 +1155,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         rng = stream.child("sub").rng()
-        sub = [rng.randrange(n) for _ in range(n_hat)]
+        sub = _below(rng, n, n_hat)
         inner_exprs = sample_stream(child, stream.child("inner"))
         memo: dict = {}
         remapped = tuple(_remap_vars(e, sub, memo) for e in inner_exprs)
@@ -1165,15 +1245,24 @@ def bounded_recipe(
     Both halves go through the telescoping construction at eps/2 with
     independent draws.  Middle value 1 is handled on the complement.
     """
-    eps = Fraction(eps)
-    n = h.n
     k, degenerate = bounded_radius_flagged(h)
     if degenerate:
         raise ValueError("spectrum has no constant middle window")
+    return _bounded_recipe(h, k, eps, field, profile)
+
+
+def _bounded_recipe(
+    h: Spectrum, k: int, eps: Fraction, field: FieldSpec, profile: ConstantsProfile
+) -> Recipe:
+    """bounded_recipe for a spectrum whose bounded radius k is known and
+    whose middle window [k, n-k] is not empty."""
+    eps = Fraction(eps)
+    n = h.n
     middle = h.values[k]
 
     if middle == 1:
-        inner = bounded_recipe(complement_spectrum(h), eps, field, profile)
+        # The complement has the same radius.
+        inner = _bounded_recipe(complement_spectrum(h), k, eps, field, profile)
 
         def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
             (inner_expr,) = sample_stream(inner, stream)
@@ -1248,8 +1337,12 @@ def general_recipe(
     if n >= 3:
         report = standard_decomposition(f, field.characteristic)
         if report.period_is_char_power:
+            if report.radius_h_degenerate:
+                raise ValueError("spectrum has no constant middle window")
             g_poly = periodic_exact(report.g, field)
-            h_recipe = bounded_recipe(report.h, eps / 2, field, profile)
+            h_recipe = _bounded_recipe(
+                report.h, report.bounded_radius_h, eps / 2, field, profile
+            )
             decomposition = (report, g_poly, h_recipe)
 
     coeffs = threshold_combination(f)
@@ -1261,10 +1354,11 @@ def general_recipe(
         report, g_poly, h_recipe = decomposition
         decomp_declared = g_poly.degree + h_recipe.declared_degree_bound
         if decomp_declared <= direct_declared:
-            all_vars = tuple(Var(i) for i in range(n))
+            # The periodic part does not depend on the draw; every draw
+            # shares it.
+            g_expr = SymApply(g_poly, tuple(Var(i) for i in range(n)))
 
             def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-                g_expr = SymApply(g_poly, all_vars)
                 (h_expr,) = sample_stream(h_recipe, stream)
                 gh = Product((g_expr, h_expr))
                 return (

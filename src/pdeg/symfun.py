@@ -196,6 +196,8 @@ class DecompositionReport:
     smallest period among all spectra agreeing there, so h vanishes on that
     window.  period_g never exceeds the window length
     floor(2n/3) - ceil(n/3) + 1, and bounded_radius_h <= ceil(n/3).
+    bounded_radius_h and radius_h_degenerate are bounded_radius_flagged(h),
+    taken once when the report is made.
     """
 
     f: Spectrum
@@ -204,6 +206,7 @@ class DecompositionReport:
     period_g: int
     bounded_radius_h: int
     period_is_char_power: bool
+    radius_h_degenerate: bool
 
 
 def _is_char_power(b: int, characteristic: int) -> bool:
@@ -236,13 +239,15 @@ def standard_decomposition(f: Spectrum, characteristic: int = 0) -> Decompositio
     g = Spectrum(tuple(window[(w - lo) % b] for w in range(n + 1)))
     h = xor_spectra(f, g)
     per_g = period(g)
+    radius_h, degenerate_h = bounded_radius_flagged(h)
     return DecompositionReport(
         f=f,
         g=g,
         h=h,
         period_g=per_g,
-        bounded_radius_h=bounded_radius(h),
+        bounded_radius_h=radius_h,
         period_is_char_power=_is_char_power(per_g, characteristic),
+        radius_h_degenerate=degenerate_h,
     )
 
 

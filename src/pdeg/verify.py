@@ -34,7 +34,6 @@ from .polyalg import (
     FieldElement,
     FieldSpec,
     MultilinearPoly,
-    SymPoly,
     subset_masks,
 )
 from .probpoly import (
@@ -95,21 +94,44 @@ def _post_order(roots: Sequence[PolyExpr], value: Callable) -> list:
 
     value(e, vals) computes node e from vals, the finished values keyed by
     node id, so each shared node is computed once.  The Var inputs of a
-    SymApply are not walked: the evaluators count them directly.
+    SymApply are not walked: the evaluators count them directly.  The walk
+    down lists the nodes in post order and counts each node's consumers;
+    computing them in that order, a value other than a root's is dropped
+    once its last consumer is computed, so a cube walk holds only the
+    columns still to be read.
     """
-    vals: dict[int, object] = {}
-    # (node, ready): a node is pushed unready, then ready under its
-    # operands, so it is computed after all of them.
-    stack = [(r, False) for r in roots]
+    order = []
+    consumers: dict[int, int] = {}
+    seen: set[int] = set()
+    # (node, operands or None): a node is pushed unexpanded, then again with
+    # its operands under them, so it is listed after all of them.  In a DAG
+    # a node expanded but not yet listed is an ancestor of the current one,
+    # so each node is expanded, and its consumers counted, exactly once.
+    stack: list = [(r, None) for r in roots]
     while stack:
-        e, ready = stack.pop()
-        if id(e) in vals:
+        e, operands = stack.pop()
+        if operands is not None:
+            order.append((e, operands))
             continue
-        if ready:
-            vals[id(e)] = value(e, vals)
+        if id(e) in seen:
             continue
-        stack.append((e, True))
-        stack.extend((c, False) for c in _column_operands(e) if id(c) not in vals)
+        seen.add(id(e))
+        operands = _column_operands(e)
+        stack.append((e, operands))
+        for c in operands:
+            consumers[id(c)] = consumers.get(id(c), 0) + 1
+            if id(c) not in seen:
+                stack.append((c, None))
+    keep = set(map(id, roots))
+    vals: dict[int, object] = {}
+    for e, operands in order:
+        vals[id(e)] = value(e, vals)
+        for c in operands:
+            key = id(c)
+            left = consumers[key] - 1
+            consumers[key] = left
+            if not left and key not in keep:
+                del vals[key]
     return [vals[id(r)] for r in roots]
 
 
@@ -125,9 +147,9 @@ class _ColumnEvaluator:
 
     One post-order pass per draw gives every node its column of values, one
     per point.  Variables and linear forms come from _linear; a weight
-    polynomial looks its input count up in a value table from
-    SymPoly.values (a Lucas transform in characteristic p), built once per
-    evaluator and keyed by the polynomial itself.  Arithmetic runs on raw
+    polynomial looks its input count up in its value table, SymPoly.table
+    (a Lucas transform in characteristic p), which the polynomial caches
+    for every evaluator and for eval_expr alike.  Arithmetic runs on raw
     ints or Fractions and is reduced once per node.  _CubeColumns changes
     the point set to the whole cube.
     """
@@ -136,7 +158,6 @@ class _ColumnEvaluator:
         self.field = field
         self.n = n
         self.size = n + 1
-        self.tables: dict[SymPoly, tuple[FieldElement, ...]] = {}
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
         return _post_order(roots, self._column)
@@ -228,20 +249,13 @@ class _ColumnEvaluator:
                     bad.update(j for j, v in enumerate(col) if v != 0 and v != 1)
         for j in bad:
             counts[j] = 0
-        table = self._table(e.poly, len(e.inputs))
+        table = e.poly.table(len(e.inputs))
         # Over Q a count may be a Fraction with denominator 1.
         out = [table[int(c)] for c in counts] if p == 0 else [table[c] for c in counts]
         for j in bad:
             vals = [self._coordinate(i, j) for i in var_idx] + [col[j] for col in others]
             out[j] = weight_poly_at_values(e.poly, vals, self.field)
         return out
-
-    def _table(self, poly: SymPoly, m: int) -> tuple[FieldElement, ...]:
-        """poly's values at weights 0..m (at least), from SymPoly.values."""
-        table = self.tables.get(poly)
-        if table is None or len(table) <= m:
-            table = self.tables[poly] = poly.values(m)
-        return table
 
 
 class _CubeColumns(_ColumnEvaluator):
@@ -295,9 +309,10 @@ class _CubeColumns(_ColumnEvaluator):
 
         The Mobius transform: for each i, a[m] -= a[m - 2^i] wherever bit i
         of m is set.  Each pass runs over whichever is fewer, the 2^i
-        strided slices or the 2^(n-i-1) blocks.
+        strided slices or the 2^(n-i-1) blocks.  The column is transformed
+        in place, so no second 2^n list is held.
         """
-        a = list(col)
+        a = col
         size = len(a)
         h = 1
         while h < size:
@@ -311,10 +326,12 @@ class _CubeColumns(_ColumnEvaluator):
             h = step
         p = self.field.characteristic
         if p:
-            a = [c % p for c in a]
-        masks = [m for m, c in enumerate(a) if c]
-        # Residues are canonical; over Q, element makes integral values ints.
-        coeffs = [a[m] for m in masks] if p else [self.field.element(a[m]) for m in masks]
+            masks = [m for m, c in enumerate(a) if c % p]
+            coeffs = [a[m] % p for m in masks]
+        else:
+            # Over Q, element makes integral values ints.
+            masks = [m for m, c in enumerate(a) if c]
+            coeffs = [self.field.element(a[m]) for m in masks]
         return dict(zip(_monomials(masks, self.n), coeffs))
 
 
@@ -696,13 +713,14 @@ def degree_audit(
                     f"{recipe.declared_degree_bound}"
                 )
             if can_expand:
-                poly = expand_expr(expr, recipe.n, recipe.field)
-                if poly.degree > tracked:
+                # Only the degree is kept, so no expansion outlives its draw.
+                expanded = expand_expr(expr, recipe.n, recipe.field).degree
+                if expanded > tracked:
                     raise AssertionError(
-                        f"expanded degree {poly.degree} exceeds tracked {tracked}"
+                        f"expanded degree {expanded} exceeds tracked {tracked}"
                     )
-                if max_expanded is None or poly.degree > max_expanded:
-                    max_expanded = poly.degree
+                if max_expanded is None or expanded > max_expanded:
+                    max_expanded = expanded
     return DegreeAudit(
         declared=recipe.declared_degree_bound,
         max_tracked=max_tracked,

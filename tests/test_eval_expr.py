@@ -4,15 +4,18 @@ _reference_eval below is the recursive walk eval_expr used to run, kept here
 as the reference: every value, and the type of every value, must match it on
 draws of every recipe family, at prefix points, random cube points and
 random field points.  SymPoly.value_at_weight is checked the same way against
-the f.add / f.mul / binomial_in_field sum it replaced.
+the f.add / f.mul / binomial_in_field sum it replaced.  GF(7) and GF(101)
+reach the Horner fallback of SymPoly.values, and the table tests check that
+eval_expr reads cached weight tables correctly whatever built them first.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly, binomial_in_field
+from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly, binomial_in_field, exact_sympoly
 from pdeg.probpoly import (
     Constant,
     ConstantsProfile,
@@ -31,15 +34,18 @@ from pdeg.probpoly import (
     practical_profile,
     razborov_or,
     sample,
+    sum_of,
     threshold_tuple,
     weight_poly_at_values,
     xor_combine,
 )
-from pdeg.symfun import spectrum
+from pdeg.symfun import named_spectrum, spectrum
 
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
-FIELDS = [GF2, GF3, GF5, RATIONALS]
+GF7 = FieldSpec(7)
+GF101 = FieldSpec(101)
+FIELDS = [GF2, GF3, GF5, GF7, GF101, RATIONALS]
 EIGHTH = Fraction(1, 8)
 QUARTER = Fraction(1, 4)
 TINY_EPS = Fraction(1, 1 << 20)
@@ -57,6 +63,12 @@ TINY = ConstantsProfile(
     base_n=4,
     amplify_arity=4,
 )
+
+
+def _tiny(field):
+    """TINY, with degree constants that cover the hashed branch's p * r
+    over GF(101)."""
+    return TINY if field.characteristic < 100 else dataclasses.replace(TINY, A=48, B=48)
 
 
 def _reference_value_at_weight(poly, w):
@@ -134,8 +146,8 @@ def _recipes(field):
         ("xor", xor_combine(disjunction, threshold_tuple(
             9, (5,), EIGHTH, field, practical_profile(field)))),
         ("threshold-exact", exact),
-        ("threshold-hash", threshold_tuple(12, (1,), TINY_EPS, field, TINY)),
-        ("threshold-inductive", threshold_tuple(8, (2, 5), QUARTER, field, TINY)),
+        ("threshold-hash", threshold_tuple(12, (1,), TINY_EPS, field, _tiny(field))),
+        ("threshold-inductive", threshold_tuple(8, (2, 5), QUARTER, field, _tiny(field))),
         ("general", general_recipe(
             spectrum("0110100110"), EIGHTH, field, practical_profile(field))),
     ]
@@ -245,6 +257,73 @@ def test_value_at_weight_matches_reference(field):
             got = poly.value_at_weight(w)
             want = _reference_value_at_weight(poly, w)
             assert _same(got, want), (degree, w, got, want)
+
+
+def _shared_poly_draws(field, n):
+    """Two draws over n variables that share their SymPoly objects, with
+    inputs of several sizes and non-Var inputs, some shared by two nodes
+    and one that is 2 wherever x_0 = x_1 = 1.  Returns each polynomial with
+    its widest input count, and the draws."""
+    maj = exact_sympoly(named_spectrum("MAJ", n), field)
+    mod = exact_sympoly(named_spectrum("MOD", n, 3, 0), field)
+    xs = tuple(Var(i) for i in range(n))
+    half = xs[: n // 2]
+    flipped = tuple(one_minus(v) for v in half) + (LinearForm((1, 1), (0, 1)),)
+    first = (
+        sum_of(field, [(1, SymApply(maj, xs)), (2, SymApply(mod, xs[::-1]))]),
+        Product((SymApply(mod, half), SymApply(maj, xs))),
+    )
+    second = (
+        SymApply(maj, half + (one_minus(Var(n - 1)),)),
+        SymApply(mod, xs + xs[:3]),
+        sum_of(field, [(1, SymApply(maj, flipped)), (3, SymApply(mod, flipped))]),
+    )
+    return ((maj, n), (mod, n + 3)), (first, second)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_weight_tables_match_reference(field):
+    n = 60
+    rng = random.Random(11 + field.characteristic)
+    polys, draws = _shared_poly_draws(field, n)
+    # Tables first built for fewer weights than the draws read.
+    small = n // 4
+    for poly, _ in polys:
+        poly.values(small)
+    points = [[1] * w + [0] * (n - w) for w in range(n + 1)]
+    points += [[rng.randrange(2) for _ in range(n)] for _ in range(8)]
+    for draw in draws:
+        for x in points:
+            memo, ref_memo = {}, {}
+            for e in draw:
+                got = eval_expr(e, x, field, memo)
+                want = _reference_eval(e, x, field, ref_memo)
+                assert _same(got, want), (x, got, want)
+    for poly, widest in polys:
+        # A table is built for more weights only where it is a transform;
+        # over Q and on the Horner fallback each point reads the polynomial.
+        covered = widest if poly.tabulates_by_transform(widest) else small
+        assert len(poly._table) == covered + 1
+        assert poly._table == SymPoly(field, poly.coeffs).values(covered)
+    transforms = [poly.tabulates_by_transform(n) for poly, _ in polys]
+    if field.characteristic in (0, 101):
+        assert not any(transforms)
+    else:
+        assert any(transforms)
+
+
+def test_weight_tables_shared_across_points_and_calls():
+    n = 40
+    maj = exact_sympoly(named_spectrum("MAJ", n), GF3)
+    xs = tuple(Var(i) for i in range(n))
+    e = Sum(0, tuple((1, SymApply(maj, xs)) for _ in range(3)))
+    for w in range(n + 1):
+        want = 3 * named_spectrum("MAJ", n).values[w] % 3
+        assert eval_expr(e, [1] * w + [0] * (n - w), GF3) == want
+    table = maj._table
+    assert len(table) == n + 1
+    eval_expr(SymApply(maj, xs[:10]), [1] * n, GF3)
+    assert maj._table is table
 
 
 def test_value_at_weight_of_zero_polynomial():

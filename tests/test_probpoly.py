@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,38 @@ class TestSeedStream:
         v1 = SeedStream.from_seed(1).child("x").child(2).rng().randrange(10**9)
         v2 = SeedStream.from_seed(1).child("x").child(2).rng().randrange(10**9)
         assert v1 == v2
+
+
+class TestBelow:
+    """_below must replay random.Random.randrange call for call: every
+    seeded draw of razborov_or, char0_or and the hashed and inductive
+    threshold branches depends on it."""
+
+    BOUNDS = sorted(
+        set(range(1, 301))
+        | {(1 << j) + d for j in range(1, 41) for d in (-1, 0, 1)}
+        | {2, 3, 5, 7, 101}
+    )
+
+    def test_replays_randrange(self):
+        for seed in range(50):
+            mine, ref = random.Random(seed), random.Random(seed)
+            for n in self.BOUNDS:
+                count = 1 + (n + seed) % 5
+                want = [ref.randrange(n) for _ in range(count)]
+                assert probpoly._below(mine, n, count) == want, (
+                    f"random.randrange({n}) no longer draws as _below does "
+                    f"(seed {seed}); seeded draws would change"
+                )
+                # Draws of another width between the calls check the state.
+                assert mine.getrandbits(13) == ref.getrandbits(13), (seed, n)
+            assert mine.getstate() == ref.getstate(), seed
+
+    def test_empty_count(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert probpoly._below(rng, 7, 0) == []
+        assert rng.getstate() == state
 
 
 class TestProfiles:

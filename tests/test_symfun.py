@@ -191,6 +191,17 @@ def test_decomposition_matches_slice_oracle():
             assert rep.period_g <= b
 
 
+def test_decomposition_carries_the_radius_flag_of_h():
+    for n in range(3, 13):
+        for s in all_spectra(n):
+            rep = standard_decomposition(s)
+            radius, degenerate = bounded_radius_flagged(rep.h)
+            assert (rep.bounded_radius_h, rep.radius_h_degenerate) == (
+                radius,
+                degenerate,
+            ), s.text()
+
+
 def test_spectrum_scans_match_oracles_on_large_spectra():
     # Random ends around a middle run that is constant or periodic with a
     # short period, so both scans stop at every depth.

@@ -363,7 +363,7 @@ class TestColumnEvaluator:
             draw, 5, field
         )
 
-    def test_equal_polys_share_one_table(self):
+    def test_tables_are_cached_on_the_polys(self):
         maj = exact_sympoly(named_spectrum("MAJ", 5), GF3)
         twin = SymPoly(GF3, maj.coeffs)
         assert twin is not maj
@@ -371,7 +371,13 @@ class TestColumnEvaluator:
         evaluator = _ColumnEvaluator(GF3, 5)
         got = evaluator.columns((SymApply(maj, xs), SymApply(twin, xs[::-1])))
         assert got == [list(named_spectrum("MAJ", 5).values)] * 2
-        assert list(evaluator.tables) == [maj]
+        assert not hasattr(evaluator, "tables")
+        # Each polynomial holds its own table; equality and hashing ignore it.
+        assert maj._table == twin._table == named_spectrum("MAJ", 5).values
+        assert maj == SymPoly(GF3, maj.coeffs) and hash(maj) == hash(twin)
+        table = maj._table
+        evaluator.columns((SymApply(maj, xs),))
+        assert maj._table is table
 
 
 def _cube_recipes():
