@@ -306,7 +306,7 @@ class SymPoly:
     def __post_init__(self) -> None:
         raw = tuple(self.coeffs)
         p = self.field.characteristic
-        if all(type(c) is int for c in raw):
+        if set(map(type, raw)) <= {int}:
             # Plain ints are already canonical over Q; mod p they only reduce.
             coeffs = [c % p for c in raw] if p else list(raw)
         else:

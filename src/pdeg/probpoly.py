@@ -362,117 +362,183 @@ def weight_poly_at_values(
     return total % p if p else field.element(total)
 
 
-def _remap_vars(e: PolyExpr, sub: Sequence[int], memo: dict) -> PolyExpr:
-    """Substitute x_j -> x_sub[j] everywhere, preserving node sharing.
+def split_operands(e: PolyExpr) -> Sequence[PolyExpr]:
+    """The operands of e but a SymApply's Var inputs, which a pass reads
+    from the SymApply's own split (var_indices) and need not walk."""
+    kind = type(e)
+    if kind is Sum:
+        return [t for _, t in e.terms]
+    if kind is Product:
+        return e.factors
+    if kind is SymApply:
+        return e.others
+    if kind is Power:
+        return (e.base,)
+    return ()
 
-    A SymApply maps its Var inputs through memo directly, and SymApply
-    nodes that share one input tuple share its image too.
+
+def _operands(e: PolyExpr) -> Sequence[PolyExpr]:
+    """Every operand of e, in order."""
+    return e.inputs if type(e) is SymApply else split_operands(e)
+
+
+def post_order(
+    roots: Sequence[PolyExpr], children: Callable[[PolyExpr], Sequence[PolyExpr]]
+) -> list[tuple[PolyExpr, Sequence[PolyExpr]]]:
+    """Every node reachable from roots through children, with its children.
+
+    Each node is listed once, in left-to-right post order: the order of a
+    recursive walk over the roots and each node's children in order.  The
+    walk is iterative, so DAG depth is unbounded.  A node is pushed bare,
+    then again as a (node, children) pair with its children above it; in a
+    DAG a node expanded but not yet listed is an ancestor of the current
+    one, so each node is expanded, and children(e) called, exactly once.
     """
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Constant):
-        out: PolyExpr = e
-    elif isinstance(e, Var):
-        out = Var(sub[e.index])
-    elif isinstance(e, LinearForm):
-        out = LinearForm(e.coeffs, tuple(sub[i] for i in e.indices))
-    elif isinstance(e, Power):
-        out = Power(_remap_vars(e.base, sub, memo), e.exponent)
-    elif isinstance(e, Product):
-        out = Product(tuple(_remap_vars(f, sub, memo) for f in e.factors))
-    elif isinstance(e, Sum):
-        out = Sum(e.constant, tuple((c, _remap_vars(t, sub, memo)) for c, t in e.terms))
-    else:
-        inputs = memo.get(id(e.inputs))
-        if inputs is None:
-            images = []
-            for t in e.inputs:
-                image = memo.get(id(t))
-                if image is None:
-                    if type(t) is Var:
-                        image = memo[id(t)] = Var(sub[t.index])
-                    else:
-                        image = _remap_vars(t, sub, memo)
-                images.append(image)
-            inputs = memo[id(e.inputs)] = tuple(images)
-        out = SymApply(e.poly, inputs)
-    memo[key] = out
-    return out
+    order: list = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:
+            order.append(e)
+            continue
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        kids = children(e)
+        if not kids:
+            order.append((e, kids))
+            continue
+        stack.append((e, kids))
+        for c in reversed(kids):
+            if id(c) not in seen:
+                stack.append(c)
+    return order
 
 
-def _reflect_vars(e: PolyExpr, field: FieldSpec, memo: dict) -> PolyExpr:
+def rebuild(
+    roots: Sequence[PolyExpr], leaf: Callable[[PolyExpr], PolyExpr]
+) -> tuple[PolyExpr, ...]:
+    """The roots' images under a rewrite of their leaves, sharing kept.
+
+    leaf(e) is the image of a Constant, Var or LinearForm node; every other
+    node is rebuilt from its operands' images, once, in one post_order walk
+    over all roots.  The walk skips a SymApply's Var inputs: the SymApply
+    images them itself, and SymApply nodes that share one input tuple share
+    its image.
+    """
+    images: dict[int, PolyExpr] = {}
+    image_inputs: dict[int, tuple[PolyExpr, ...]] = {}
+    for e, kids in post_order(roots, split_operands):
+        kind = type(e)
+        if kind is Sum:
+            terms = tuple((c, images[id(t)]) for c, t in e.terms)
+            out: PolyExpr = Sum(e.constant, terms)
+        elif kind is Product:
+            out = Product(tuple([images[id(f)] for f in kids]))
+        elif kind is SymApply:
+            inputs = image_inputs.get(id(e.inputs))
+            if inputs is None:
+                for t in e.inputs:
+                    if id(t) not in images:
+                        images[id(t)] = leaf(t)
+                inputs = tuple([images[id(t)] for t in e.inputs])
+                image_inputs[id(e.inputs)] = inputs
+            out = SymApply(e.poly, inputs)
+        elif kind is Power:
+            out = Power(images[id(e.base)], e.exponent)
+        elif id(e) in images:
+            # A Var input of an earlier SymApply, imaged there.
+            continue
+        else:
+            out = leaf(e)
+        images[id(e)] = out
+    return tuple([images[id(r)] for r in roots])
+
+
+def _remap_vars(roots: Sequence[PolyExpr], sub: Sequence[int]) -> tuple[PolyExpr, ...]:
+    """Substitute x_j -> x_sub[j] everywhere, preserving node sharing."""
+
+    def leaf(e: PolyExpr) -> PolyExpr:
+        if type(e) is Var:
+            return Var(sub[e.index])
+        if type(e) is LinearForm:
+            return LinearForm(e.coeffs, tuple(sub[i] for i in e.indices))
+        return e
+
+    return rebuild(roots, leaf)
+
+
+def _reflect_vars(roots: Sequence[PolyExpr], field: FieldSpec) -> tuple[PolyExpr, ...]:
     """Substitute x_i -> 1 - x_i everywhere, preserving node sharing."""
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Constant):
-        out: PolyExpr = e
-    elif isinstance(e, Var):
-        out = Sum(1, ((field.element(-1), e),))
-    elif isinstance(e, LinearForm):
-        total = field.element(0)
-        for c in e.coeffs:
-            total = field.add(total, c)
-        out = Sum(total, ((field.element(-1), e),))
-    elif isinstance(e, Power):
-        out = Power(_reflect_vars(e.base, field, memo), e.exponent)
-    elif isinstance(e, Product):
-        out = Product(tuple(_reflect_vars(f, field, memo) for f in e.factors))
-    elif isinstance(e, Sum):
-        out = Sum(
-            e.constant, tuple((c, _reflect_vars(t, field, memo)) for c, t in e.terms)
-        )
-    else:
-        out = SymApply(e.poly, tuple(_reflect_vars(t, field, memo) for t in e.inputs))
-    memo[key] = out
-    return out
+    minus_one = field.element(-1)
+
+    def leaf(e: PolyExpr) -> PolyExpr:
+        if type(e) is Var:
+            return Sum(1, ((minus_one, e),))
+        if type(e) is LinearForm:
+            return Sum(field.element(sum(e.coeffs)), ((minus_one, e),))
+        return e
+
+    return rebuild(roots, leaf)
+
+
+def _substitute_exprs(
+    roots: Sequence[PolyExpr], pieces: Sequence[PolyExpr], field: FieldSpec
+) -> tuple[PolyExpr, ...]:
+    """Replace Var(j) by pieces[j], preserving sharing."""
+
+    def leaf(e: PolyExpr) -> PolyExpr:
+        if type(e) is Var:
+            return pieces[e.index]
+        if type(e) is LinearForm:
+            return Sum(
+                field.element(0),
+                tuple((c, pieces[i]) for c, i in zip(e.coeffs, e.indices)),
+            )
+        return e
+
+    return rebuild(roots, leaf)
 
 
 def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
-    """Serialize a tuple of expressions as a shared node list."""
+    """Serialize a tuple of expressions as a shared node list, numbered in
+    post_order."""
     ids: dict[int, int] = {}
     nodes: list[dict] = []
     fmt = field.format_element
-
-    def visit(e: PolyExpr) -> int:
-        key = id(e)
-        if key in ids:
-            return ids[key]
-        if isinstance(e, Constant):
+    for e, kids in post_order(roots, _operands):
+        kind = type(e)
+        if kind is Constant:
             node = {"op": "const", "value": fmt(e.value)}
-        elif isinstance(e, Var):
+        elif kind is Var:
             node = {"op": "var", "index": e.index}
-        elif isinstance(e, LinearForm):
+        elif kind is LinearForm:
             node = {
                 "op": "linear",
                 "coeffs": [fmt(c) for c in e.coeffs],
                 "indices": list(e.indices),
             }
-        elif isinstance(e, Power):
-            node = {"op": "pow", "base": visit(e.base), "exponent": e.exponent}
-        elif isinstance(e, Product):
-            node = {"op": "mul", "factors": [visit(f) for f in e.factors]}
-        elif isinstance(e, Sum):
+        elif kind is Power:
+            node = {"op": "pow", "base": ids[id(e.base)], "exponent": e.exponent}
+        elif kind is Product:
+            node = {"op": "mul", "factors": [ids[id(f)] for f in kids]}
+        elif kind is Sum:
             node = {
                 "op": "sum",
                 "constant": fmt(e.constant),
-                "terms": [[fmt(c), visit(t)] for c, t in e.terms],
+                "terms": [[fmt(c), ids[id(t)]] for c, t in e.terms],
             }
         else:
             node = {
                 "op": "sym",
                 "poly": e.poly.to_json(),
-                "inputs": [visit(t) for t in e.inputs],
+                "inputs": [ids[id(t)] for t in kids],
             }
         node["deg"] = e.deg
-        ids[key] = len(nodes)
+        ids[id(e)] = len(nodes)
         nodes.append(node)
-        return ids[key]
-
-    root_ids = [visit(r) for r in roots]
+    root_ids = [ids[id(r)] for r in roots]
     return {"char": field.characteristic, "nodes": nodes, "roots": root_ids}
 
 
@@ -1157,8 +1223,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         rng = stream.child("sub").rng()
         sub = _below(rng, n, n_hat)
         inner_exprs = sample_stream(child, stream.child("inner"))
-        memo: dict = {}
-        remapped = tuple(_remap_vars(e, sub, memo) for e in inner_exprs)
+        remapped = _remap_vars(inner_exprs, sub)
         out = []
         for (kind, _, slot), e_expr in zip(plans, e_exprs):
             if kind == "exact":
@@ -1293,7 +1358,7 @@ def _bounded_recipe(
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         (left_expr,) = sample_stream(left, stream.child("left"))
         (right_expr,) = sample_stream(right, stream.child("right"))
-        reflected = _reflect_vars(right_expr, field, {})
+        (reflected,) = _reflect_vars((right_expr,), field)
         return (sum_of(field, [(1, left_expr), (-1, reflected)], constant=1),)
 
     return Recipe(
@@ -1512,7 +1577,7 @@ def compose(outer: Recipe, inners: Sequence[Recipe]) -> Recipe:
         pieces: list[PolyExpr] = []
         for idx, r in enumerate(inners):
             pieces.extend(sample_stream(r, stream.child(("inner", idx))))
-        return (_substitute_exprs(outer_expr, pieces, field, {}),)
+        return _substitute_exprs((outer_expr,), pieces, field)
 
     return Recipe(
         kind="compose",
@@ -1532,43 +1597,6 @@ def compose(outer: Recipe, inners: Sequence[Recipe]) -> Recipe:
         targets=(composite,),
         children=(outer,) + inners,
     )
-
-
-def _substitute_exprs(
-    e: PolyExpr, pieces: Sequence[PolyExpr], field: FieldSpec, memo: dict
-) -> PolyExpr:
-    """Replace Var(j) by pieces[j], preserving sharing."""
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Constant):
-        out: PolyExpr = e
-    elif isinstance(e, Var):
-        out = pieces[e.index]
-    elif isinstance(e, LinearForm):
-        out = Sum(
-            field.element(0),
-            tuple((c, pieces[i]) for c, i in zip(e.coeffs, e.indices)),
-        )
-    elif isinstance(e, Power):
-        out = Power(_substitute_exprs(e.base, pieces, field, memo), e.exponent)
-    elif isinstance(e, Product):
-        out = Product(
-            tuple(_substitute_exprs(f, pieces, field, memo) for f in e.factors)
-        )
-    elif isinstance(e, Sum):
-        out = Sum(
-            e.constant,
-            tuple((c, _substitute_exprs(t, pieces, field, memo)) for c, t in e.terms),
-        )
-    else:
-        out = SymApply(
-            e.poly,
-            tuple(_substitute_exprs(t, pieces, field, memo) for t in e.inputs),
-        )
-    memo[key] = out
-    return out
 
 
 def sum_recipes(

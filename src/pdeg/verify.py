@@ -5,10 +5,11 @@ Error measurement is per Hamming weight: by symmetry of every construction
 at any point depends only on its weight, so the stratified mode evaluates
 draws on one representative point per weight, 1^w 0^(n-w).  Small variable
 counts are checked exhaustively instead, on every point of the cube
-{0,1}^n.  Every mode scores a draw in one column pass: an iterative
-post-order walk gives every node its values at all the points at once, so
-no draw is walked once per point.  Over GF(2) a cube column is one 2^n-bit
-int, and Sum, Product and SymApply are XOR, AND and a bit-sliced counter.
+{0,1}^n.  Every mode scores a draw in one column pass: it computes every
+node's values at all the points at once, in the order of probpoly's one
+iterative DAG walk, post_order, so no draw is walked once per point.  Over
+GF(2) a cube column is one 2^n-bit int, and Sum, Product and SymApply are
+XOR, AND and a bit-sliced counter.
 
 The multilinear normal form of a draw is unique on the cube, so expand_expr
 reads its coefficients off the root's cube column with a Mobius
@@ -22,11 +23,12 @@ admit closed-form error values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, mul, ne, or_, sub
 from typing import Callable, Iterable, Sequence
 
@@ -48,8 +50,10 @@ from .probpoly import (
     SymApply,
     Var,
     majority_tail,
+    post_order,
     recipe_from_json,
     sample_stream,
+    split_operands,
     unknown_recipe_kinds,
     weight_poly_at_values,
 )
@@ -90,38 +94,17 @@ class ErrorReport:
 
 
 def _post_order(roots: Sequence[PolyExpr], value: Callable) -> list:
-    """The roots' values from one iterative post-order walk of their DAG.
+    """The roots' values, computed over probpoly.post_order's node list.
 
     value(e, vals) computes node e from vals, the finished values keyed by
-    node id, so each shared node is computed once.  The Var inputs of a
-    SymApply are not walked: the evaluators count them directly.  The walk
-    down lists the nodes in post order and counts each node's consumers;
-    computing them in that order, a value other than a root's is dropped
-    once its last consumer is computed, so a cube walk holds only the
-    columns still to be read.
+    node id, so each shared node is computed once.  The walk skips the Var
+    inputs of a SymApply (split_operands): the evaluators count them
+    directly.  A value other than a root's is dropped once its last
+    consumer is computed, so a cube walk holds only the columns still to be
+    read.
     """
-    order = []
-    consumers: dict[int, int] = {}
-    seen: set[int] = set()
-    # (node, operands or None): a node is pushed unexpanded, then again with
-    # its operands under them, so it is listed after all of them.  In a DAG
-    # a node expanded but not yet listed is an ancestor of the current one,
-    # so each node is expanded, and its consumers counted, exactly once.
-    stack: list = [(r, None) for r in roots]
-    while stack:
-        e, operands = stack.pop()
-        if operands is not None:
-            order.append((e, operands))
-            continue
-        if id(e) in seen:
-            continue
-        seen.add(id(e))
-        operands = _column_operands(e)
-        stack.append((e, operands))
-        for c in operands:
-            consumers[id(c)] = consumers.get(id(c), 0) + 1
-            if id(c) not in seen:
-                stack.append((c, None))
+    order = post_order(roots, split_operands)
+    consumers = Counter(map(id, chain.from_iterable([ops for _, ops in order])))
     keep = set(map(id, roots))
     vals: dict[int, object] = {}
     for e, operands in order:
@@ -466,19 +449,6 @@ def _subsets(indices: Iterable[int]) -> list[frozenset]:
     return out
 
 
-def _column_operands(e: PolyExpr) -> Sequence[PolyExpr]:
-    """Operands whose columns e needs; Var inputs of SymApply are counted."""
-    if isinstance(e, Power):
-        return (e.base,)
-    if isinstance(e, Product):
-        return e.factors
-    if isinstance(e, Sum):
-        return [t for _, t in e.terms]
-    if isinstance(e, SymApply):
-        return e.others
-    return ()
-
-
 def _wrong_counts(
     recipe: Recipe, draws: Iterable[Sequence[PolyExpr]], evaluator
 ) -> list[int]:
@@ -730,9 +700,7 @@ def degree_audit(
     )
 
 
-def expand_expr(
-    expr: PolyExpr, n: int, field: FieldSpec, memo: dict | None = None
-) -> MultilinearPoly:
+def expand_expr(expr: PolyExpr, n: int, field: FieldSpec) -> MultilinearPoly:
     """Expand an expression DAG into its multilinear normal form.
 
     The normal form is the one multilinear polynomial that agrees with the
@@ -740,8 +708,7 @@ def expand_expr(
     the root's cube column; no polynomial arithmetic is done.  Time and
     memory grow as 2^n: a column is a 2^n-bit int over GF(2) and a list of
     2^n values elsewhere.  A variable index outside 0..n-1 raises
-    ValueError.  memo is accepted for compatibility and not used: one call
-    walks the DAG once.
+    ValueError.
     """
     cube = _cube_evaluator(field, n)
     (col,) = cube.columns((expr,))

@@ -26,6 +26,7 @@ from pdeg.probpoly import (
     compose,
     eval_expr,
     exact_recipe,
+    expr_to_json,
     general_recipe,
     practical_profile,
     razborov_or,
@@ -460,3 +461,138 @@ def test_exhaustive_report_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(EXPAND_DIGESTS))
 def test_expansion_is_pinned(name):
     assert _digest(_expand_blob(name)) == EXPAND_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Serialized draws.  expr_to_json numbers the nodes of a draw in the order
+# its walk lists them and writes each shared node once, so these digests pin
+# that order and the sharing of every rewrite a sampler makes: the inductive
+# branch relabels its child's draw, the bounded construction reflects one
+# half, and compose substitutes its inner draws.  Recorded while the rewrites
+# and expr_to_json were still recursive.
+
+
+def _or_recipe(n, eps, field):
+    if field.characteristic == 0:
+        return char0_or(n, eps)
+    return razborov_or(n, eps, field)
+
+
+DRAW_RECIPES = {
+    "threshold exact": lambda F: threshold_tuple(
+        8, (1, 3), EIGHTH, F, practical_profile(F)
+    ),
+    "threshold hash": lambda F: threshold_tuple(8, (1,), TINY_EPS, F, TINY),
+    "threshold inductive": lambda F: threshold_tuple(8, (2, 5), QUARTER, F, TINY),
+    "general MAJ": lambda F: general_recipe(
+        named_spectrum("MAJ", 60), EIGHTH, F, practical_profile(F)
+    ),
+    "general OR": lambda F: general_recipe(
+        named_spectrum("OR", 60), EIGHTH, F, practical_profile(F)
+    ),
+    "general bounded": lambda F: general_recipe(
+        Spectrum((1, 0, 1) * 4 + (0,) * 37 + (1, 1, 0) * 4),
+        EIGHTH,
+        F,
+        practical_profile(F),
+    ),
+    "compose": lambda F: compose(
+        _or_recipe(3, EIGHTH, F), [_or_recipe(8, EIGHTH, F)] * 3
+    ),
+    "xor": lambda F: xor_combine(
+        _or_recipe(8, EIGHTH, F), exact_recipe(F, [named_spectrum("MAJ", 8)])
+    ),
+    "amplify": lambda F: amplify(_or_recipe(8, QUARTER, F), Fraction(5, 32)),
+}
+
+DRAW_JSON_DIGESTS = {
+    ("amplify", "GF2"): (
+        "988fb895c46378b1d194961eb19c6e20469f740c569c58ab2a4bc463add9032d"
+    ),
+    ("amplify", "GF3"): (
+        "ec90a4787df9c3f42df2c94328d1bc8fd02740562886944c7be91d09b793e985"
+    ),
+    ("amplify", "Q"): (
+        "48c6f53c3fbc50125de33ced9214fb9c89b8e406d3ab44f48a6eb72bda09f403"
+    ),
+    ("compose", "GF2"): (
+        "ddbcf31769077e733a102dd5b2a6f0a86a0345acb7640efee9f1ecc250cc9265"
+    ),
+    ("compose", "GF3"): (
+        "a3356d20cbc3555a2cd2794f7b04bd5aedadffc2d3b4475252dce1b0bde41a00"
+    ),
+    ("compose", "Q"): (
+        "25b762d048813d05a23306e50adb8c9448c9423f54958a28108f4e5a9a0911af"
+    ),
+    ("general MAJ", "GF2"): (
+        "990e11373283afd5135ad8495c18fea0873231495825677aab088ce1ebed4bfa"
+    ),
+    ("general MAJ", "GF3"): (
+        "c5aa1a2863f43df9da531ef7021c9fdfce241c0f248f3ed08df9f288f2fa9f16"
+    ),
+    ("general MAJ", "Q"): (
+        "81cf9678444e711fb26b58bc7d4749482f287440252d30ab388357f9e132f182"
+    ),
+    ("general OR", "GF2"): (
+        "48dedb3686be77d5b39049ed38257d7363c44cec96a1a8ffba5868f266646af7"
+    ),
+    ("general OR", "GF3"): (
+        "5b7581a99f94c23f3d2b2e01a0ad563364572b447399b19228b9ba3342ba552a"
+    ),
+    ("general OR", "Q"): (
+        "a8452082f47587619382587b03c0e60597f6dcbbd81879b1db0081973ea25236"
+    ),
+    ("general bounded", "GF2"): (
+        "fa15745b787fe7765b696941c10d8ca7e86726f69c5141932990cae7fbbd7476"
+    ),
+    ("general bounded", "GF3"): (
+        "cbb1ea46c24652b70a75a90f55501aa5d051a0d3ae72d4284d538402b32c0df2"
+    ),
+    ("general bounded", "Q"): (
+        "433000d7d737219a2456feb72801495e09a83ede60fee6149cea49858a1a0966"
+    ),
+    ("threshold exact", "GF2"): (
+        "a529301106fdd697c10fb8216fe1927484574293a50869f8f156c8165708b073"
+    ),
+    ("threshold exact", "GF3"): (
+        "76eed202fbad0a0de7f997cafbca864bfe3c63a06896c4e0863c6e842e916059"
+    ),
+    ("threshold exact", "Q"): (
+        "9d63010b3928c2263e064372dd1430da2bc3b2d2b06d789ce1c46c09b8bc0f54"
+    ),
+    ("threshold hash", "GF2"): (
+        "9c9d18a8254e1673829463de1a9d0512de3bfa12e47557284a7473abe12e8e85"
+    ),
+    ("threshold hash", "GF3"): (
+        "e0ee1f7bfdb59afa69bb0f50a561f90cadfcf67a8449b58021c7ca9fb42b0a66"
+    ),
+    ("threshold hash", "Q"): (
+        "b7aed17979c048764e1fbd09b32a0140f225af8c6cdd5e12693acd0b9de53a92"
+    ),
+    ("threshold inductive", "GF2"): (
+        "06cdd2117100993b191fc11f7bd63b9be7a42cf6589674412ce1d995770a6b3d"
+    ),
+    ("threshold inductive", "GF3"): (
+        "35ba4aa9e821e78aa570af291491e5b8a2ac32c4c8ffd6e686ae7f3d94524b98"
+    ),
+    ("threshold inductive", "Q"): (
+        "816f7ac631ad4e696044289073957301d301c52e6a21ac214870e8dcee3b96d7"
+    ),
+    ("xor", "GF2"): (
+        "6ed3e307e6dc98137e4561c75a20d996729eebf51a919f48fb0d44c91b1e1ec1"
+    ),
+    ("xor", "GF3"): (
+        "ef4400a62bf7d182dbf4ae678496e957ffa0dc8c318cdb4c8153fc0eef935df3"
+    ),
+    ("xor", "Q"): (
+        "5baddfc593cee19bf78be3db79b5ff5e382162636a442f1250b0af4cf02394ad"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, field_name", sorted(DRAW_JSON_DIGESTS))
+def test_draw_json_is_pinned(name, field_name):
+    field = FIELDS[field_name]
+    recipe = DRAW_RECIPES[name](field)
+    blob = [expr_to_json(sample(recipe, seed), field) for seed in range(3)]
+    assert _digest(blob) == DRAW_JSON_DIGESTS[name, field_name]

@@ -6,6 +6,8 @@ import pytest
 
 from pdeg.polyalg import GF2, RATIONALS, FieldSpec, MultilinearPoly, SymPoly
 from pdeg.probpoly import (
+    _reflect_vars,
+    _remap_vars,
     Constant,
     ConstantsProfile,
     LinearForm,
@@ -21,6 +23,8 @@ from pdeg.probpoly import (
     constant_recipe,
     eval_expr,
     exact_recipe,
+    expr_from_json,
+    expr_to_json,
     general_recipe,
     majority_tail,
     one_minus,
@@ -292,6 +296,69 @@ def _deep_chain_recipe(randomness_free):
     return handmade(
         lambda stream: (e,), GF2, n, [named_spectrum("THR", n, 2)], randomness_free
     )
+
+
+class TestDeepChainRewrites:
+    """The rewrites and serialization walk the 5000-deep chain iteratively,
+    at the default recursion limit."""
+
+    CHAIN = sample(_deep_chain_recipe(randomness_free=True), 0)
+    POINTS = [[int(i < w) for i in range(6)] for w in range(7)] + [
+        [0, 1, 1, 0, 1, 0]
+    ]
+
+    def test_json_round_trip(self):
+        obj = expr_to_json(self.CHAIN, GF2)
+        assert len(obj["nodes"]) == 5001
+        back = expr_from_json(obj)
+        assert len(expr_to_json(back, GF2)["nodes"]) == 5001
+        for x in self.POINTS:
+            assert eval_expr(back[0], x, GF2) == x[0]
+
+    def test_sample_compose_of_deep_outer(self):
+        thresholds = [named_spectrum("THR", 6, t) for t in range(1, 7)]
+        r = compose(
+            _deep_chain_recipe(randomness_free=False),
+            [exact_recipe(GF2, thresholds)],
+        )
+        (e,) = sample(r, 0)
+        # The chain has even depth, so the composite is its piece x_0 -> THR 1.
+        for x in self.POINTS:
+            assert eval_expr(e, x, GF2) == int(sum(x) >= 1)
+
+    def test_remap_vars(self):
+        (e,) = _remap_vars(self.CHAIN, [5, 4, 3, 2, 1, 0])
+        for x in self.POINTS:
+            assert eval_expr(e, x, GF2) == x[5]
+
+    def test_reflect_vars(self):
+        (e,) = _reflect_vars(self.CHAIN, GF2)
+        for x in self.POINTS:
+            assert eval_expr(e, x, GF2) == 1 - x[0]
+
+
+def test_identity_remap_keeps_node_sharing():
+    """An identity relabelling rebuilds a DAG node for node: a rewrite that
+    loses sharing serializes more nodes than its source."""
+    for field in (GF2, GF3, RATIONALS):
+        maj = named_spectrum("MAJ", 60)
+        for recipe in (
+            general_recipe(maj, EIGHTH, field, practical_profile(field)),
+            threshold_tuple(8, (2, 5), QUARTER, field, TINY),
+        ):
+            draw = sample(recipe, 1)
+            source = expr_to_json(draw, field)
+            image = expr_to_json(_remap_vars(draw, range(recipe.n)), field)
+            assert len(image["nodes"]) == len(source["nodes"])
+            assert image == source
+    # A Var that is both a SymApply input, which the SymApply images itself,
+    # and a Sum term, reached before and after the SymApply.
+    x1 = Var(1)
+    sym = SymApply(exact_sympoly(named_spectrum("MAJ", 2), GF3), (x1, Var(0)))
+    draw = (Sum(0, ((1, sym), (2, x1))), Sum(0, ((2, x1), (1, sym))))
+    image = expr_to_json(_remap_vars(draw, range(2)), GF3)
+    assert image == expr_to_json(draw, GF3)
+    assert len(image["nodes"]) == 5
 
 
 def _column_recipes():
