@@ -35,6 +35,7 @@ from .symfun import (
     complement_spectrum,
     min_t_constant,
     named_spectrum,
+    spectrum as parse_spectrum,
     standard_decomposition,
     threshold_combination,
     xor_spectra,
@@ -204,8 +205,9 @@ class SymApply:
 PolyExpr = Constant | Var | LinearForm | Power | Product | Sum | SymApply
 
 
-def one_minus(e: PolyExpr) -> Sum:
-    return Sum(1, ((-1, e),))
+def one_minus(e: PolyExpr, field: FieldSpec, constant: FieldElement = 1) -> Sum:
+    """constant - e, with both coefficients reduced into the field."""
+    return Sum(field.element(constant), ((field.element(-1), e),))
 
 
 def sum_of(
@@ -471,13 +473,12 @@ def _remap_vars(roots: Sequence[PolyExpr], sub: Sequence[int]) -> tuple[PolyExpr
 
 def _reflect_vars(roots: Sequence[PolyExpr], field: FieldSpec) -> tuple[PolyExpr, ...]:
     """Substitute x_i -> 1 - x_i everywhere, preserving node sharing."""
-    minus_one = field.element(-1)
 
     def leaf(e: PolyExpr) -> PolyExpr:
         if type(e) is Var:
-            return Sum(1, ((minus_one, e),))
+            return one_minus(e, field)
         if type(e) is LinearForm:
-            return Sum(field.element(sum(e.coeffs)), ((minus_one, e),))
+            return one_minus(e, field, sum(e.coeffs))
         return e
 
     return rebuild(roots, leaf)
@@ -543,38 +544,51 @@ def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
 
 
 def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
+    """Parse expr_to_json's node list.  A negative variable index, or a node
+    or root reference to no earlier node, raises ValueError."""
     field = FieldSpec(int(obj["char"]))
     parse = field.parse_element
     built: list[PolyExpr] = []
+
+    def ref(i: int) -> PolyExpr:
+        if not 0 <= i < len(built):
+            raise ValueError(f"reference {i} is not one of nodes 0..{len(built) - 1}")
+        return built[i]
+
+    def index(i) -> int:
+        if int(i) < 0:
+            raise ValueError(f"variable index {i} is negative")
+        return int(i)
+
     for node in obj["nodes"]:
         op = node["op"]
         if op == "const":
             e: PolyExpr = Constant(parse(node["value"]))
         elif op == "var":
-            e = Var(int(node["index"]))
+            e = Var(index(node["index"]))
         elif op == "linear":
             e = LinearForm(
                 tuple(parse(c) for c in node["coeffs"]),
-                tuple(int(i) for i in node["indices"]),
+                tuple(index(i) for i in node["indices"]),
             )
         elif op == "pow":
-            e = Power(built[node["base"]], int(node["exponent"]))
+            e = Power(ref(node["base"]), int(node["exponent"]))
         elif op == "mul":
-            e = Product(tuple(built[i] for i in node["factors"]))
+            e = Product(tuple(map(ref, node["factors"])))
         elif op == "sum":
             e = Sum(
                 parse(node["constant"]),
-                tuple((parse(c), built[i]) for c, i in node["terms"]),
+                tuple((parse(c), ref(i)) for c, i in node["terms"]),
             )
         elif op == "sym":
             e = SymApply(
                 SymPoly.from_json(node["poly"]),
-                tuple(built[i] for i in node["inputs"]),
+                tuple(map(ref, node["inputs"])),
             )
         else:
             raise ValueError(f"unknown expression op {op!r}")
         built.append(e)
-    return tuple(built[i] for i in obj["roots"])
+    return tuple(map(ref, obj["roots"]))
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +811,13 @@ def sample(recipe: Recipe, seed: int) -> tuple[PolyExpr, ...]:
     return sample_stream(recipe, SeedStream.from_seed(seed))
 
 
+def _brief(values: tuple, edge: int = 3) -> str:
+    """A tuple as text; a long one as its length, first and last entries."""
+    if len(values) <= 2 * edge + 1:
+        return str(values)
+    return f"{len(values)} entries {values[:edge]} ... {values[-edge:]}"
+
+
 def _assert_declared(recipe_kind: str, structural: int, declared: int, detail: str) -> None:
     if structural > declared:
         raise ValueError(
@@ -866,16 +887,13 @@ def _razborov_exprs(
         form: PolyExpr = LinearForm(tuple(alpha), indices)
         if negate:
             # Feed 1 - x into the form: constant sum(alpha) minus the form.
-            total = 0
-            for a in alpha:
-                total = (total + a) % p
-            form = Sum(field.element(total), ((field.element(-1), form),))
+            form = one_minus(form, field, sum(alpha))
         if p > 2:
             form = Power(form, p - 1)
-        factors.append(one_minus(form))
-    disjunction = one_minus(Product(tuple(factors)))
+        factors.append(one_minus(form, field))
+    disjunction = one_minus(Product(tuple(factors)), field)
     if negate:
-        return (one_minus(disjunction),)
+        return (one_minus(disjunction, field),)
     return (disjunction,)
 
 
@@ -952,9 +970,9 @@ def _char0_or_expr(
                 summed = LinearForm((1,) * len(chosen), chosen)
             else:
                 summed = Constant(field.element(0))
-            level_factors.append(one_minus(summed))
-        run_factors.append(one_minus(Product(tuple(level_factors))))
-    expr = one_minus(Product(tuple(one_minus(r) for r in run_factors)))
+            level_factors.append(one_minus(summed, field))
+        run_factors.append(one_minus(Product(tuple(level_factors)), field))
+    expr = one_minus(Product(tuple(one_minus(r, field) for r in run_factors)), field)
     return expr, ell * (scales + 1)
 
 
@@ -1048,7 +1066,7 @@ def threshold_tuple(
             "threshold_tuple",
             structural,
             declared,
-            f"n={n}, thresholds={thresholds}, eps={eps}, branch={branch}",
+            f"n={n}, thresholds={_brief(thresholds)}, eps={eps}, branch={branch}",
         )
         return Recipe(
             kind="threshold_tuple",
@@ -1151,7 +1169,9 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
         out = []
         for poly, p1 in zip(polys, lows):
             p2 = SymApply(poly, det)
-            out.append(one_minus(Product((one_minus(p1), one_minus(p2)))))
+            out.append(
+                one_minus(Product((one_minus(p1, field), one_minus(p2, field))), field)
+            )
         return tuple(out)
 
     return finish(
@@ -1230,7 +1250,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
                 out.append(e_expr)
                 continue
             t_prime_e, t_plus_e, t_minus_e = remapped[slot : slot + 3]
-            near = Product((one_minus(t_plus_e), t_minus_e))
+            near = Product((one_minus(t_plus_e, field), t_minus_e))
             correction = Product((near, sum_of(field, [(1, e_expr), (-1, t_prime_e)])))
             out.append(sum_of(field, [(1, t_prime_e), (1, correction)]))
         return tuple(out)
@@ -1331,7 +1351,7 @@ def _bounded_recipe(
 
         def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
             (inner_expr,) = sample_stream(inner, stream)
-            return (one_minus(inner_expr),)
+            return (one_minus(inner_expr, field),)
 
         return Recipe(
             kind="bounded",
@@ -1711,15 +1731,11 @@ def enumerate_draws(
         ell = recipe.params["votes"]
         maj_poly = threshold_window(ell // 2 + 1, 0, ell, recipe.field)
         pools = [list(enumerate_draws(child, limit)) for _ in range(ell)]
-        total = 1
-        for pool in pools:
-            total *= len(pool)
+        total = math.prod(map(len, pools))
         if total > limit:
             raise ValueError(f"randomness space {total} exceeds limit {limit}")
         for combo in iter_product(*pools):
-            prob = Fraction(1)
-            for q, _ in combo:
-                prob *= q
+            prob = math.prod([q for q, _ in combo])
             exprs = tuple(
                 SymApply(maj_poly, tuple(draw[c] for _, draw in combo))
                 for c in range(recipe.arity)
@@ -1781,8 +1797,6 @@ def recipe_from_json(obj: dict) -> Recipe:
     if kind == "constant":
         return constant_recipe(field, params["n"], params["value"])
     if kind == "exact":
-        from .symfun import spectrum as parse_spectrum
-
         return exact_recipe(field, [parse_spectrum(s) for s in params["spectra"]])
     if kind == "razborov_or":
         return razborov_or(params["n"], eps, field, params["negate"])
@@ -1793,16 +1807,10 @@ def recipe_from_json(obj: dict) -> Recipe:
             params["n"], tuple(params["thresholds"]), eps, field, profile
         )
     if kind == "t_constant":
-        from .symfun import spectrum as parse_spectrum
-
         return t_constant_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
     if kind == "bounded":
-        from .symfun import spectrum as parse_spectrum
-
         return bounded_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
     if kind == "general":
-        from .symfun import spectrum as parse_spectrum
-
         return general_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
     if kind == "amplify":
         child = recipe_from_json(params["child"])
@@ -1812,8 +1820,6 @@ def recipe_from_json(obj: dict) -> Recipe:
         inners = [recipe_from_json(x) for x in params["inners"]]
         return compose(outer, inners)
     if kind == "sum":
-        from .symfun import spectrum as parse_spectrum
-
         parts = [recipe_from_json(x) for x in params["parts"]]
         coeffs = [field.parse_element(c) for c in params["coefficients"]]
         return sum_recipes(parts, coeffs, parse_spectrum(params["target"]))

@@ -6,10 +6,10 @@ at any point depends only on its weight, so the stratified mode evaluates
 draws on one representative point per weight, 1^w 0^(n-w).  Small variable
 counts are checked exhaustively instead, on every point of the cube
 {0,1}^n.  Every mode scores a draw in one column pass: it computes every
-node's values at all the points at once, in the order of probpoly's one
-iterative DAG walk, post_order, so no draw is walked once per point.  Over
-GF(2) a cube column is one 2^n-bit int, and Sum, Product and SymApply are
-XOR, AND and a bit-sliced counter.
+node's values at all the points at once, by its class's rule, in the order
+of probpoly's one iterative DAG walk, post_order, so no draw is walked once
+per point.  Over GF(2) a cube column is one 2^n-bit int, and Sum, Product
+and SymApply are XOR, AND and a bit-sliced counter.
 
 The multilinear normal form of a draw is unique on the cube, so expand_expr
 reads its coefficients off the root's cube column with a Mobius
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, mul, ne, or_, sub
+from operator import add, and_, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Sequence
 
 from .polyalg import (
@@ -93,22 +93,26 @@ class ErrorReport:
         }
 
 
-def _post_order(roots: Sequence[PolyExpr], value: Callable) -> list:
+def _post_order(roots: Sequence[PolyExpr], rules: dict) -> list:
     """The roots' values, computed over probpoly.post_order's node list.
 
-    value(e, vals) computes node e from vals, the finished values keyed by
-    node id, so each shared node is computed once.  The walk skips the Var
-    inputs of a SymApply (split_operands): the evaluators count them
-    directly.  A value other than a root's is dropped once its last
-    consumer is computed, so a cube walk holds only the columns still to be
-    read.
+    rules[type(e)](e, vals) computes node e from vals, the finished values
+    keyed by node id, so each shared node is computed once; a node class
+    with no rule raises TypeError.  The walk skips the Var inputs of a
+    SymApply (split_operands): the evaluators count them directly.  A value
+    other than a root's is dropped once its last consumer is computed, so a
+    cube walk holds only the columns still to be read.
     """
     order = post_order(roots, split_operands)
     consumers = Counter(map(id, chain.from_iterable([ops for _, ops in order])))
     keep = set(map(id, roots))
     vals: dict[int, object] = {}
     for e, operands in order:
-        vals[id(e)] = value(e, vals)
+        try:
+            rule = rules[type(e)]
+        except KeyError:
+            raise TypeError(f"unknown expression node {type(e)!r}") from None
+        vals[id(e)] = rule(e, vals)
         for c in operands:
             key = id(c)
             left = consumers[key] - 1
@@ -129,21 +133,32 @@ class _ColumnEvaluator:
     """Values of expressions on the points 1^w 0^(n-w), w = 0..n, as columns.
 
     One post-order pass per draw gives every node its column of values, one
-    per point.  Variables and linear forms come from _linear; a weight
-    polynomial looks its input count up in its value table, SymPoly.table
-    (a Lucas transform in characteristic p), which the polynomial caches
-    for every evaluator and for eval_expr alike.  Arithmetic runs on raw
-    ints or Fractions and is reduced once per node.  _CubeColumns changes
-    the point set to the whole cube.
+    per point, by its class's entry in rules.  A variable is the linear form
+    1 * x_index, and linear forms come from _linear; a weight polynomial
+    looks its input count up in its value table, SymPoly.table (a Lucas
+    transform in characteristic p), which the polynomial caches for every
+    evaluator and for eval_expr alike.  Arithmetic runs on raw ints or
+    Fractions and is reduced once per node.  _CubeColumns changes the point
+    set to the whole cube.
     """
 
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
         self.size = n + 1
+        p = field.characteristic or None  # pow(v, k, None) is v**k, over Q
+        self.rules = {
+            SymApply: self._sym_column,
+            Sum: self._sum_column,
+            Product: self._product_column,
+            Power: lambda e, cols: [pow(v, e.exponent, p) for v in cols[id(e.base)]],
+            LinearForm: lambda e, cols: self._reduce(self._linear(e.coeffs, e.indices)),
+            Var: lambda e, cols: self._reduce(self._linear((1,), (e.index,))),
+            Constant: lambda e, cols: self._reduce([e.value] * self.size),
+        }
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
-        return _post_order(roots, self._column)
+        return _post_order(roots, self.rules)
 
     def spectrum_column(self, values: Sequence[int]) -> list[FieldElement]:
         """Column of a function of the weight, given its values by weight."""
@@ -181,40 +196,26 @@ class _ColumnEvaluator:
         p = self.field.characteristic
         return [v % p for v in col] if p else col
 
-    def _column(self, e: PolyExpr, cols: dict) -> list[FieldElement]:
-        size = self.size
-        p = self.field.characteristic
-        if isinstance(e, Constant):
-            return self._reduce([e.value] * size)
-        if isinstance(e, Var):
-            return self._linear((1,), (e.index,))
-        if isinstance(e, LinearForm):
-            return self._reduce(self._linear(e.coeffs, e.indices))
-        if isinstance(e, Power):
-            k = e.exponent
-            base = cols[id(e.base)]
-            return [pow(v, k, p) for v in base] if p else [v**k for v in base]
-        if isinstance(e, Product):
-            out = cols[id(e.factors[0])] if e.factors else [1] * size
-            for f in e.factors[1:]:
-                out = list(map(mul, out, cols[id(f)]))
-            return self._reduce(out)
-        if isinstance(e, Sum):
-            if not e.terms:
-                return self._reduce([e.constant] * size)
-            (c, t), *rest = e.terms
-            k = e.constant
-            out = [k + c * v for v in cols[id(t)]]
-            for c, t in rest:
-                col = cols[id(t)]
-                if c == 1:
-                    out = list(map(add, out, col))
-                else:
-                    out = [a + c * v for a, v in zip(out, col)]
-            return self._reduce(out)
-        if isinstance(e, SymApply):
-            return self._sym_column(e, cols)
-        raise TypeError(f"unknown expression node {type(e)!r}")
+    def _product_column(self, e: Product, cols: dict) -> list[FieldElement]:
+        out = cols[id(e.factors[0])] if e.factors else [1] * self.size
+        for f in e.factors[1:]:
+            out = list(map(mul, out, cols[id(f)]))
+        return self._reduce(out)
+
+    def _sum_column(self, e: Sum, cols: dict) -> list[FieldElement]:
+        if not e.terms:
+            return self._reduce([e.constant] * self.size)
+        # The constant rides on the first term, so no constant column is built.
+        (c, t), *rest = e.terms
+        k = e.constant
+        out = [k + c * v for v in cols[id(t)]]
+        for c, t in rest:
+            col = cols[id(t)]
+            if c == 1:
+                out = list(map(add, out, col))
+            else:
+                out = [a + c * v for a, v in zip(out, col)]
+        return self._reduce(out)
 
     def _sym_column(self, e: SymApply, cols: dict) -> list[FieldElement]:
         p = self.field.characteristic
@@ -330,12 +331,22 @@ class _CubeBits:
 
     def __init__(self, n: int):
         self.n = n
-        self.full = (1 << (1 << n)) - 1
+        self.full = full = (1 << (1 << n)) - 1
         # x_i is 1 at the points whose bit i is set.
         self.var_masks = subset_masks(n)
+        self.rules = {
+            SymApply: self._sym_column,
+            Sum: self._sum_column,
+            Product: lambda e, cols: reduce(and_, [cols[id(f)] for f in e.factors], full),
+            # Over GF(2) v^k = v for k >= 1.
+            Power: lambda e, cols: cols[id(e.base)],
+            LinearForm: lambda e, cols: self._linear(e.coeffs, e.indices),
+            Var: lambda e, cols: self._linear((1,), (e.index,)),
+            Constant: lambda e, cols: full if e.value % 2 else 0,
+        }
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[int]:
-        return _post_order(roots, self._column)
+        return _post_order(roots, self.rules)
 
     @cached_property
     def layers(self) -> list[int]:
@@ -378,50 +389,35 @@ class _CubeBits:
                 j += 1
         return count
 
-    def _column(self, e: PolyExpr, cols: dict) -> int:
-        full = self.full
-        if isinstance(e, Constant):
-            return full if e.value % 2 else 0
-        if isinstance(e, Var):
-            _check_indices((e.index,), self.n)
-            return self.var_masks[e.index]
-        if isinstance(e, LinearForm):
-            _check_indices(e.indices, self.n)
-            out = 0
-            for c, i in zip(e.coeffs, e.indices):
-                if c % 2:
-                    out ^= self.var_masks[i]
-            return out
-        if isinstance(e, Power):
-            return cols[id(e.base)]
-        if isinstance(e, Product):
-            out = full
-            for f in e.factors:
-                out &= cols[id(f)]
-            return out
-        if isinstance(e, Sum):
-            out = full if e.constant % 2 else 0
-            for c, t in e.terms:
-                if c % 2:
-                    out ^= cols[id(t)]
-            return out
-        if isinstance(e, SymApply):
-            _check_indices(e.var_indices, self.n)
-            inputs = [self.var_masks[i] for i in e.var_indices]
-            inputs += [cols[id(t)] for t in e.others]
-            count = self._count(inputs)
-            # subsets[k] is the AND of the count bits set in k; C(w, k) is 0
-            # for k above the number of inputs.
-            subsets = [full]
-            out = 0
-            for k, c in enumerate(e.poly.coeffs[: len(inputs) + 1]):
-                if k:
-                    low = (k & -k).bit_length() - 1
-                    subsets.append(subsets[k & (k - 1)] & count[low])
-                if c % 2:
-                    out ^= subsets[k]
-            return out
-        raise TypeError(f"unknown expression node {type(e)!r}")
+    def _linear(self, coeffs: Iterable[FieldElement], indices: Sequence[int]) -> int:
+        """Column of sum_j coeffs[j] * x_indices[j]: XOR of the odd-coefficient x_i."""
+        odd = [c % 2 for c in coeffs]
+        return reduce(xor, compress(self._var_columns(indices), odd), 0)
+
+    def _var_columns(self, indices: Sequence[int]) -> list[int]:
+        """The columns of x_i for i in indices, each index checked."""
+        _check_indices(indices, self.n)
+        return [self.var_masks[i] for i in indices]
+
+    def _sum_column(self, e: Sum, cols: dict) -> int:
+        odd = [cols[id(t)] for c, t in e.terms if c % 2]
+        return reduce(xor, odd, self.full if e.constant % 2 else 0)
+
+    def _sym_column(self, e: SymApply, cols: dict) -> int:
+        inputs = self._var_columns(e.var_indices)
+        inputs += [cols[id(t)] for t in e.others]
+        count = self._count(inputs)
+        # subsets[k] is the AND of the count bits set in k; C(w, k) is 0 for
+        # k above the number of inputs.
+        subsets = [self.full]
+        out = 0
+        for k, c in enumerate(e.poly.coeffs[: len(inputs) + 1]):
+            if k:
+                low = (k & -k).bit_length() - 1
+                subsets.append(subsets[k & (k - 1)] & count[low])
+            if c % 2:
+                out ^= subsets[k]
+        return out
 
 
 def _cube_evaluator(field: FieldSpec, n: int) -> _CubeColumns | _CubeBits:

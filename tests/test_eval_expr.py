@@ -206,7 +206,7 @@ def test_non_boolean_symapply_inputs_match_reference():
 def test_deep_chain_does_not_recurse(field):
     e = Var(0)
     for _ in range(5000):
-        e = one_minus(e)
+        e = one_minus(e, field)
     n = 6
     for w in range(n + 1):
         assert eval_expr(e, [1] * w + [0] * (n - w), field) == (1 if w else 0)
@@ -268,13 +268,13 @@ def _shared_poly_draws(field, n):
     mod = exact_sympoly(named_spectrum("MOD", n, 3, 0), field)
     xs = tuple(Var(i) for i in range(n))
     half = xs[: n // 2]
-    flipped = tuple(one_minus(v) for v in half) + (LinearForm((1, 1), (0, 1)),)
+    flipped = tuple(one_minus(v, field) for v in half) + (LinearForm((1, 1), (0, 1)),)
     first = (
         sum_of(field, [(1, SymApply(maj, xs)), (2, SymApply(mod, xs[::-1]))]),
         Product((SymApply(mod, half), SymApply(maj, xs))),
     )
     second = (
-        SymApply(maj, half + (one_minus(Var(n - 1)),)),
+        SymApply(maj, half + (one_minus(Var(n - 1), field),)),
         SymApply(mod, xs + xs[:3]),
         sum_of(field, [(1, SymApply(maj, flipped)), (3, SymApply(mod, flipped))]),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -187,6 +188,39 @@ class TestExprNodes:
         assert back.deg == expr.deg
         for x in ([0, 1, 1], [1, 2, 0], [2, 2, 2]):
             assert eval_expr(back, x, GF3) == eval_expr(expr, x, GF3)
+
+    @staticmethod
+    def _json(nodes, roots):
+        """x_0 and x_1 as nodes 0 and 1, then nodes, over GF(3)."""
+        lead = [{"op": "var", "index": 0}, {"op": "var", "index": 1}]
+        return {"char": 3, "nodes": lead + nodes, "roots": roots}
+
+    def test_expr_json_rejects_negative_variable_index(self):
+        with pytest.raises(ValueError, match="variable index -1"):
+            expr_from_json(self._json([{"op": "var", "index": -1}], [2]))
+
+    def test_expr_json_rejects_negative_linear_index(self):
+        node = {"op": "linear", "coeffs": ["1", "2"], "indices": [0, -2]}
+        with pytest.raises(ValueError, match="variable index -2"):
+            expr_from_json(self._json([node], [2]))
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"op": "mul", "factors": [0, -1]},
+            {"op": "sum", "constant": "0", "terms": [["1", 2]]},
+            {"op": "pow", "base": 5, "exponent": 2},
+        ],
+        ids=["negative", "self", "forward"],
+    )
+    def test_expr_json_rejects_bad_node_reference(self, node):
+        with pytest.raises(ValueError, match="reference .* is not one of nodes"):
+            expr_from_json(self._json([node], [2]))
+
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_expr_json_rejects_root_out_of_range(self, root):
+        with pytest.raises(ValueError, match=f"reference {root} is not one of nodes 0..1"):
+            expr_from_json(self._json([], [0, root]))
 
 
 class TestBasicRecipes:
@@ -625,3 +659,11 @@ class TestDeclaredBoundGuard:
         )
         with pytest.raises(ValueError, match="profile constants too small"):
             threshold_tuple(40, (2,), EIGHTH, GF2, prof)
+
+    def test_error_text_stays_short_for_many_thresholds(self):
+        prof = dataclasses.replace(practical_profile(GF2), A=1, B=1)
+        with pytest.raises(ValueError, match="profile constants too small") as info:
+            threshold_tuple(200, tuple(range(1, 201)), EIGHTH, GF2, prof)
+        text = str(info.value)
+        assert "thresholds=200 entries (1, 2, 3) ... (198, 199, 200)," in text
+        assert len(text) < 300

@@ -26,6 +26,7 @@ from pdeg.probpoly import (
     compose,
     eval_expr,
     exact_recipe,
+    expr_from_json,
     expr_to_json,
     general_recipe,
     practical_profile,
@@ -469,7 +470,10 @@ def test_expansion_is_pinned(name):
 # that order and the sharing of every rewrite a sampler makes: the inductive
 # branch relabels its child's draw, the bounded construction reflects one
 # half, and compose substitutes its inner draws.  Recorded while the rewrites
-# and expr_to_json were still recursive.
+# and expr_to_json were still recursive.  The GF(2) and GF(3) digests of the
+# threshold hash, threshold inductive, general OR, compose, xor and amplify
+# draws were re-recorded once one_minus reduced its -1 coefficient into the
+# field: the JSON writes p - 1 where it wrote -1, and no value changed.
 
 
 def _or_recipe(n, eps, field):
@@ -507,19 +511,19 @@ DRAW_RECIPES = {
 
 DRAW_JSON_DIGESTS = {
     ("amplify", "GF2"): (
-        "988fb895c46378b1d194961eb19c6e20469f740c569c58ab2a4bc463add9032d"
+        "2f426032fd08bae17f46369c99307a8ef55ea03e0fc85159082775adbb44d65d"
     ),
     ("amplify", "GF3"): (
-        "ec90a4787df9c3f42df2c94328d1bc8fd02740562886944c7be91d09b793e985"
+        "277226d0042c46fc984ef261726941a9f862fd369b33b1fa6d353bb0147884a1"
     ),
     ("amplify", "Q"): (
         "48c6f53c3fbc50125de33ced9214fb9c89b8e406d3ab44f48a6eb72bda09f403"
     ),
     ("compose", "GF2"): (
-        "ddbcf31769077e733a102dd5b2a6f0a86a0345acb7640efee9f1ecc250cc9265"
+        "b83616afdb7ac8ab72342661923e674532ea48461868f668c1f9ede40579b1b9"
     ),
     ("compose", "GF3"): (
-        "a3356d20cbc3555a2cd2794f7b04bd5aedadffc2d3b4475252dce1b0bde41a00"
+        "c5b69d7dfd072ce16d8ea29c7056780894925bfd169a085a57e38b228f9d8ad2"
     ),
     ("compose", "Q"): (
         "25b762d048813d05a23306e50adb8c9448c9423f54958a28108f4e5a9a0911af"
@@ -534,10 +538,10 @@ DRAW_JSON_DIGESTS = {
         "81cf9678444e711fb26b58bc7d4749482f287440252d30ab388357f9e132f182"
     ),
     ("general OR", "GF2"): (
-        "48dedb3686be77d5b39049ed38257d7363c44cec96a1a8ffba5868f266646af7"
+        "9a194c0f3e17fa694d97f146fdf11e7301e8a69cddcf725d6a4b5dd466c12099"
     ),
     ("general OR", "GF3"): (
-        "5b7581a99f94c23f3d2b2e01a0ad563364572b447399b19228b9ba3342ba552a"
+        "e7841794196dbefa500cff5308c9772dfc351a3f84ef96f5929bd92099debeec"
     ),
     ("general OR", "Q"): (
         "a8452082f47587619382587b03c0e60597f6dcbbd81879b1db0081973ea25236"
@@ -561,28 +565,28 @@ DRAW_JSON_DIGESTS = {
         "9d63010b3928c2263e064372dd1430da2bc3b2d2b06d789ce1c46c09b8bc0f54"
     ),
     ("threshold hash", "GF2"): (
-        "9c9d18a8254e1673829463de1a9d0512de3bfa12e47557284a7473abe12e8e85"
+        "cce742b3854eb35175532864cb3c5e6d85f0f2d7f9d78ea94aa442d4bc5ec992"
     ),
     ("threshold hash", "GF3"): (
-        "e0ee1f7bfdb59afa69bb0f50a561f90cadfcf67a8449b58021c7ca9fb42b0a66"
+        "76bcf63bccf6e5aeda68ac1261b9c91c71b59332fa5517039ad42724c24ca96f"
     ),
     ("threshold hash", "Q"): (
         "b7aed17979c048764e1fbd09b32a0140f225af8c6cdd5e12693acd0b9de53a92"
     ),
     ("threshold inductive", "GF2"): (
-        "06cdd2117100993b191fc11f7bd63b9be7a42cf6589674412ce1d995770a6b3d"
+        "272c2afa14bced9fb876750dfa673a4804ea096274404eb68e4c30f386824945"
     ),
     ("threshold inductive", "GF3"): (
-        "35ba4aa9e821e78aa570af291491e5b8a2ac32c4c8ffd6e686ae7f3d94524b98"
+        "4b9a1a3a6132a5344e5b9e78d20f952df9363e260c56cdd33793173b290944fa"
     ),
     ("threshold inductive", "Q"): (
         "816f7ac631ad4e696044289073957301d301c52e6a21ac214870e8dcee3b96d7"
     ),
     ("xor", "GF2"): (
-        "6ed3e307e6dc98137e4561c75a20d996729eebf51a919f48fb0d44c91b1e1ec1"
+        "b8cc8fab83c4c9876297892d03872032aec72f61a40ae77bc395c3b6eeb1abbf"
     ),
     ("xor", "GF3"): (
-        "ef4400a62bf7d182dbf4ae678496e957ffa0dc8c318cdb4c8153fc0eef935df3"
+        "60a172c06f2e96fab615633de0d807bc99b97a9b3c69b16edaf666cd1f651cf8"
     ),
     ("xor", "Q"): (
         "5baddfc593cee19bf78be3db79b5ff5e382162636a442f1250b0af4cf02394ad"
@@ -596,3 +600,15 @@ def test_draw_json_is_pinned(name, field_name):
     recipe = DRAW_RECIPES[name](field)
     blob = [expr_to_json(sample(recipe, seed), field) for seed in range(3)]
     assert _digest(blob) == DRAW_JSON_DIGESTS[name, field_name]
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_RECIPES))
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_draw_json_is_canonical(name, field_name):
+    """Serialized draws are in canonical form: parsing and re-serializing
+    gives the same JSON."""
+    field = FIELDS[field_name]
+    recipe = DRAW_RECIPES[name](field)
+    for seed in range(3):
+        obj = expr_to_json(sample(recipe, seed), field)
+        assert expr_to_json(expr_from_json(obj), field) == obj

@@ -292,7 +292,7 @@ def _deep_chain_recipe(randomness_free):
     n = 6
     e = Var(0)
     for _ in range(5000):
-        e = one_minus(e)
+        e = one_minus(e, GF2)
     return handmade(
         lambda stream: (e,), GF2, n, [named_spectrum("THR", n, 2)], randomness_free
     )
@@ -558,6 +558,28 @@ class TestCubeColumns:
         got = _cube_evaluator(field, n).columns(draw)
         for e, col in zip(draw, got):
             assert cube_values(col, n) == [eval_expr(e, x, field) for x in points]
+
+
+class Foreign:
+    """A node class no evaluator has a rule for."""
+
+    deg = 1
+
+
+class TestUnknownNode:
+    """Each column evaluator raises TypeError naming a foreign node class,
+    here a Sum term, so the inner node reaches the dispatch too."""
+
+    EXPR = Sum(1, ((1, Foreign()),))
+
+    def test_column_evaluator(self):
+        with pytest.raises(TypeError, match="unknown expression node .*Foreign"):
+            _ColumnEvaluator(GF3, 4).columns((self.EXPR,))
+
+    @pytest.mark.parametrize("field", [GF3, GF2], ids=["cube-columns", "cube-bits"])
+    def test_cube_evaluators(self, field):
+        with pytest.raises(TypeError, match="unknown expression node .*Foreign"):
+            expand_expr(self.EXPR, 4, field)
 
 
 class TestExactError:
