@@ -544,21 +544,27 @@ def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
 
 
 def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
-    """Parse expr_to_json's node list.  A negative variable index, or a node
-    or root reference to no earlier node, raises ValueError."""
+    """Parse expr_to_json's node list.  A variable index, node or root
+    reference or exponent that is not an int (bools included), a negative
+    variable index, and a reference to no earlier node raise ValueError."""
     field = FieldSpec(int(obj["char"]))
     parse = field.parse_element
     built: list[PolyExpr] = []
 
-    def ref(i: int) -> PolyExpr:
-        if not 0 <= i < len(built):
+    def integer(what: str, i) -> int:
+        if type(i) is not int:
+            raise ValueError(f"{what} {i!r} is not an int")
+        return i
+
+    def ref(i) -> PolyExpr:
+        if not 0 <= integer("reference", i) < len(built):
             raise ValueError(f"reference {i} is not one of nodes 0..{len(built) - 1}")
         return built[i]
 
     def index(i) -> int:
-        if int(i) < 0:
+        if integer("variable index", i) < 0:
             raise ValueError(f"variable index {i} is negative")
-        return int(i)
+        return i
 
     for node in obj["nodes"]:
         op = node["op"]
@@ -572,7 +578,7 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
                 tuple(index(i) for i in node["indices"]),
             )
         elif op == "pow":
-            e = Power(ref(node["base"]), int(node["exponent"]))
+            e = Power(ref(node["base"]), integer("exponent", node["exponent"]))
         elif op == "mul":
             e = Product(tuple(map(ref, node["factors"])))
         elif op == "sum":

@@ -11,11 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mod, mul
 from typing import Sequence
 
 from .polyalg import FieldElement, FieldSpec
 from .symfun import (
+    BOOLEAN,
     Spectrum,
+    bits_mask,
+    bits_text,
     bounded_radius_flagged,
     named_spectrum,
     period,
@@ -23,12 +28,19 @@ from .symfun import (
     restrict,
     restricted_n,
     spectrum,
+    text_entries,
 )
 
 
-def _mask(bits: Sequence[int]) -> int:
-    """Pack a 0/1 sequence into an int whose bit i is bits[i]."""
-    return int("".join(map(str, reversed(bits))) or "0", 2)
+def _bit_string(name: str, text) -> str:
+    """A certificate's stored 0/1 text, or ValueError naming its field."""
+    if type(text) is str and text and not text.strip("01"):
+        return text
+    if type(text) is str and len(text) > 24:
+        text = text[:24] + "..."
+    raise ValueError(
+        f"certificate {name} must be a nonempty 0/1 string, got {text!r}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,20 +129,25 @@ class ReductionCertificate:
     def failures(self, field: FieldSpec) -> list[tuple[int, FieldElement, int]]:
         """Weights w where the combiner misses the target, as (w, got, want).
 
-        Works on bit-packed 0/1 weight columns: slot (zeros, ones) reads the
-        source at w + ones, so its column over the target's weights is the
-        source bitmask shifted right by ones.  Each term ANDs its literal
-        columns and adds its coefficient at every set bit.
+        Works on bit-packed 0/1 weight columns read straight from the stored
+        text: slot (zeros, ones) reads the source at w + ones, so its column
+        over the target's weights is the source bitmask shifted right by
+        ones.  Each term ANDs its literal columns into one column.  The
+        columns of each coefficient are counted per weight in bit planes
+        (plane k holds bit k of the count), and each plane adds its
+        coefficient times 2^k at every weight it covers, one list pass per
+        plane; the totals are then compared with the target at once.
         """
-        src = self._source()
-        target = spectrum(self.target_spectrum)
-        n = target.n
+        source = _bit_string("source", self.source)
+        target = _bit_string("target spectrum", self.target_spectrum)
+        n = len(target) - 1
         full = (1 << (n + 1)) - 1
-        src_bits = _mask(src.values)
+        # Bit w is the (possibly weight-reversed) source's value at weight w.
+        src_bits = int(source if self.source_reflected else source[::-1], 2)
         columns = []
         for slot, (zeros, ones) in enumerate(self.restrictions):
             try:
-                free = restricted_n(src.n, zeros, ones)
+                free = restricted_n(len(source) - 1, zeros, ones)
             except ValueError as exc:
                 raise ValueError(f"slot {slot} {(zeros, ones)}: {exc}") from None
             if free < n:
@@ -147,7 +164,7 @@ class ReductionCertificate:
                         f"{len(columns)} restrictions"
                     )
 
-        totals = [0] * (n + 1)
+        planes: dict[FieldElement, list[int]] = {}
         for coeff, literals in self.combiner.terms:
             c = field.element(coeff)
             if c == 0:
@@ -157,18 +174,31 @@ class ReductionCertificate:
                 col &= columns[slot] if pol else full ^ columns[slot]
                 if not col:
                     break
-            while col:
-                low = col & -col
-                totals[low.bit_length() - 1] += c
-                col ^= low
+            counter = planes.setdefault(c, [])
+            k = 0
+            while col:  # ripple-carry add of col into the counter
+                if k == len(counter):
+                    counter.append(0)
+                counter[k], col = counter[k] ^ col, counter[k] & col
+                k += 1
 
-        out = []
-        for w, (total, bit) in enumerate(zip(totals, target.values)):
-            got = field.element(total)
-            want = field.element(bit)
-            if got != want:
-                out.append((w, got, want))
-        return out
+        totals = [0] * (n + 1)
+        for c, counter in planes.items():
+            for k, plane in enumerate(counter):
+                covered = text_entries(format(plane, "b").zfill(n + 1)[::-1])
+                step = map(mul, covered, repeat(c * (1 << k)))
+                totals = list(map(add, totals, step))
+
+        p = field.characteristic
+        got = list(map(mod, totals, repeat(p))) if p else totals
+        want = list(text_entries(target))
+        if got == want:
+            return []
+        return [
+            (w, field.element(total), field.element(bit))
+            for w, (value, bit, total) in enumerate(zip(got, want, totals))
+            if value != bit
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -238,7 +268,7 @@ def shrink_support(family: Sequence[Sequence[int]]) -> ShrinkResult:
         raise ValueError("family members must share one domain")
     if any(v not in (0, 1) for f in family for v in f):
         raise ValueError("family members must be 0/1")
-    masks = [_mask(f) for f in family]
+    masks = [bits_mask(f) for f in family]
     full = (1 << m) - 1
     present = set(masks)
     if any(full ^ mask not in present for mask in masks):
@@ -251,9 +281,8 @@ def _shrink_masks(masks: list[int], m: int) -> ShrinkResult:
     if m < 1:
         raise ValueError("family domain has no points")
     full = (1 << m) - 1
-    first_index: dict[int, int] = {}
-    for idx, mask in enumerate(masks):
-        first_index.setdefault(mask, idx)
+    # Walked from the back, each mask keeps the index of its first copy.
+    first_index = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
 
     supp = full
     chosen: list[int] = []
@@ -334,19 +363,16 @@ def delta_from_shifts(u: Sequence[int] | str) -> DeltaProduct:
     u(. + j) together with their complements then separate residues, and the
     greedy support shrink yields a product of at most log2(len(u)) literals.
     """
-    if isinstance(u, str):
-        u = tuple(int(c) for c in u.strip())
-    else:
-        u = tuple(int(v) for v in u)
+    u = tuple(map(int, u.strip() if isinstance(u, str) else u))
     m = len(u)
     if m < 2:
         raise ValueError("pattern must have length at least 2")
-    if any(v not in (0, 1) for v in u):
+    if not BOOLEAN.issuperset(u):
         raise ValueError("pattern must be 0/1")
 
     # Bit r of shift j is u[(r + j) mod m]: the pattern rotated right by j.
     full = (1 << m) - 1
-    bits = _mask(u)
+    bits = bits_mask(u)
     shifts = [((bits >> j) | (bits << (m - j))) & full for j in range(m)]
     for s in range(1, m):
         if shifts[s] == bits:
@@ -438,21 +464,27 @@ def mod_from_periodic(
                 restrictions=restrictions,
                 combiner=combiner,
                 claimed_degree=combiner.degree,
-                extras={"period": b, "modulus": q, "pattern": "".join(map(str, u))},
+                extras={"period": b, "modulus": q, "pattern": bits_text(u)},
             )
         )
     return tuple(certs)
 
 
 def _binomial_tail_outside(m: int, window: Sequence[int]) -> Fraction:
-    """P[Binomial(m, 1/2) lands outside the given weight set], exact."""
-    inside = set(window)
-    total = 0
-    coeff = 1  # walks comb(m, w) across the row
-    for w in range(m + 1):
-        if w not in inside:
-            total += coeff
-        coeff = coeff * (m - w) // (w + 1)
+    """P[Binomial(m, 1/2) lands outside the given weight set], exact.
+
+    That is 2^-m times 2^m minus the binomials inside the set, which are
+    summed from lo to hi, the set's least and greatest weights in 0..m.
+    """
+    inside = {w for w in window if 0 <= w <= m}
+    total = 1 << m
+    if inside:
+        lo, hi = min(inside), max(inside)
+        coeff = math.comb(m, lo)  # walks comb(m, w) from lo to hi
+        for w in range(lo, hi + 1):
+            if w in inside:
+                total -= coeff
+            coeff = coeff * (m - w) // (w + 1)
     return Fraction(total, 1 << m)
 
 
@@ -587,7 +619,10 @@ def maj_from_periodic(
             f"binomial mass {tail} outside the window exceeds {delta}"
         )
 
-    target_values = tuple(pattern[(w + t_pin) % b] for w in range(m + 1))
+    # Weight w reads pattern[(w + t_pin) mod b]: the pattern rotated by
+    # t_pin and tiled over weights 0..m.
+    shift = t_pin % b
+    cycle = bits_text(pattern[shift:] + pattern[:shift])
     cert = ReductionCertificate(
         kind="maj_from_periodic",
         source=g.text(),
@@ -595,7 +630,7 @@ def maj_from_periodic(
         target_label="MAJ_WINDOW",
         target_params=(m,),
         target_n=m,
-        target_spectrum="".join(str(v) for v in target_values),
+        target_spectrum=(cycle * (m // b + 1))[: m + 1],
         restrictions=restrictions,
         combiner=combiner,
         claimed_degree=combiner.degree,
@@ -705,7 +740,7 @@ def _thr_complement_core(
             raise ValueError(f"slot {i} is not zero past its pivot")
         slots.append((zeros, ones, slot))
 
-    target = Spectrum(tuple(1 if w < t else 0 for w in range(m + t + 1)))
+    target = Spectrum((1,) * t + (0,) * (m + 1))
     alpha = [0] * t
     for k in range(t):
         w = t - 1 - k
@@ -768,24 +803,23 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
         deviation[k] = found
 
     # Restrictions separating interval points m+1 .. 2m (locally 0 .. m-1).
+    # Pinning `ones` ones makes weight v read f at v + ones, so a member's
+    # values there are the window f[ones+m+1 .. ones+2m], taken as a mask.
+    # The pins always fit: ones >= lo - 2m > 0 and zeros >= 2*lo - hi > 0.
     members: list[tuple[int, int]] = []  # (ones, zeros) pinned on f
-    vectors: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    f_bits = bits_mask(f.values)
+    full = (1 << m) - 1
     for i in range(m + 1, 2 * m + 1):
         for j in range(i + 1, 2 * m + 1):
-            k = j - i
-            r = deviation[k]
+            r = deviation[j - i]
             ones = r - i
-            zeros = n - 3 * m - r + i
-            restricted = restrict(f, zeros, ones)
-            members.append((ones, zeros))
-            vectors.append(
-                tuple(restricted.values[v] for v in range(m + 1, 2 * m + 1))
-            )
+            members.append((ones, n - 3 * m - r + i))
+            masks.append((f_bits >> (ones + m + 1)) & full)
 
-    family = vectors + [tuple(1 - x for x in vec) for vec in vectors]
-    shrink = shrink_support(family)
+    shrink = _shrink_masks(masks + [full ^ mask for mask in masks], m)
     a = shrink.support_point + m + 1
-    picks = [(idx % len(vectors), 0 if idx >= len(vectors) else 1) for idx in shrink.chosen]
+    picks = [(idx % len(masks), 0 if idx >= len(masks) else 1) for idx in shrink.chosen]
     s = len(picks)
 
     def g_value(v: int) -> int:

@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 # The values a spectrum entry, or a point of the cube, may take.
 BOOLEAN = frozenset((0, 1))
 
+# bytes.translate tables between 0/1 entries and '0'/'1' characters.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_ENTRIES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True, slots=True)
 class Spectrum:
@@ -24,10 +28,18 @@ class Spectrum:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
+        # bytes() takes ints and bools but refuses floats, Fractions, strings
+        # and None, even where they equal 0 or 1; the tuple rebuilt from it
+        # holds plain ints.
+        try:
+            raw = bytes(tuple(self.values))
+        except (TypeError, ValueError):
+            raise ValueError("spectrum entries must be the ints 0 or 1") from None
+        if not raw:
             raise ValueError("spectrum must have length at least 1")
-        if not BOOLEAN.issuperset(self.values):
+        if raw.translate(None, b"\x00\x01"):
             raise ValueError("spectrum entries must be 0 or 1")
+        object.__setattr__(self, "values", tuple(raw))
 
     @property
     def n(self) -> int:
@@ -44,7 +56,7 @@ class Spectrum:
 
     def text(self) -> str:
         """Render as a line of '0'/'1' characters, index = Hamming weight."""
-        return "".join(str(v) for v in self.values)
+        return bits_text(self.values)
 
     def __str__(self) -> str:
         return self.text()
@@ -53,13 +65,28 @@ class Spectrum:
         return all(v == self.values[0] for v in self.values)
 
 
+def bits_text(values: Sequence[int]) -> str:
+    """0/1 int entries as a line of '0'/'1' characters, one per entry."""
+    return bytes(values).translate(_DIGITS).decode("ascii")
+
+
+def bits_mask(values: Sequence[int]) -> int:
+    """The int whose bit i is values[i], for 0/1 int entries."""
+    return int(bytes(reversed(values)).translate(_DIGITS) or b"0", 2)
+
+
+def text_entries(text: str) -> bytes:
+    """The 0/1 entries of a line of '0'/'1' characters, one byte each."""
+    return text.encode("ascii").translate(_ENTRIES)
+
+
 def spectrum(bits: str | Iterable[int]) -> Spectrum:
     """Build a Spectrum from a bit string or an iterable of 0/1 ints."""
     if isinstance(bits, str):
         cleaned = bits.strip()
-        if not cleaned or any(c not in "01" for c in cleaned):
+        if not cleaned or cleaned.strip("01"):
             raise ValueError(f"invalid spectrum text: {bits!r}")
-        return Spectrum(tuple(int(c) for c in cleaned))
+        return Spectrum(tuple(text_entries(cleaned)))
     return Spectrum(tuple(int(b) for b in bits))
 
 
@@ -95,14 +122,15 @@ def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
         (t,) = params
         if not 0 <= t <= n:
             raise ValueError(f"threshold {t} out of range [0, {n}]")
-        return Spectrum(tuple(1 if w == t else 0 for w in range(n + 1)))
+        return Spectrum((0,) * t + (1,) + (0,) * (n - t))
     if kind == "MOD":
         b, i = params
         if not 2 <= b <= n:
             raise ValueError(f"modulus {b} out of range [2, {n}]")
         if not 0 <= i <= b - 1:
             raise ValueError(f"residue {i} out of range [0, {b - 1}]")
-        return Spectrum(tuple(1 if w % b == i else 0 for w in range(n + 1)))
+        block = (0,) * i + (1,) + (0,) * (b - 1 - i)
+        return Spectrum((block * (n // b + 1))[: n + 1])
     if kind == "CONST":
         (c,) = params
         if c not in (0, 1):
@@ -131,11 +159,15 @@ def period(s: Spectrum) -> int:
 def _least_period(v: Sequence[int]) -> int:
     """Smallest b in 1..len(v) with v[i] = v[i + b] wherever both exist."""
     # Bit i of bits is v[i], so the shift equation for b says that bits
-    # shifted down by b equals its low len(v) - b bits.
-    bits = int("".join(map(str, reversed(v))), 2)
-    for b in range(1, len(v)):
+    # shifted down by b equals its low len(v) - b bits.  It implies
+    # v[b] = v[0], so only those b are tried.
+    bits = bits_mask(v)
+    text = bits_text(v)
+    b = text.find(text[0], 1)
+    while b > 0:
         if bits >> b == bits & ((1 << (len(v) - b)) - 1):
             return b
+        b = text.find(text[0], b + 1)
     return len(v)
 
 
@@ -267,7 +299,7 @@ def restrict(f: Spectrum, zeros: int, ones: int) -> Spectrum:
     is Spec f(w + ones).
     """
     m = restricted_n(f.n, zeros, ones)
-    return Spectrum(tuple(f.values[w + ones] for w in range(m + 1)))
+    return Spectrum(f.values[ones : ones + m + 1])
 
 
 def threshold_combination(f: Spectrum) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -166,6 +167,47 @@ def test_sample_stdout_is_byte_identical(capsys, family, field):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[family, field]
+
+
+# sha256 of `pdeg reduce --reduction R ... --check` stdout, recorded while
+# certificates were still checked through Spectrum objects and _mask.
+REDUCE_CASES = {
+    "mod": (
+        ["--kind", "MOD", "--n", "300", "--params", "6", "1", "--field", "5"],
+        "eaa05d178855ef20eddf9dce862e87f0556b29f180b59c4b35c2cae675bb4834",
+    ),
+    "thr": (
+        ["--n", "1000", "--thresholds", "158"],
+        "3b11c36d1eec39690d91d82288447a8747859610e388c1328826cfeb8a6c2f4c",
+    ),
+    "maj-periodic": (
+        ["--kind", "MOD", "--n", "2000", "--params", "64", "0", "--field", "2",
+         "--eps", "1/8"],
+        "ab61f5848cc545f7d10f3692bc48505e04242a24266ee2f0883598f0948b13ea",
+    ),
+    # A random spectrum (random.Random(240), n = 240) needs three picks.
+    "maj-general": (
+        ["--spectrum", "{random240}", "--field", "3"],
+        "d6575dbc99276cd28780b673ad57c6f89790f247656320593b5a9e419f4b1c22",
+    ),
+    # AND reflects to NOR, so the certificate's source is reflected.
+    "thr-complement": (
+        ["--kind", "AND", "--n", "600"],
+        "11737546c3f5c17ce143d3501c286ddcbb977e3f66ba7234ca6624ddb482f5d3",
+    ),
+}
+
+
+@pytest.mark.parametrize("reduction", sorted(REDUCE_CASES))
+def test_reduce_stdout_is_byte_identical(capsys, tmp_path, reduction):
+    rng = random.Random(240)
+    path = tmp_path / "random240.txt"
+    path.write_text("".join(str(rng.randint(0, 1)) for _ in range(241)) + "\n")
+    args, digest = REDUCE_CASES[reduction]
+    args = [a.format(random240=path) for a in args]
+    assert cli.main(["reduce", "--reduction", reduction, *args, "--check"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

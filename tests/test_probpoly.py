@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from pdeg import probpoly
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec, exact_sympoly
+from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly, exact_sympoly
 from pdeg.probpoly import (
     ConstantsProfile,
     SeedStream,
@@ -221,6 +222,38 @@ class TestExprNodes:
     def test_expr_json_rejects_root_out_of_range(self, root):
         with pytest.raises(ValueError, match=f"reference {root} is not one of nodes 0..1"):
             expr_from_json(self._json([], [0, root]))
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            ({"op": "mul", "factors": ["0"]}, "reference '0' is not an int"),
+            ({"op": "mul", "factors": [0, 1.0]}, "reference 1.0 is not an int"),
+            ({"op": "mul", "factors": [True]}, "reference True is not an int"),
+            ({"op": "sum", "constant": "0", "terms": [["1", 0.0]]}, "reference 0.0"),
+            ({"op": "pow", "base": "1", "exponent": 2}, "reference '1'"),
+            ({"op": "pow", "base": 1, "exponent": 2.0}, "exponent 2.0 is not an int"),
+            ({"op": "pow", "base": 1, "exponent": True}, "exponent True is not an int"),
+            ({"op": "pow", "base": 1, "exponent": "2"}, "exponent '2' is not an int"),
+            ({"op": "var", "index": 1.5}, "variable index 1.5 is not an int"),
+            ({"op": "var", "index": True}, "variable index True is not an int"),
+            ({"op": "var", "index": "1"}, "variable index '1' is not an int"),
+            (
+                {"op": "linear", "coeffs": ["1", "1"], "indices": [0, 1.0]},
+                "variable index 1.0 is not an int",
+            ),
+            ({"op": "sym", "poly": None, "inputs": [0.5]}, "reference 0.5"),
+        ],
+    )
+    def test_expr_json_rejects_non_int_fields(self, node, message):
+        if node["op"] == "sym":
+            node["poly"] = SymPoly(GF3, (0, 1)).to_json()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expr_from_json(self._json([node], [2]))
+
+    @pytest.mark.parametrize("root", ["0", 1.0, False])
+    def test_expr_json_rejects_non_int_root(self, root):
+        with pytest.raises(ValueError, match=re.escape(f"reference {root!r} is not an int")):
+            expr_from_json(self._json([], [root]))
 
 
 class TestBasicRecipes:

@@ -11,6 +11,7 @@ from pdeg.reductions import (
     LiteralCombiner,
     ReductionCertificate,
     ShrinkResult,
+    _binomial_tail_outside,
     delta_from_shifts,
     maj_from_general,
     maj_from_periodic,
@@ -641,3 +642,115 @@ class TestMalformedCertificate:
             self.loaded(restrictions=[[-1, 0]]).check(GF2)
         with pytest.raises(ValueError, match="slot 0.*cannot fix 10 of 9"):
             self.loaded(restrictions=[[6, 4]]).check(GF2)
+
+
+class TestFailuresFromText:
+    """failures() reads source and target text directly; slot_spectra()
+    plus LiteralCombiner.evaluate stay the pointwise reference."""
+
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, GF5, RATIONALS], ids=["GF2", "GF3", "GF5", "Q"]
+    )
+    def test_reflected_sources_match_pointwise_reference(self, field):
+        rng = random.Random(100 + field.characteristic)
+        reflected = missed = 0
+        for cert in _corpus():
+            flipped = dataclasses.replace(
+                cert, source_reflected=not cert.source_reflected
+            )
+            # The same slots, stored as the reversed text with the flag flipped.
+            same = dataclasses.replace(flipped, source=cert.source[::-1])
+            assert same.failures(field) == cert.failures(field)
+            bits = list(cert.source)
+            for w in rng.sample(range(len(bits)), min(4, len(bits))):
+                bits[w] = "1" if bits[w] == "0" else "0"
+            noisy = dataclasses.replace(flipped, source="".join(bits))
+            for base in (flipped, same, noisy):
+                reflected += base.source_reflected
+                for mutant in _mutants(base, field, rng):
+                    got = mutant.failures(field)
+                    want = pointwise_failures(mutant, field)
+                    assert got == want
+                    assert [tuple(map(type, f)) for f in got] == [
+                        tuple(map(type, f)) for f in want
+                    ]
+                    missed += bool(want)
+        assert reflected >= 20 and missed >= 40
+
+    @pytest.mark.parametrize("bad", ["", "012", "0 1", " 01", "01\n", "0_1", "２"])
+    @pytest.mark.parametrize(
+        "name, attr", [("source", "source"), ("target spectrum", "target_spectrum")]
+    )
+    def test_malformed_text_names_the_field(self, bad, name, attr):
+        cert = dataclasses.replace(thr_restrictions(9, 3)[0], **{attr: bad})
+        with pytest.raises(ValueError, match=f"certificate {name} must be"):
+            cert.failures(GF2)
+        with pytest.raises(ValueError, match=f"certificate {name} must be"):
+            cert.check(RATIONALS)
+
+    def test_long_malformed_text_is_shortened(self):
+        cert = dataclasses.replace(
+            thr_restrictions(9, 3)[0], target_spectrum="01" * 5000 + "2"
+        )
+        with pytest.raises(ValueError) as info:
+            cert.check(GF2)
+        assert len(str(info.value)) < 120
+
+    def test_non_string_text_is_a_value_error(self):
+        obj = thr_restrictions(9, 3)[0].to_json()
+        obj["target"]["spectrum"] = None
+        cert = ReductionCertificate.from_json(obj)
+        with pytest.raises(ValueError, match="target spectrum must be"):
+            cert.check(GF2)
+
+
+def _full_row_tail(m, window):
+    """The full-row walk _binomial_tail_outside used to be: every weight."""
+    inside = set(window)
+    total = 0
+    coeff = 1
+    for w in range(m + 1):
+        if w not in inside:
+            total += coeff
+        coeff = coeff * (m - w) // (w + 1)
+    return Fraction(total, 1 << m)
+
+
+class TestBinomialTail:
+    def test_every_interval_window(self):
+        for m in range(41):
+            for lo in range(m + 1):
+                for hi in range(lo, m + 1):
+                    window = range(lo, hi + 1)
+                    assert _binomial_tail_outside(m, window) == _full_row_tail(
+                        m, window
+                    ), (m, lo, hi)
+
+    def test_random_sets_and_outside_members(self):
+        rng = random.Random(447)
+        for _ in range(400):
+            m = rng.randint(0, 60)
+            window = [rng.randint(-5, m + 5) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.3:
+                window += window[: rng.randint(0, len(window))]  # repeats
+            assert _binomial_tail_outside(m, window) == _full_row_tail(m, window), (
+                m,
+                window,
+            )
+
+    def test_empty_and_fully_outside_windows(self):
+        for m in (0, 1, 7, 40):
+            assert _binomial_tail_outside(m, []) == 1
+            assert _binomial_tail_outside(m, [-3, m + 1, m + 9]) == 1
+            assert _binomial_tail_outside(m, range(-2, m + 3)) == 0
+
+    def test_bench_scale_case(self):
+        # maj_from_periodic at n = 10300, b = 1024 selects m = 9276.
+        g = periodic_spectrum("1" + "0" * 1023, 10300)
+        cert = maj_from_periodic(g, EIGHTH, GF2)
+        m = cert.extras["m"]
+        window = cert.extras["window_weights"]
+        assert (m, cert.extras["period"]) == (9276, 1024)
+        tail = _binomial_tail_outside(m, window)
+        assert tail == _full_row_tail(m, window)
+        assert str(tail) == cert.extras["tail"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,50 @@ def test_spectrum_rejects_bad_input():
         spectrum("")
     with pytest.raises(ValueError):
         Spectrum((0, 2, 1))
+
+
+def test_spectrum_turns_bools_into_ints():
+    s = Spectrum((True, False, 1))
+    assert s.values == (1, 0, 1)
+    assert set(map(type, s.values)) == {int}
+    assert s.text() == "101"
+    assert Spectrum((False,)).text() == "0"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1.0, 0.0), (0, 1.0), (Fraction(1), 0), ("1", "0"), (None,), (True, 0.0)],
+    ids=["floats", "one-float", "fraction", "strings", "none", "bool-and-float"],
+)
+def test_spectrum_rejects_non_int_entries(values):
+    with pytest.raises(ValueError, match="must be the ints 0 or 1"):
+        Spectrum(values)
+
+
+def test_text_kernels_match_pointwise_definitions():
+    rng = random.Random(12)
+    for n in (0, 1, 2, 7, 63, 200):
+        values = tuple(rng.randint(0, 1) for _ in range(n + 1))
+        s = Spectrum(values)
+        text = "".join(str(v) for v in values)
+        assert s.text() == text
+        assert spectrum(text) == s and spectrum(f" {text}\n") == s
+        assert set(map(type, spectrum(text).values)) == {int}
+        for zeros in range(min(n, 3) + 1):
+            for ones in range(min(n - zeros, 3) + 1):
+                m = n - zeros - ones
+                want = tuple(values[w + ones] for w in range(m + 1))
+                assert restrict(s, zeros, ones).values == want
+    for n in range(1, 30):
+        for t in range(n + 1):
+            assert named_spectrum("ETHR", n, t).values == tuple(
+                1 if w == t else 0 for w in range(n + 1)
+            )
+        for b in range(2, n + 1):
+            for i in range(b):
+                assert named_spectrum("MOD", n, b, i).values == tuple(
+                    1 if w % b == i else 0 for w in range(n + 1)
+                )
 
 
 def test_parse_spectrum_file(tmp_path):
