@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence, Union
 
-from .symfun import Spectrum, period
+from .symfun import Spectrum, _is_char_power, period
 
 FieldElement = Union[int, Fraction]
 
@@ -541,27 +541,22 @@ def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
     """
     p = field.characteristic
     b = period(g)
-    if p == 0:
-        if b != 1:
+    if not _is_char_power(b, p):
+        if p == 0:
             raise ValueError(
                 "period must be 1 in characteristic 0; "
                 f"got period {b}, not a characteristic power"
             )
-    else:
-        bb = b
-        while bb % p == 0:
-            bb //= p
-        if bb != 1:
-            raise ValueError(
-                f"period {b} is not a characteristic power (characteristic {p})"
-            )
-    # Triangular solve for c with sum_k c_k C(w, k) = g(w), w in [0, b - 1].
+        raise ValueError(
+            f"period {b} is not a characteristic power (characteristic {p})"
+        )
+    # sum_k c_k C(w, k) = g(w) on w in [0, b - 1] (Newton's forward
+    # formula): c_k is the k-th forward difference of g at 0.
     coeffs: list[FieldElement] = []
-    for w in range(b):
-        acc = field.element(g.values[w])
-        for k in range(w):
-            acc = field.sub(acc, field.mul(coeffs[k], binomial_in_field(w, k, field)))
-        coeffs.append(acc)
+    diffs = [field.element(v) for v in g.values[:b]]
+    while diffs:
+        coeffs.append(diffs[0])
+        diffs = [field.sub(hi, lo) for lo, hi in zip(diffs, diffs[1:])]
     return SymPoly(field, tuple(coeffs))
 
 

@@ -230,8 +230,10 @@ def eval_expr(
     """Evaluate at a point, sharing work across common subexpressions.
 
     One iterative walk with an explicit stack, so DAG depth is unbounded: a
-    node stays on the stack until its operands are in memo (keyed by node
-    id).  A Product multiplies its known factors in order, stops at the
+    node stays on the stack until its operands are in memo, which is keyed
+    by the nodes themselves (they hash by identity), so a memo kept across
+    calls holds its nodes alive and never mistakes a new node for a freed
+    one.  A Product multiplies its known factors in order, stops at the
     first zero partial product and pushes only its next unknown factor, so
     factors after a zero are never evaluated.  When the point and a
     SymApply's other inputs are all 0/1, the SymApply counts its ones and
@@ -256,8 +258,7 @@ def eval_expr(
     stack = [expr]
     while stack:
         e = stack[-1]
-        key = id(e)
-        if key in memo:
+        if e in memo:
             stack.pop()
             continue
         kind = type(e)
@@ -273,23 +274,23 @@ def eval_expr(
                     acc += c * xi
             val = acc % p if p else field.element(acc)
         elif kind is Sum:
-            missing = [t for _, t in e.terms if id(t) not in memo]
+            missing = [t for _, t in e.terms if t not in memo]
             if missing:
                 stack += missing
                 continue
             acc = e.constant
             for c, t in e.terms:
-                acc += c * memo[id(t)]
+                acc += c * memo[t]
             val = acc % p if p else field.element(acc)
         elif kind is SymApply:
             others = e.others
             read = other_reads.get(others)
             if read is None:
-                missing = [t for t in others if id(t) not in memo]
+                missing = [t for t in others if t not in memo]
                 if missing:
                     stack += missing
                     continue
-                vals = [memo[id(t)] for t in others]
+                vals = [memo[t] for t in others]
                 ones = int(sum(vals)) if BOOLEAN.issuperset(vals) else None
                 read = other_reads[others] = (vals, ones)
             other_vals, ones = read
@@ -314,7 +315,7 @@ def eval_expr(
             val = 1
             pending = None
             for f in e.factors:
-                v = memo.get(id(f))
+                v = memo.get(f)
                 if v is None:
                     pending = f
                     break
@@ -327,16 +328,16 @@ def eval_expr(
             if not p:
                 val = field.element(val)
         elif kind is Power:
-            base = memo.get(id(e.base))
+            base = memo.get(e.base)
             if base is None:
                 stack.append(e.base)
                 continue
             val = pow(base, e.exponent, p) if p else base**e.exponent
         else:
             raise TypeError(f"unknown expression node {kind!r}")
-        memo[key] = val
+        memo[e] = val
         stack.pop()
-    return memo[id(expr)]
+    return memo[expr]
 
 
 def weight_poly_at_values(
@@ -742,14 +743,16 @@ def _small_error_branch(eps: Fraction, t: int, divisor: int) -> bool:
 
 
 class Recipe:
-    """A named construction plus everything needed to draw and judge samples."""
+    """A named construction plus everything needed to draw and judge samples.
+
+    n and arity are read off the targets, and randomness_free holds when
+    the construction draws nothing itself (draws=False) and no child does.
+    """
 
     __slots__ = (
         "kind",
         "field",
         "profile",
-        "n",
-        "arity",
         "eps",
         "declared_degree_bound",
         "randomness_free",
@@ -763,29 +766,33 @@ class Recipe:
         self,
         kind: str,
         field: FieldSpec,
-        profile: ConstantsProfile | None,
-        n: int,
-        arity: int,
         eps: Fraction,
         declared_degree_bound: int,
-        randomness_free: bool,
         params: dict,
         sampler: Callable[[SeedStream], tuple[PolyExpr, ...]],
         targets: tuple[Spectrum, ...],
+        profile: ConstantsProfile | None = None,
         children: tuple["Recipe", ...] = (),
+        draws: bool = False,
     ):
         self.kind = kind
         self.field = field
         self.profile = profile
-        self.n = n
-        self.arity = arity
         self.eps = eps
         self.declared_degree_bound = declared_degree_bound
-        self.randomness_free = randomness_free
+        self.randomness_free = not draws and all(c.randomness_free for c in children)
         self.params = params
         self._sampler = sampler
         self._targets = targets
         self._children = children
+
+    @property
+    def n(self) -> int:
+        return self._targets[0].n
+
+    @property
+    def arity(self) -> int:
+        return len(self._targets)
 
     def target_spectra(self) -> tuple[Spectrum, ...]:
         return self._targets
@@ -843,12 +850,8 @@ def constant_recipe(field: FieldSpec, n: int, value: int) -> Recipe:
     return Recipe(
         kind="constant",
         field=field,
-        profile=None,
-        n=n,
-        arity=1,
         eps=Fraction(0),
         declared_degree_bound=0,
-        randomness_free=True,
         params={"n": n, "value": value},
         sampler=lambda stream: (expr,),
         targets=(named_spectrum("CONST", n, value),),
@@ -871,12 +874,8 @@ def exact_recipe(field: FieldSpec, spectra: Sequence[Spectrum]) -> Recipe:
     return Recipe(
         kind="exact",
         field=field,
-        profile=None,
-        n=n,
-        arity=len(spectra),
         eps=Fraction(0),
         declared_degree_bound=declared,
-        randomness_free=True,
         params={"spectra": [s.text() for s in spectra]},
         sampler=lambda stream: exprs,
         targets=spectra,
@@ -932,15 +931,12 @@ def razborov_or(
     return Recipe(
         kind="razborov_or",
         field=field,
-        profile=None,
-        n=n,
-        arity=1,
         eps=eps,
         declared_degree_bound=declared,
-        randomness_free=False,
         params={"n": n, "negate": negate, "forms": ell},
         sampler=sampler,
         targets=(named_spectrum("AND" if negate else "OR", n),),
+        draws=True,
     )
 
 
@@ -1004,15 +1000,12 @@ def char0_or(n: int, eps: Fraction) -> Recipe:
     return Recipe(
         kind="char0_or",
         field=field,
-        profile=None,
-        n=n,
-        arity=1,
         eps=eps,
         declared_degree_bound=declared,
-        randomness_free=False,
         params={"n": n, "runs": ell},
         sampler=sampler,
         targets=(named_spectrum("OR", n),),
+        draws=True,
     )
 
 
@@ -1061,9 +1054,7 @@ def threshold_tuple(
         "t_max": t_max,
     }
 
-    def finish(
-        branch, sampler, structural, randomness_free, extra=None, children=()
-    ):
+    def finish(branch, sampler, structural, extra=None, children=(), draws=False):
         params = dict(base_params)
         params["branch"] = branch
         if extra:
@@ -1078,15 +1069,13 @@ def threshold_tuple(
             kind="threshold_tuple",
             field=field,
             profile=profile,
-            n=n,
-            arity=len(thresholds),
             eps=eps,
             declared_degree_bound=declared,
-            randomness_free=randomness_free,
             params=params,
             sampler=sampler,
             targets=targets,
             children=children,
+            draws=draws,
         )
 
     def exact_tuple(branch_label: str):
@@ -1095,7 +1084,7 @@ def threshold_tuple(
         all_vars = tuple(Var(i) for i in range(n))
         exprs = tuple(SymApply(poly, all_vars) for poly in polys)
         structural = max(poly.degree for poly in polys)
-        return finish(branch_label, lambda stream: exprs, structural, True)
+        return finish(branch_label, lambda stream: exprs, structural)
 
     if n <= profile.base_n or t_max == 0:
         return exact_tuple("exact")
@@ -1180,13 +1169,7 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
             )
         return tuple(out)
 
-    return finish(
-        "hash",
-        sampler,
-        structural,
-        False,
-        extra={"hash_range": r},
-    )
+    return finish("hash", sampler, structural, extra={"hash_range": r}, draws=True)
 
 
 def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
@@ -1229,7 +1212,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     e_exprs = tuple(SymApply(e_poly, all_vars) for _, e_poly, _ in plans)
     if not child_thresholds:
         structural = max(poly.degree for _, poly, _ in plans)
-        return finish("inductive", lambda stream: e_exprs, structural, True)
+        return finish("inductive", lambda stream: e_exprs, structural)
 
     if n_hat < 1:
         raise ValueError(f"subsample of n={n} at ratio {ratio} is empty")
@@ -1265,9 +1248,9 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         "inductive",
         sampler,
         structural,
-        False,
         extra={"subsample_n": n_hat, "window_halfwidth": H},
         children=(child,),
+        draws=True,
     )
 
 
@@ -1291,11 +1274,8 @@ def t_constant_recipe(
             kind="t_constant",
             field=field,
             profile=profile,
-            n=f.n,
-            arity=1,
             eps=Fraction(0),
             declared_degree_bound=0,
-            randomness_free=True,
             params=params,
             sampler=base._sampler,
             targets=(f,),
@@ -1313,11 +1293,8 @@ def t_constant_recipe(
         kind="t_constant",
         field=field,
         profile=profile,
-        n=f.n,
-        arity=1,
         eps=eps,
         declared_degree_bound=child.declared_degree_bound,
-        randomness_free=child.randomness_free,
         params=params,
         sampler=sampler,
         targets=(f,),
@@ -1363,11 +1340,8 @@ def _bounded_recipe(
             kind="bounded",
             field=field,
             profile=profile,
-            n=n,
-            arity=1,
             eps=eps,
             declared_degree_bound=inner.declared_degree_bound,
-            randomness_free=inner.randomness_free,
             params={"spectrum": h.text(), "radius": k, "complemented": True},
             sampler=sampler,
             targets=(h,),
@@ -1391,13 +1365,10 @@ def _bounded_recipe(
         kind="bounded",
         field=field,
         profile=profile,
-        n=n,
-        arity=1,
         eps=eps,
         declared_degree_bound=max(
             left.declared_degree_bound, right.declared_degree_bound
         ),
-        randomness_free=left.randomness_free and right.randomness_free,
         params={"spectrum": h.text(), "radius": k, "complemented": False},
         sampler=sampler,
         targets=(h,),
@@ -1460,11 +1431,8 @@ def general_recipe(
                 kind="general",
                 field=field,
                 profile=profile,
-                n=n,
-                arity=1,
                 eps=eps,
                 declared_degree_bound=decomp_declared,
-                randomness_free=h_recipe.randomness_free,
                 params={
                     "spectrum": f.text(),
                     "route": "decomposition",
@@ -1487,11 +1455,8 @@ def general_recipe(
         kind="general",
         field=field,
         profile=profile,
-        n=n,
-        arity=1,
         eps=eps,
         declared_degree_bound=direct_declared,
-        randomness_free=direct_child.randomness_free,
         params={"spectrum": f.text(), "route": "direct", "t_constant_from": t_top},
         sampler=sampler,
         targets=(f,),
@@ -1551,11 +1516,8 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
         kind="amplify",
         field=field,
         profile=recipe.profile,
-        n=recipe.n,
-        arity=recipe.arity,
         eps=delta,
         declared_degree_bound=ell * recipe.declared_degree_bound,
-        randomness_free=recipe.randomness_free,
         params={"delta": str(delta), "votes": ell, "child": recipe.to_json()},
         sampler=sampler,
         targets=recipe.target_spectra(),
@@ -1609,12 +1571,8 @@ def compose(outer: Recipe, inners: Sequence[Recipe]) -> Recipe:
         kind="compose",
         field=field,
         profile=outer.profile,
-        n=n,
-        arity=1,
         eps=eps_total,
         declared_degree_bound=declared,
-        randomness_free=outer.randomness_free
-        and all(r.randomness_free for r in inners),
         params={
             "outer": outer.to_json(),
             "inners": [r.to_json() for r in inners],
@@ -1644,6 +1602,8 @@ def sum_recipes(
     n = recipes[0].n
     if any(r.n != n or r.field != field or r.arity != 1 for r in recipes):
         raise ValueError("recipes must be single-component on one variable set")
+    if target.n != n:
+        raise ValueError(f"target has {target.n} variables but the parts have {n}")
     coeffs = tuple(field.element(c) for c in coefficients)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
@@ -1657,11 +1617,8 @@ def sum_recipes(
         kind="sum",
         field=field,
         profile=recipes[0].profile,
-        n=n,
-        arity=1,
         eps=sum((r.eps for r in recipes), Fraction(0)),
         declared_degree_bound=max(r.declared_degree_bound for r in recipes),
-        randomness_free=all(r.randomness_free for r in recipes),
         params={
             "coefficients": [field.format_element(c) for c in coeffs],
             "target": target.text(),
@@ -1691,11 +1648,8 @@ def xor_combine(a: Recipe, b: Recipe) -> Recipe:
         kind="xor",
         field=field,
         profile=a.profile,
-        n=a.n,
-        arity=1,
         eps=a.eps + b.eps,
         declared_degree_bound=a.declared_degree_bound + b.declared_degree_bound,
-        randomness_free=a.randomness_free and b.randomness_free,
         params={"a": a.to_json(), "b": b.to_json()},
         sampler=sampler,
         targets=(target,),
@@ -1755,21 +1709,48 @@ def enumerate_draws(
 # Serialization
 
 
-# The recipe kinds recipe_from_json rebuilds: for each, the params that hold
-# child recipes in JSON (a single recipe or a list of them).
-_JSON_CHILD_PARAMS: dict[str, tuple[str, ...]] = {
-    "constant": (),
-    "exact": (),
-    "razborov_or": (),
-    "char0_or": (),
-    "threshold_tuple": (),
-    "t_constant": (),
-    "bounded": (),
-    "general": (),
-    "amplify": ("child",),
-    "compose": ("outer", "inners"),
-    "sum": ("parts",),
-    "xor": ("a", "b"),
+def _spectrum_param(build: Callable[..., Recipe]) -> Callable[..., Recipe]:
+    """The rebuild of a kind built from params["spectrum"], eps, field and
+    profile."""
+    return lambda p, *args: build(parse_spectrum(p["spectrum"]), *args)
+
+
+# Every recipe kind recipe_from_json rebuilds: the params that hold child
+# recipes in JSON (a single recipe or a list of them), and the rebuild,
+# called as rebuild(params, eps, field, profile) with those params already
+# rebuilt into recipes.
+_RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
+    "constant": (
+        (),
+        lambda p, eps, field, _: constant_recipe(field, p["n"], p["value"]),
+    ),
+    "exact": (
+        (),
+        lambda p, eps, field, _: exact_recipe(field, map(parse_spectrum, p["spectra"])),
+    ),
+    "razborov_or": (
+        (),
+        lambda p, eps, field, _: razborov_or(p["n"], eps, field, p["negate"]),
+    ),
+    "char0_or": ((), lambda p, eps, *_: char0_or(p["n"], eps)),
+    "threshold_tuple": (
+        (),
+        lambda p, *args: threshold_tuple(p["n"], tuple(p["thresholds"]), *args),
+    ),
+    "t_constant": ((), _spectrum_param(t_constant_recipe)),
+    "bounded": ((), _spectrum_param(bounded_recipe)),
+    "general": ((), _spectrum_param(general_recipe)),
+    "amplify": (("child",), lambda p, *_: amplify(p["child"], Fraction(p["delta"]))),
+    "compose": (("outer", "inners"), lambda p, *_: compose(p["outer"], p["inners"])),
+    "sum": (
+        ("parts",),
+        lambda p, eps, field, _: sum_recipes(
+            p["parts"],
+            list(map(field.parse_element, p["coefficients"])),
+            parse_spectrum(p["target"]),
+        ),
+    ),
+    "xor": (("a", "b"), lambda p, *_: xor_combine(p["a"], p["b"])),
 }
 
 
@@ -1781,11 +1762,11 @@ def unknown_recipe_kinds(obj: dict) -> list:
     while stack:
         node = stack.pop()
         kind = node.get("kind") if isinstance(node, dict) else None
-        if kind not in _JSON_CHILD_PARAMS:
+        if kind not in _RECIPE_KINDS:
             unknown.append(kind)
             continue
         params = node.get("params") or {}
-        for name in _JSON_CHILD_PARAMS[kind]:
+        for name in _RECIPE_KINDS[kind][0]:
             child = params.get(name)
             stack.extend(child if isinstance(child, list) else [child])
     return unknown
@@ -1794,43 +1775,20 @@ def unknown_recipe_kinds(obj: dict) -> list:
 def recipe_from_json(obj: dict) -> Recipe:
     """Rebuild a recipe from its serialized form by re-running its constructor."""
     kind = obj["kind"]
+    if kind not in _RECIPE_KINDS:
+        raise ValueError(f"unknown recipe kind {kind!r}")
+    child_params, rebuild = _RECIPE_KINDS[kind]
     field = FieldSpec(int(obj["field"]))
     eps = Fraction(obj["eps"])
     profile = (
         ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None
     )
-    params = obj["params"]
-    if kind == "constant":
-        return constant_recipe(field, params["n"], params["value"])
-    if kind == "exact":
-        return exact_recipe(field, [parse_spectrum(s) for s in params["spectra"]])
-    if kind == "razborov_or":
-        return razborov_or(params["n"], eps, field, params["negate"])
-    if kind == "char0_or":
-        return char0_or(params["n"], eps)
-    if kind == "threshold_tuple":
-        return threshold_tuple(
-            params["n"], tuple(params["thresholds"]), eps, field, profile
+    params = dict(obj["params"])
+    for name in child_params:
+        child = params[name]
+        params[name] = (
+            list(map(recipe_from_json, child))
+            if type(child) is list
+            else recipe_from_json(child)
         )
-    if kind == "t_constant":
-        return t_constant_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
-    if kind == "bounded":
-        return bounded_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
-    if kind == "general":
-        return general_recipe(parse_spectrum(params["spectrum"]), eps, field, profile)
-    if kind == "amplify":
-        child = recipe_from_json(params["child"])
-        return amplify(child, Fraction(params["delta"]))
-    if kind == "compose":
-        outer = recipe_from_json(params["outer"])
-        inners = [recipe_from_json(x) for x in params["inners"]]
-        return compose(outer, inners)
-    if kind == "sum":
-        parts = [recipe_from_json(x) for x in params["parts"]]
-        coeffs = [field.parse_element(c) for c in params["coefficients"]]
-        return sum_recipes(parts, coeffs, parse_spectrum(params["target"]))
-    if kind == "xor":
-        return xor_combine(
-            recipe_from_json(params["a"]), recipe_from_json(params["b"])
-        )
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    return rebuild(params, eps, field, profile)

@@ -19,6 +19,7 @@ from .polyalg import FieldElement, FieldSpec
 from .symfun import (
     BOOLEAN,
     Spectrum,
+    _is_char_power,
     bits_mask,
     bits_text,
     bounded_radius_flagged,
@@ -32,15 +33,35 @@ from .symfun import (
 )
 
 
+def _shown(value) -> str:
+    """repr(value), cut short so error text stays bounded."""
+    text = repr(value)
+    return text if len(text) <= 24 else text[:24] + "..."
+
+
 def _bit_string(name: str, text) -> str:
     """A certificate's stored 0/1 text, or ValueError naming its field."""
     if type(text) is str and text and not text.strip("01"):
         return text
-    if type(text) is str and len(text) > 24:
-        text = text[:24] + "..."
     raise ValueError(
-        f"certificate {name} must be a nonempty 0/1 string, got {text!r}"
+        f"certificate {name} must be a nonempty 0/1 string, got {_shown(text)}"
     )
+
+
+def _stored(name: str, value, kind: type = int):
+    """A certificate's stored field, of exactly that type (so an int field
+    refuses bools), or ValueError naming the field."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"certificate {name} must be {kind.__name__}, got {_shown(value)}"
+        )
+    return value
+
+
+def _polarity(value) -> int:
+    if _stored("polarity", value) not in (0, 1):
+        raise ValueError(f"certificate polarity must be 0 or 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +106,14 @@ class LiteralCombiner:
 
     @staticmethod
     def from_json(obj: dict) -> "LiteralCombiner":
+        """Parse to_json's terms; a coefficient or slot that is not an int
+        (bools included) or a polarity other than 0/1 raises ValueError."""
         return LiteralCombiner(
             tuple(
-                (int(coeff), tuple((int(s), int(p)) for s, p in literals))
+                (
+                    _stored("coefficient", coeff),
+                    tuple((_stored("slot", s), _polarity(p)) for s, p in literals),
+                )
                 for coeff, literals in obj["terms"]
             )
         )
@@ -220,18 +246,24 @@ class ReductionCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "ReductionCertificate":
+        """Parse to_json's object.  A number that is not an int (bools
+        included) and a source_reflected that is not a bool raise
+        ValueError naming the field; nothing is coerced."""
         target = obj["target"]
         return ReductionCertificate(
             kind=obj["kind"],
             source=obj["source"],
-            source_reflected=bool(obj["source_reflected"]),
+            source_reflected=_stored("source_reflected", obj["source_reflected"], bool),
             target_label=target["label"],
-            target_params=tuple(int(x) for x in target["params"]),
-            target_n=int(target["n"]),
+            target_params=tuple(_stored("target param", x) for x in target["params"]),
+            target_n=_stored("target n", target["n"]),
             target_spectrum=target["spectrum"],
-            restrictions=tuple((int(z), int(o)) for z, o in obj["restrictions"]),
+            restrictions=tuple(
+                (_stored("restriction", z), _stored("restriction", o))
+                for z, o in obj["restrictions"]
+            ),
             combiner=LiteralCombiner.from_json(obj["combiner"]),
-            claimed_degree=int(obj["claimed_degree"]),
+            claimed_degree=_stored("claimed_degree", obj["claimed_degree"]),
             extras=dict(obj["extras"]),
         )
 
@@ -429,11 +461,7 @@ def mod_from_periodic(
         raise ValueError(f"period {b} is trivial")
     if b > n // 3:
         raise ValueError(f"period {b} exceeds n/3 = {n // 3}")
-    bb = b
-    if p > 0:
-        while bb % p == 0:
-            bb //= p
-    if bb == 1:
+    if _is_char_power(b, p):
         raise ValueError(
             f"period {b} is a characteristic power; exact interpolation applies"
         )
@@ -507,10 +535,7 @@ def maj_from_periodic(
         raise ValueError("positive characteristic required")
     if b <= 1:
         raise ValueError(f"period {b} is trivial")
-    bb = b
-    while bb % p == 0:
-        bb //= p
-    if bb != 1:
+    if not _is_char_power(b, p):
         raise ValueError(
             f"period {b} is not a characteristic power; use the modular reduction"
         )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -387,11 +388,18 @@ class TestUsageErrors:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # The child finds pdeg where this process imported it, whatever the
+        # caller's PYTHONPATH.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
         proc = subprocess.run(
             [sys.executable, "-m", "pdeg.cli", "analyze", "--kind", "OR",
              "--n", "4"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)

@@ -219,7 +219,16 @@ def test_product_stops_at_first_zero_factor():
     expr = Product((shared, Var(1), Var(99)))
     memo = {}
     assert eval_expr(expr, [1, 0, 1], GF2, memo) == 0
-    assert id(shared) in memo
+    assert shared in memo
+
+
+def test_memo_reused_across_calls_keeps_its_nodes():
+    # Each Constant is dropped by the caller after its call; a memo keyed by
+    # id() would read a freed node's value for a new node at the same address.
+    memo = {}
+    got = [eval_expr(Constant(k % 3), [0], GF3, memo) for k in range(6)]
+    assert got == [0, 1, 2, 0, 1, 2]
+    assert len(memo) == 6
 
 
 def test_symapply_splits_inputs_once():

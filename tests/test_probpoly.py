@@ -33,6 +33,7 @@ from pdeg.probpoly import (
     t_constant_recipe,
     bounded_recipe,
     threshold_tuple,
+    unknown_recipe_kinds,
     xor_combine,
 )
 from pdeg.probpoly import LinearForm, Power, Product, Sum, SymApply, Var
@@ -597,6 +598,13 @@ class TestCombinators:
             a.declared_degree_bound, b.declared_degree_bound
         )
 
+    def test_sum_rejects_a_target_of_another_length(self):
+        parts = [razborov_or(20, EIGHTH, GF2)]
+        with pytest.raises(ValueError, match="target has 1 variables but the parts"):
+            sum_recipes(parts, [1], spectrum("01"))
+        with pytest.raises(ValueError, match="target has 21 variables"):
+            sum_recipes(parts, [1], named_spectrum("OR", 21))
+
     def test_xor_combine_values_and_degree(self):
         a = exact_recipe(RATIONALS, [named_spectrum("THR", 4, 1)])
         b = exact_recipe(RATIONALS, [named_spectrum("THR", 4, 3)])
@@ -636,36 +644,58 @@ class TestEnumerateDraws:
             list(enumerate_draws(r))
 
 
+# One builder per kind recipe_from_json rebuilds.
+_ROUNDTRIP_BUILDS = [
+    lambda: constant_recipe(GF2, 4, 1),
+    lambda: exact_recipe(GF3, [named_spectrum("MAJ", 4)]),
+    lambda: razborov_or(3, QUARTER, GF2),
+    lambda: char0_or(4, QUARTER),
+    lambda: threshold_tuple(8, (1, 3), EIGHTH, GF2, practical_profile(GF2)),
+    lambda: threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)),
+    lambda: t_constant_recipe(
+        named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
+    ),
+    lambda: bounded_recipe(
+        spectrum("0100011"), EIGHTH, GF2, practical_profile(GF2)
+    ),
+    lambda: general_recipe(
+        named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
+    ),
+    lambda: amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)),
+    lambda: xor_combine(
+        exact_recipe(GF2, [named_spectrum("THR", 4, 1)]),
+        exact_recipe(GF2, [named_spectrum("THR", 4, 2)]),
+    ),
+    lambda: compose(
+        exact_recipe(GF2, [named_spectrum("OR", 2)]),
+        [
+            razborov_or(3, QUARTER, GF2),
+            exact_recipe(GF2, [named_spectrum("AND", 3)]),
+        ],
+    ),
+    lambda: sum_recipes(
+        [razborov_or(3, QUARTER, GF3), exact_recipe(GF3, [named_spectrum("MAJ", 3)])],
+        [1, -1],
+        spectrum("0100"),
+    ),
+]
+
+
 class TestRecipeSerialization:
-    @pytest.mark.parametrize("build", [
-        lambda: constant_recipe(GF2, 4, 1),
-        lambda: exact_recipe(GF3, [named_spectrum("MAJ", 4)]),
-        lambda: razborov_or(3, QUARTER, GF2),
-        lambda: char0_or(4, QUARTER),
-        lambda: threshold_tuple(8, (1, 3), EIGHTH, GF2, practical_profile(GF2)),
-        lambda: threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)),
-        lambda: t_constant_recipe(
-            named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
-        ),
-        lambda: bounded_recipe(
-            spectrum("0100011"), EIGHTH, GF2, practical_profile(GF2)
-        ),
-        lambda: general_recipe(
-            named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
-        ),
-        lambda: amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)),
-        lambda: xor_combine(
-            exact_recipe(GF2, [named_spectrum("THR", 4, 1)]),
-            exact_recipe(GF2, [named_spectrum("THR", 4, 2)]),
-        ),
-    ])
+    @pytest.mark.parametrize("build", _ROUNDTRIP_BUILDS)
     def test_roundtrip_preserves_draws(self, build):
         r = build()
+        assert unknown_recipe_kinds(r.to_json()) == []
         back = recipe_from_json(r.to_json())
+        assert back.to_json() == r.to_json()
         assert back.kind == r.kind
         assert back.eps == r.eps
         assert back.declared_degree_bound == r.declared_degree_bound
         assert draw_values(back, seed=5) == draw_values(r, seed=5)
+
+    def test_every_rebuildable_kind_round_trips(self):
+        built = {build().kind for build in _ROUNDTRIP_BUILDS}
+        assert built == set(probpoly._RECIPE_KINDS)
 
     def test_unknown_kind_rejected(self):
         r = constant_recipe(GF2, 4, 1)
@@ -673,6 +703,40 @@ class TestRecipeSerialization:
         obj["kind"] = "mystery"
         with pytest.raises(ValueError):
             recipe_from_json(obj)
+
+
+class TestRecipeFields:
+    @staticmethod
+    def handmade(**kw):
+        return probpoly.Recipe(
+            kind="handmade",
+            field=GF2,
+            eps=QUARTER,
+            declared_degree_bound=3,
+            params={},
+            sampler=lambda stream: (),
+            targets=(named_spectrum("OR", 3), named_spectrum("AND", 3)),
+            **kw,
+        )
+
+    def test_n_and_arity_come_from_the_targets(self):
+        r = self.handmade()
+        assert (r.n, r.arity) == (3, 2)
+        assert (r.profile, r.children()) == (None, ())
+        t = threshold_tuple(8, (1, 3, 3), EIGHTH, GF2, practical_profile(GF2))
+        assert (t.n, t.arity) == (8, 3)
+        obj = t.to_json()
+        assert (obj["n"], obj["arity"]) == (8, 3)
+
+    def test_randomness_free_unless_it_or_a_child_draws(self):
+        drawing = razborov_or(3, QUARTER, GF2)
+        fixed = exact_recipe(GF2, [named_spectrum("MAJ", 3)])
+        assert not drawing.randomness_free and fixed.randomness_free
+        assert self.handmade().randomness_free
+        assert self.handmade(children=(fixed, fixed)).randomness_free
+        assert not self.handmade(draws=True).randomness_free
+        assert not self.handmade(children=(fixed, drawing)).randomness_free
+        assert not self.handmade(children=(fixed,), draws=True).randomness_free
 
 
 class TestDeclaredBoundGuard:

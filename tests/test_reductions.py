@@ -643,6 +643,58 @@ class TestMalformedCertificate:
         with pytest.raises(ValueError, match="slot 0.*cannot fix 10 of 9"):
             self.loaded(restrictions=[[6, 4]]).check(GF2)
 
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"restrictions": [[4.7, "0"]]}, "restriction"),
+            ({"restrictions": [[4, "0"]]}, "restriction"),
+            ({"restrictions": [[True, 0]]}, "restriction"),
+            ({"claimed_degree": 1.0}, "claimed_degree"),
+            ({"claimed_degree": True}, "claimed_degree"),
+            ({"source_reflected": "no"}, "source_reflected"),
+            ({"source_reflected": 0}, "source_reflected"),
+            ({"source_reflected": None}, "source_reflected"),
+            ({"combiner": {"terms": [[1.5, [[0, 1]]]]}}, "coefficient"),
+            ({"combiner": {"terms": [[True, [[0, 1]]]]}}, "coefficient"),
+            ({"combiner": {"terms": [[1, [[0.9, 1]]]]}}, "slot"),
+            ({"combiner": {"terms": [[1, [["0", 1]]]]}}, "slot"),
+            ({"combiner": {"terms": [[1, [[0, True]]]]}}, "polarity"),
+            ({"combiner": {"terms": [[1, [[0, 2]]]]}}, "polarity"),
+            ({"combiner": {"terms": [[1, [[0, -1]]]]}}, "polarity"),
+            ({"combiner": {"terms": [[1, [[0, 1.0]]]]}}, "polarity"),
+        ],
+    )
+    def test_fields_are_not_coerced(self, changes, name):
+        with pytest.raises(ValueError, match=f"certificate {name} must be"):
+            self.loaded(**changes)
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("n", 5.0, "target n"),
+            ("n", "5", "target n"),
+            ("params", [3.0], "target param"),
+        ],
+    )
+    def test_target_numbers_are_not_coerced(self, key, value, name):
+        obj = thr_restrictions(9, 3)[0].to_json()
+        obj["target"][key] = value
+        with pytest.raises(ValueError, match=f"certificate {name} must be int"):
+            ReductionCertificate.from_json(obj)
+
+    def test_combiner_from_json_is_strict(self):
+        with pytest.raises(ValueError, match="coefficient must be int, got 1.5"):
+            LiteralCombiner.from_json({"terms": [[1.5, [[0.9, True]]]]})
+        with pytest.raises(ValueError) as info:
+            LiteralCombiner.from_json({"terms": [["1" * 5000, []]]})
+        assert len(str(info.value)) < 120
+
+    def test_well_formed_json_loads_as_stored(self):
+        for cert in _corpus():
+            back = ReductionCertificate.from_json(cert.to_json())
+            assert back == cert
+            assert type(back.source_reflected) is bool
+
 
 class TestFailuresFromText:
     """failures() reads source and target text directly; slot_spectra()

@@ -78,15 +78,12 @@ def handmade(inner_sampler, field, n, targets, randomness_free):
     return Recipe(
         kind="handmade",
         field=field,
-        profile=None,
-        n=n,
-        arity=len(targets),
         eps=QUARTER,
         declared_degree_bound=n,
-        randomness_free=randomness_free,
         params={},
         sampler=inner_sampler,
         targets=tuple(targets),
+        draws=not randomness_free,
     )
 
 
@@ -211,14 +208,12 @@ class TestEmpiricalError:
             kind=base.kind,
             field=base.field,
             profile=base.profile,
-            n=base.n,
-            arity=base.arity,
             eps=base.eps,
             declared_degree_bound=base.declared_degree_bound + 1,
-            randomness_free=False,
             params=base.params,
             sampler=lambda stream: sample_stream(base, stream),
             targets=base.target_spectra(),
+            draws=True,
         )
         with pytest.raises(ValueError, match="'razborov_or'.*jobs=1"):
             empirical_error(tampered, trials=20, seed=4, jobs=2)
