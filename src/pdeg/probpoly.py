@@ -959,7 +959,8 @@ def _char0_or_expr(
     scales = math.ceil(math.log2(m)) if m > 1 else 0
     run_factors = []
     for run in range(ell):
-        rng = stream.child(("run", run)).rng()
+        # Level 0 keeps every index and draws nothing.
+        rng = stream.child(("run", run)).rng() if scales else None
         level_factors = []
         for j in range(scales + 1):
             if j == 0:
@@ -1030,10 +1031,12 @@ def threshold_tuple(
     """Joint randomized representation of the thresholds [w >= t_i].
 
     One shared draw serves every component.  Branches: exact interpolation
-    for small n (or whenever the hashing range covers n), a hashed
-    split-and-recombine construction when eps is very small relative to the
-    largest threshold, and otherwise recursion on a subsampled input vector
-    with exact interpolation near each threshold.
+    for small n (or whenever the hashing range covers n); when eps is very
+    small relative to the largest threshold, one low-degree disjunction at
+    eps/2 if every threshold is 1 and it beats the hashed degree (or the
+    hashing range is too small), else a hashed split-and-recombine
+    construction; and otherwise recursion on a subsampled input vector with
+    exact interpolation near each threshold.
     """
     thresholds = tuple(int(t) for t in thresholds)
     if n < 1:
@@ -1096,13 +1099,34 @@ def threshold_tuple(
         r = math.ceil(profile.r_multiplier * L)
         if n <= r:
             return exact_tuple("exact")
-        return _hash_branch(
-            n, thresholds, eps, field, profile, r, finish
-        )
+        if all(t == 1 for t in thresholds):
+            # The half budget leaves room for the eps + 3 sigma verdict,
+            # which is a maximum over n + 1 weights.
+            half = eps / 2
+            p = field.characteristic
+            child = razborov_or(n, half, field) if p else char0_or(n, half)
+            if t_max >= r or child.declared_degree_bound < _hash_degree(n, r, p):
+                # Every component is the child's one draw.
+                k = len(thresholds)
+                return finish(
+                    "or",
+                    lambda stream: sample_stream(child, stream) * k,
+                    child.declared_degree_bound,
+                    children=(child,),
+                )
+        return _hash_branch(n, thresholds, field, r, finish)
     return _inductive_branch(n, thresholds, eps, field, profile, L, finish)
 
 
-def _hash_branch(n, thresholds, eps, field, profile, r, finish):
+def _hash_degree(n: int, r: int, p: int) -> int:
+    """Structural degree of the hashed branch over characteristic p: the
+    r-variable threshold of r bucket detectors, plus the low part."""
+    if p > 0:
+        return r + (p - 1) * r
+    return r + r * 2 * (math.ceil(math.log2(n)) + 1)
+
+
+def _hash_branch(n, thresholds, field, r, finish):
     """Split weights at r: exact interpolation below, hashed count above.
 
     The low part P1 matches the threshold on every weight <= r.  The high
@@ -1127,12 +1151,6 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
     lows = [SymApply(poly, all_vars) for poly in polys]
 
     eps_or = Fraction(1, 4)
-    logn = max(1, math.ceil(math.log2(max(n, 2))))
-    if p > 0:
-        structural = r + (p - 1) * r
-    else:
-        or_deg = 2 * (math.ceil(math.log2(n)) + 1)
-        structural = r + r * or_deg
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         rng = stream.child("hash").rng()
@@ -1169,7 +1187,9 @@ def _hash_branch(n, thresholds, eps, field, profile, r, finish):
             )
         return tuple(out)
 
-    return finish("hash", sampler, structural, extra={"hash_range": r}, draws=True)
+    return finish(
+        "hash", sampler, _hash_degree(n, r, p), extra={"hash_range": r}, draws=True
+    )
 
 
 def _inductive_branch(n, thresholds, eps, field, profile, L, finish):

@@ -595,8 +595,9 @@ def exact_error(recipe: Recipe) -> tuple[Fraction, ...]:
     """Per-weight error probability in closed form, where one exists.
 
     Available for randomness-free recipes (all zeros after a correctness
-    check), the vanishing-form disjunction, the rational disjunction, and
-    majority amplification of always-Boolean recipes.
+    check), the vanishing-form disjunction, the rational disjunction, a
+    threshold tuple routed through either, and majority amplification of
+    always-Boolean recipes.
     """
     n = recipe.n
     if recipe.randomness_free:
@@ -623,6 +624,9 @@ def exact_error(recipe: Recipe) -> tuple[Fraction, ...]:
                 fail_run *= 1 - hit_exactly_one
             out.append(fail_run**ell)
         return tuple(out)
+    if recipe.kind == "threshold_tuple" and recipe.params["branch"] == "or":
+        # Every component is the child disjunction's draw.
+        return exact_error(recipe.children()[0])
     if recipe.kind == "amplify":
         child = recipe.children()[0]
         if child.kind == "razborov_or":

@@ -142,14 +142,16 @@ class TestSample:
 
 
 # sha256 of `pdeg sample --kind K --n 60 --eps 1/8 --field F` stdout, recorded
-# while each value was still computed by one eval_expr call per point.
+# while each value was still computed by one eval_expr call per point.  The
+# OR digests were re-recorded when all-ones threshold tuples took one
+# disjunction per draw in place of the hashed branch.
 SAMPLE_DIGESTS = {
     ("MAJ", "2"): "6f22d31cea0c2414c5b2f2fe8f5e8b79a6aec1605d6365c75b891273ce66f8b3",
     ("MAJ", "3"): "84963018ecf97624d612c11c4e45773b47151cb59b7d832a93058ea4af860df4",
     ("MAJ", "0"): "8e43b2ac761587bea35d20a3abc67ee243ce0dfb1c8abf1af4866491e0db32bd",
-    ("OR", "2"): "3fd132f7d2254b5e827f71e58cfd0e278944b29f8d488d863e4de31d19e0e8e2",
-    ("OR", "3"): "9ad73d1d60b57f582e2b5525c91a87f894d14c2c3038c361dba43c07c6a1f530",
-    ("OR", "0"): "7fd0b495e6fdd3fa6a0a5e8885f7a53bbc34154420f56d67e1d4864454a401f3",
+    ("OR", "2"): "0133d2b63816208cf068e5aa73960f2590480023cb66188d96f541671f2a16bf",
+    ("OR", "3"): "6a654c5b1e061e1e355fbf5e0f3edcec0a125cb2e298443751a5aa89beca8d1d",
+    ("OR", "0"): "df2a92798febda10abc5abb02ca583bc7fdc89d0113e62b153b4bcd9c1490af5",
     ("MOD 3 0", "2"): "1cea4d553d4f7e4e4aa02bb17c8d6841ca0d48b4e5d7be5ba4114bc0aabfd671",
     ("MOD 3 0", "3"): "bd5537e5bc9b48857454420aeaca7f3ac75b0286dd542e7a22973b473a11ef5e",
     ("MOD 3 0", "0"): "6f11d28993ed0c54b86a3b1cbffe6ee562b6f9a2c2ad457c8878783b9685c9fa",

@@ -370,11 +370,15 @@ class TestThresholdTuple:
         assert vals[1] == named_spectrum("THR", 8, 3).values
 
     def test_small_error_branch_goes_exact(self):
+        # A hashing range that covers n keeps priority over the OR branch.
         prof = practical_profile(GF2)
         r = threshold_tuple(40, (1,), Fraction(1, 2**20), GF2, prof)
         assert r.randomness_free
+        assert r.params["branch"] == "exact"
         vals = draw_values(r)
         assert vals[0] == named_spectrum("THR", 40, 1).values
+        r = threshold_tuple(100, (1,), EIGHTH, GF2, paper_profile(GF2))
+        assert r.params["branch"] == "exact"
 
     def test_hash_branch_zero_side_exact(self):
         prof = practical_profile(GF2)
@@ -389,11 +393,15 @@ class TestThresholdTuple:
                 assert eval_expr(expr, x, field) == 0
 
     def test_hash_branch_char0(self):
+        # Threshold 2, since an all-ones tuple takes the OR branch here.
         prof = practical_profile(RATIONALS)
-        r = threshold_tuple(40, (1,), EIGHTH, RATIONALS, prof)
+        r = threshold_tuple(40, (2,), EIGHTH, RATIONALS, prof)
         assert r.params["branch"] == "hash"
-        (expr,) = sample(r, 0)
-        assert eval_expr(expr, [0] * 40, RATIONALS) == 0
+        for seed in range(2):
+            (expr,) = sample(r, seed)
+            for w in (0, 1):
+                x = [1] * w + [0] * (40 - w)
+                assert eval_expr(expr, x, RATIONALS) == 0
 
     def test_inductive_branch_structure(self):
         prof = practical_profile(GF2)
@@ -430,6 +438,95 @@ class TestThresholdTuple:
         r = threshold_tuple(12, (0, 2), EIGHTH, GF2, prof)
         vals = draw_values(r)
         assert vals[0] == (1,) * 13
+
+
+# Cramped constants: a hashing range of 1 at eps = 1/8 and of 6 at 2^-20.
+CRAMPED = ConstantsProfile(
+    name="tiny",
+    A=24,
+    B=24,
+    r_multiplier=0.3,
+    small_error_exponent_divisor=1,
+    subsample_ratio=Fraction(1, 2),
+    window_inner_multiplier=0.5,
+    window_outer_multiplier=0.5,
+    base_n=4,
+    amplify_arity=4,
+)
+OR_FIELDS = pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+
+
+def _threshold_tuples(recipe):
+    """The threshold_tuple recipes in a recipe tree, outermost first."""
+    found, stack = [], [recipe]
+    while stack:
+        r = stack.pop()
+        if r.kind == "threshold_tuple":
+            found.append(r)
+        else:
+            stack.extend(r.children())
+    return found
+
+
+class TestOrRoute:
+    """All-ones threshold tuples through one disjunction at eps/2."""
+
+    @OR_FIELDS
+    def test_benchmark_shapes_take_the_or_branch(self, field):
+        p = field.characteristic
+        prof = practical_profile(field)
+        recipes = [
+            threshold_tuple(40 if p == 0 else 100, (1,), EIGHTH, field, prof),
+            general_recipe(named_spectrum("OR", 100), EIGHTH, field, prof),
+        ]
+        for recipe in recipes:
+            (tt,) = _threshold_tuples(recipe)
+            assert tt.params["branch"] == "or"
+            (child,) = tt.children()
+            assert child.kind == ("razborov_or" if p else "char0_or")
+            assert child.eps == tt.eps / 2
+            assert not tt.randomness_free
+            assert recipe_from_json(recipe.to_json()).to_json() == recipe.to_json()
+            for seed in range(3):
+                draw = sample(recipe, seed)
+                assert [eval_expr(e, [0] * recipe.n, field) for e in draw] == [0]
+
+    @OR_FIELDS
+    def test_components_share_the_childs_draw(self, field):
+        r = threshold_tuple(50, (1, 1), EIGHTH, field, practical_profile(field))
+        assert r.params["branch"] == "or"
+        (child,) = r.children()
+        for seed in range(2):
+            first, second = sample(r, seed)
+            assert first is second
+            assert expr_to_json((first,), field) == expr_to_json(
+                sample(child, seed), field
+            )
+
+    @OR_FIELDS
+    def test_hashing_range_too_small_takes_the_or_branch(self, field):
+        # A hashing range of 1 cannot dominate threshold 1, so the hashed
+        # branch cannot be built.
+        r = threshold_tuple(12, (1,), EIGHTH, field, CRAMPED)
+        assert r.params["branch"] == "or"
+        assert draw_values(r)[0][0] == 0
+        with pytest.raises(ValueError, match="does not dominate"):
+            threshold_tuple(12, (1, 2), EIGHTH, field, CRAMPED)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, GF5, RATIONALS], ids=["GF2", "GF3", "GF5", "Q"]
+    )
+    def test_cramped_hash_shapes_stay_hashed(self, field, n):
+        # The hashed branch's structural degree (12 to 66 here) is below the
+        # OR child's declared degree at 2^-21 (21 to 336).
+        r = threshold_tuple(n, (1,), Fraction(1, 1 << 20), field, CRAMPED)
+        assert r.params["branch"] == "hash"
+
+    def test_cramped_hash_shape_stays_hashed_over_gf101(self):
+        prof = dataclasses.replace(CRAMPED, A=48, B=48)
+        r = threshold_tuple(12, (1,), Fraction(1, 1 << 20), FieldSpec(101), prof)
+        assert r.params["branch"] == "hash"
 
 
 class TestTConstant:

@@ -1,6 +1,6 @@
 from concurrent.futures import Future
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import pytest
 
@@ -615,6 +615,38 @@ class TestExactError:
             fail *= 1 - 2 * q * (1 - q)
         assert err[2] == fail**ell
         assert err[0] == 0
+
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"]
+    )
+    def test_or_branch_has_its_childs_closed_form(self, field):
+        r = threshold_tuple(12, (1,), EIGHTH, field, TINY)
+        assert r.params["branch"] == "or"
+        err = exact_error(r)
+        assert err == exact_error(r.children()[0])
+        assert err[0] == 0
+        assert max(err) <= EIGHTH / 2
+        # Exhaustive scoring stays within 5 standard deviations of it.
+        trials = 32
+        report = empirical_error(r, trials=trials, seed=9)
+        assert report.mode == "exhaustive"
+        for got, want in zip(report.per_weight, err):
+            q = float(want)
+            assert abs(got - q) <= 5 * sqrt(q * (1 - q) / trials)
+
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"]
+    )
+    def test_or_branch_at_benchmark_shapes(self, field):
+        p = field.characteristic
+        prof = practical_profile(field)
+        r = threshold_tuple(40 if p == 0 else 100, (1,), EIGHTH, field, prof)
+        assert r.params["branch"] == "or"
+        assert max(exact_error(r)) <= EIGHTH / 2
+        pooled = empirical_error(r, trials=8, seed=3, jobs=2)
+        assert pooled.per_weight == empirical_error(r, trials=8, seed=3).per_weight
+        general = general_recipe(named_spectrum("OR", 100), EIGHTH, field, prof)
+        assert empirical_error(general, trials=4, seed=3, jobs=2).mode == "stratified"
 
     def test_no_closed_form(self):
         prof = practical_profile(GF2)
