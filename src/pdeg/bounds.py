@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import FieldSpec
+from .polyalg import FieldSpec, check_eps, log2_inv
 from .probpoly import ConstantsProfile
 from .symfun import (
     Spectrum,
@@ -54,10 +54,6 @@ class BoundReport:
         }
 
 
-def _log2_fraction(x: Fraction) -> float:
-    return math.log2(x.denominator) - math.log2(x.numerator)
-
-
 def _eps_text(eps: Fraction) -> str:
     """Compact rendering that survives astronomically small parameters.
 
@@ -71,7 +67,7 @@ def _eps_text(eps: Fraction) -> str:
         return str(eps)
     if num == 1 and den & (den - 1) == 0:
         return f"2^-{den.bit_length() - 1}"
-    return f"~2^-{_log2_fraction(eps):.6g}"
+    return f"~2^-{log2_inv(eps):.6g}"
 
 
 def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
@@ -83,9 +79,7 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
     vanishes.  All bounds are order-level: absolute constants (and in
     characteristic 0 a factor logarithmic in n) are suppressed.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
+    eps = check_eps(eps)
     n = f.n
     p = field.characteristic
     if n >= 3:
@@ -96,7 +90,7 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
         # Too short to split; the whole spectrum is its own periodic part.
         b = period(f)
         radius, degenerate = 0, False
-    L = _log2_fraction(eps)
+    L = log2_inv(eps)
     root_nl = math.sqrt(n * L)
 
     notes = ["order-level estimate; absolute constant factors suppressed"]
@@ -171,10 +165,8 @@ def recurrence_report(
     the child error is a quarter of the parent's.  Each entry lists the
     quantity that must stay below its budget.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
-    L = _log2_fraction(eps)
+    eps = check_eps(eps)
+    L = log2_inv(eps)
     if eps > Fraction(1, 1 << 100):
         raise ValueError(
             f"audit regime requires eps <= 2^-100, got {eps}"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import predicted_bounds, recurrence_report
-from .polyalg import FieldSpec
+from .polyalg import FieldSpec, check_eps
 from .probpoly import (
     Recipe,
     general_recipe,
@@ -57,9 +57,7 @@ def parse_eps(text: str) -> Fraction:
             value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse error parameter {text!r}") from exc
-    if not 0 < value < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {value}")
-    return value
+    return check_eps(value)
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -246,16 +244,12 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _recipe_summary(recipe: Recipe) -> dict:
-    return recipe.to_json()
-
-
 def _cmd_construct(args) -> tuple[dict, int]:
     recipe = _resolve_recipe(args)
     payload = {
         "schema_version": 1,
         "command": "construct",
-        "recipe": _recipe_summary(recipe),
+        "recipe": recipe.to_json(),
         "targets": [s.text() for s in recipe.target_spectra()],
     }
     _note(
@@ -281,7 +275,7 @@ def _cmd_sample(args) -> tuple[dict, int]:
         "schema_version": 1,
         "command": "sample",
         "seed": args.seed,
-        "recipe": _recipe_summary(recipe),
+        "recipe": recipe.to_json(),
         "components": components,
     }
     _note(
@@ -307,7 +301,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     payload = {
         "schema_version": 1,
         "command": "verify",
-        "recipe": _recipe_summary(recipe),
+        "recipe": recipe.to_json(),
         "report": report.to_json(),
         "exact_error": exact,
     }
@@ -325,6 +319,10 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     if args.reduction == "thr":
         if args.n is None or not args.thresholds:
             raise ValueError("the thr reduction needs --n and --thresholds T")
+        if len(args.thresholds) != 1:
+            raise ValueError(
+                f"the thr reduction takes exactly one threshold, got {args.thresholds}"
+            )
         certs = list(thr_restrictions(args.n, args.thresholds[0]))
     elif args.reduction == "mod":
         certs = list(mod_from_periodic(_resolve_spectrum(args), field))

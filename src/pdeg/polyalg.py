@@ -60,10 +60,6 @@ class FieldSpec:
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.characteristic > 0
-
     def element(self, x: int | Fraction) -> FieldElement:
         """Canonical representative: residue in [0, p) or an exact rational.
 
@@ -98,20 +94,6 @@ class FieldSpec:
         p = self.characteristic
         return (a * b) % p if p else self.element(a * b)
 
-    def neg(self, a: FieldElement) -> FieldElement:
-        p = self.characteristic
-        return (-a) % p if p else self.element(-a)
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        p = self.characteristic
-        if p:
-            if a % p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, -1, p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.element(Fraction(1, 1) / Fraction(a))
-
     def format_element(self, a: FieldElement) -> str:
         return str(a)
 
@@ -124,6 +106,34 @@ class FieldSpec:
 
 RATIONALS = FieldSpec(0)
 GF2 = FieldSpec(2)
+
+# The most variables a draw or weight polynomial is expanded on into
+# explicit multilinear form; expansion costs 2^n.
+EXPAND_LIMIT = 16
+
+
+def check_eps(eps) -> Fraction:
+    """The error parameter as an exact Fraction, which must lie in (0, 1)."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
+    return eps
+
+
+def log2_inv(eps: Fraction) -> float:
+    """log2(1/eps) as a float, for a positive Fraction eps.  It is taken
+    on the numerator and denominator apart, so it stays finite for
+    parameters far below the float range."""
+    return math.log2(eps.denominator) - math.log2(eps.numerator)
+
+
+def ceil_log2_inv(eps: Fraction) -> int:
+    """Smallest non-negative L with 2**-L <= eps, for a positive Fraction
+    eps, computed exactly: the least shift of the numerator that reaches
+    the denominator."""
+    num, den = eps.numerator, eps.denominator
+    shift = max(0, den.bit_length() - num.bit_length())
+    return shift + ((num << shift) < den)
 
 
 @lru_cache(maxsize=32)
@@ -402,27 +412,6 @@ class SymPoly:
             table = [self.field.element(v) for v in table]
         return tuple(table)
 
-    def add(self, other: "SymPoly") -> "SymPoly":
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        f = self.field
-        size = max(len(self.coeffs), len(other.coeffs))
-        return SymPoly(
-            f,
-            tuple(
-                f.add(
-                    self.coeffs[k] if k < len(self.coeffs) else 0,
-                    other.coeffs[k] if k < len(other.coeffs) else 0,
-                )
-                for k in range(size)
-            ),
-        )
-
-    def scale(self, c: FieldElement) -> "SymPoly":
-        f = self.field
-        c = f.element(c)
-        return SymPoly(f, tuple(f.mul(c, x) for x in self.coeffs))
-
     def to_json(self) -> dict:
         return {
             "char": self.field.characteristic,
@@ -552,12 +541,7 @@ def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
         )
     # sum_k c_k C(w, k) = g(w) on w in [0, b - 1] (Newton's forward
     # formula): c_k is the k-th forward difference of g at 0.
-    coeffs: list[FieldElement] = []
-    diffs = [field.element(v) for v in g.values[:b]]
-    while diffs:
-        coeffs.append(diffs[0])
-        diffs = [field.sub(hi, lo) for lo, hi in zip(diffs, diffs[1:])]
-    return SymPoly(field, tuple(coeffs))
+    return SymPoly(field, tuple(_forward_differences(g.values[:b])))
 
 
 class MultilinearPoly:
@@ -611,7 +595,7 @@ class MultilinearPoly:
             res.terms = {m: f.mul(c, v) for m, v in self.terms.items()}
         return res
 
-    def mul(self, other: "MultilinearPoly", cap: int | None = None) -> "MultilinearPoly":
+    def mul(self, other: "MultilinearPoly") -> "MultilinearPoly":
         f = self.field
         out: dict[frozenset, FieldElement] = {}
         for m1, c1 in self.terms.items():
@@ -622,8 +606,6 @@ class MultilinearPoly:
                     out.pop(mono, None)
                 else:
                     out[mono] = acc
-            if cap is not None and len(out) > cap:
-                raise OverflowError(f"term count exceeded cap {cap}")
         res = MultilinearPoly(f, self.n)
         res.terms = out
         return res
@@ -662,16 +644,14 @@ class MultilinearPoly:
         return MultilinearPoly(field, n, {frozenset([i]): 1})
 
 
-def expand_multilinear(
-    poly: SymPoly, n: int, cap_vars: int = 16
-) -> MultilinearPoly:
+def expand_multilinear(poly: SymPoly, n: int) -> MultilinearPoly:
     """Expand a weight polynomial into the multilinear polynomial on n
     variables: C(w, k) becomes the k-th elementary symmetric polynomial.
 
-    Exponential in n, so n is capped (default 16).
+    Exponential in n, so n is capped at EXPAND_LIMIT.
     """
-    if n > cap_vars:
-        raise ValueError(f"expansion limited to {cap_vars} variables, got {n}")
+    if n > EXPAND_LIMIT:
+        raise ValueError(f"expansion limited to {EXPAND_LIMIT} variables, got {n}")
     field = poly.field
     out = MultilinearPoly(field, n)
     for k, c in enumerate(poly.coeffs):

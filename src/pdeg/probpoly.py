@@ -24,7 +24,10 @@ from .polyalg import (
     FieldElement,
     FieldSpec,
     SymPoly,
+    ceil_log2_inv,
+    check_eps,
     exact_sympoly,
+    log2_inv,
     periodic_exact,
     threshold_window,
 )
@@ -698,26 +701,6 @@ def get_profile(name: str, field: FieldSpec) -> ConstantsProfile:
     raise ValueError(f"unknown profile {name!r}")
 
 
-def _log2_inv(eps: Fraction) -> float:
-    """log2(1/eps) as a float; eps must lie in (0, 1]."""
-    if eps <= 0 or eps > 1:
-        raise ValueError(f"error parameter must be in (0, 1], got {eps}")
-    return math.log2(eps.denominator) - math.log2(eps.numerator)
-
-
-def _ceil_log2_inv(eps: Fraction) -> int:
-    """Smallest non-negative L with 2**-L <= eps, computed exactly."""
-    if eps <= 0:
-        raise ValueError("error parameter must be positive")
-    num, den = eps.numerator, eps.denominator
-    L = 0
-    v = num
-    while v < den:
-        v <<= 1
-        L += 1
-    return L
-
-
 def _iround(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -725,10 +708,14 @@ def _iround(x: float) -> int:
 def declared_bound(
     profile: ConstantsProfile, field: FieldSpec, n: int, t: int, eps: Fraction
 ) -> int:
-    L = _log2_inv(eps)
+    """A*sqrt(t*log2(1/eps)) + B*log2(1/eps), times the char-0 disjunction's
+    scale count over the rationals; eps must lie in (0, 1]."""
+    if eps <= 0 or eps > 1:
+        raise ValueError(f"error parameter must be in (0, 1], got {eps}")
+    L = log2_inv(eps)
     base = profile.A * math.sqrt(max(t, 0) * L) + profile.B * L
     if field.characteristic == 0:
-        base *= max(1, math.ceil(math.log2(max(n, 2))))
+        base *= max(1, char0_scales(n))
     return math.ceil(base)
 
 
@@ -858,6 +845,14 @@ def constant_recipe(field: FieldSpec, n: int, value: int) -> Recipe:
     )
 
 
+def _on_all_inputs(polys: Iterable[SymPoly], n: int) -> tuple[SymApply, ...]:
+    """Each weight polynomial applied to x_0..x_(n-1).  The nodes share one
+    input tuple, and they do not depend on any draw, so a recipe builds
+    them once and every draw shares them."""
+    all_vars = tuple(Var(i) for i in range(n))
+    return tuple(SymApply(poly, all_vars) for poly in polys)
+
+
 def exact_recipe(field: FieldSpec, spectra: Sequence[Spectrum]) -> Recipe:
     """Zero-error representation by direct interpolation, degree <= n."""
     spectra = tuple(spectra)
@@ -867,8 +862,7 @@ def exact_recipe(field: FieldSpec, spectra: Sequence[Spectrum]) -> Recipe:
     if any(s.n != n for s in spectra):
         raise ValueError("spectra must share one variable count")
     polys = [exact_sympoly(s, field) for s in spectra]
-    all_vars = tuple(Var(i) for i in range(n))
-    exprs = tuple(SymApply(poly, all_vars) for poly in polys)
+    exprs = _on_all_inputs(polys, n)
     declared = max(poly.degree for poly in polys)
 
     return Recipe(
@@ -917,10 +911,8 @@ def razborov_or(
         raise ValueError("positive characteristic required; use char0_or instead")
     if n < 1:
         raise ValueError("n must be at least 1")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
-    ell = max(1, _ceil_log2_inv(eps))
+    eps = check_eps(eps)
+    ell = max(1, ceil_log2_inv(eps))
     declared = (p - 1) * ell
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
@@ -940,6 +932,12 @@ def razborov_or(
     )
 
 
+def char0_scales(m: int) -> int:
+    """The char-0 disjunction's scale count on m inputs, ceil(log2 m) for
+    m >= 1, exactly: a run samples at densities 2^-0..2^-scales."""
+    return (m - 1).bit_length()
+
+
 def _char0_or_expr(
     field: FieldSpec,
     indices: Sequence[int],
@@ -955,8 +953,8 @@ def _char0_or_expr(
     m = len(indices)
     if m == 0:
         return Constant(field.element(0)), 0
-    ell = max(1, _ceil_log2_inv(eps))
-    scales = math.ceil(math.log2(m)) if m > 1 else 0
+    ell = max(1, ceil_log2_inv(eps))
+    scales = char0_scales(m)
     run_factors = []
     for run in range(ell):
         # Level 0 keeps every index and draws nothing.
@@ -983,19 +981,16 @@ def char0_or(n: int, eps: Fraction) -> Recipe:
     """Disjunction over the rationals via subsampled sums at all densities."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
+    eps = check_eps(eps)
     field = FieldSpec(0)
-    ell = max(1, _ceil_log2_inv(eps))
-    logn = max(1, math.ceil(math.log2(max(n, 2)))) if n > 1 else 1
-    declared = 4 * logn * ell
+    ell = max(1, ceil_log2_inv(eps))
+    scales = char0_scales(n)
+    declared = 4 * max(1, scales) * ell
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         expr, deg = _char0_or_expr(field, range(n), eps, stream)
         return (expr,)
 
-    scales = math.ceil(math.log2(n)) if n > 1 else 0
     _assert_declared("char0_or", ell * (scales + 1), declared, f"n={n}, eps={eps}")
 
     return Recipe(
@@ -1084,8 +1079,7 @@ def threshold_tuple(
     def exact_tuple(branch_label: str):
         windows = {t: threshold_window(t, 0, n, field) for t in set(thresholds)}
         polys = [windows[t] for t in thresholds]
-        all_vars = tuple(Var(i) for i in range(n))
-        exprs = tuple(SymApply(poly, all_vars) for poly in polys)
+        exprs = _on_all_inputs(polys, n)
         structural = max(poly.degree for poly in polys)
         return finish(branch_label, lambda stream: exprs, structural)
 
@@ -1093,7 +1087,7 @@ def threshold_tuple(
         return exact_tuple("exact")
 
     small = _small_error_branch(eps, t_max, profile.small_error_exponent_divisor)
-    L = _log2_inv(eps)
+    L = log2_inv(eps)
 
     if small:
         r = math.ceil(profile.r_multiplier * L)
@@ -1123,7 +1117,7 @@ def _hash_degree(n: int, r: int, p: int) -> int:
     r-variable threshold of r bucket detectors, plus the low part."""
     if p > 0:
         return r + (p - 1) * r
-    return r + r * 2 * (math.ceil(math.log2(n)) + 1)
+    return r + r * 2 * (char0_scales(n) + 1)
 
 
 def _hash_branch(n, thresholds, field, r, finish):
@@ -1146,9 +1140,7 @@ def _hash_branch(n, thresholds, field, r, finish):
     # same window polynomial.
     windows = {t: threshold_window(t, 0, r, field) for t in set(thresholds)}
     polys = [windows[t] for t in thresholds]
-    all_vars = tuple(Var(i) for i in range(n))
-    # The low parts do not depend on the draw; every draw shares them.
-    lows = [SymApply(poly, all_vars) for poly in polys]
+    lows = _on_all_inputs(polys, n)
 
     eps_or = Fraction(1, 4)
 
@@ -1226,10 +1218,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
         child_thresholds.extend((t_prime, t_plus, t_minus))
         plans.append(("mixed", e_poly, slot))
 
-    # The window polynomials on all n inputs do not depend on the draw;
-    # every draw shares them.
-    all_vars = tuple(Var(i) for i in range(n))
-    e_exprs = tuple(SymApply(e_poly, all_vars) for _, e_poly, _ in plans)
+    e_exprs = _on_all_inputs([e_poly for _, e_poly, _ in plans], n)
     if not child_thresholds:
         structural = max(poly.degree for _, poly, _ in plans)
         return finish("inductive", lambda stream: e_exprs, structural)
@@ -1285,7 +1274,6 @@ def t_constant_recipe(
     """
     eps = Fraction(eps)
     t = min_t_constant(f)
-    coeffs = threshold_combination(f)
     params = {"spectrum": f.text(), "t": t}
 
     if t == 0:
@@ -1302,15 +1290,30 @@ def t_constant_recipe(
             children=(base,),
         )
 
+    return _telescoped("t_constant", f, t, eps, field, profile, params)
+
+
+def _telescoped(
+    kind: str,
+    f: Spectrum,
+    t: int,
+    eps: Fraction,
+    field: FieldSpec,
+    profile: ConstantsProfile,
+    params: dict,
+) -> Recipe:
+    """f as a_0 + sum_j a_j [w >= j] over j = 1..t, for f constant from
+    weight t >= 1 on, with every threshold served by one threshold_tuple
+    draw; the recipe declares that tuple's bound."""
+    coeffs = threshold_combination(f)
     child = threshold_tuple(f.n, tuple(range(1, t + 1)), eps, field, profile)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
         parts = sample_stream(child, stream)
-        terms = [(coeffs[j], parts[j - 1]) for j in range(1, t + 1)]
-        return (sum_of(field, terms, constant=coeffs[0]),)
+        return (sum_of(field, zip(coeffs[1:], parts), constant=coeffs[0]),)
 
     return Recipe(
-        kind="t_constant",
+        kind=kind,
         field=field,
         profile=profile,
         eps=eps,
@@ -1405,7 +1408,8 @@ def general_recipe(
     characteristic): split f = g XOR h, represent g exactly below its period
     and h through the bounded construction, then recombine as g + h - 2gh.
     Route two (always available): telescope f through one full
-    threshold-vector polynomial.  Ties prefer route one.  The routes are
+    threshold-vector polynomial, on every threshold 1..n even when f is
+    constant from a lower weight on.  Ties prefer route one.  The routes are
     compared by declared degree before route two's child is built, so only
     the winner is constructed.
     """
@@ -1427,8 +1431,6 @@ def general_recipe(
             )
             decomposition = (report, g_poly, h_recipe)
 
-    coeffs = threshold_combination(f)
-    t_top = min_t_constant(f)
     # The declared bound threshold_tuple(n, 1..n) would carry.
     direct_declared = declared_bound(profile, field, n, n, eps)
 
@@ -1436,9 +1438,7 @@ def general_recipe(
         report, g_poly, h_recipe = decomposition
         decomp_declared = g_poly.degree + h_recipe.declared_degree_bound
         if decomp_declared <= direct_declared:
-            # The periodic part does not depend on the draw; every draw
-            # shares it.
-            g_expr = SymApply(g_poly, tuple(Var(i) for i in range(n)))
+            (g_expr,) = _on_all_inputs((g_poly,), n)
 
             def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
                 (h_expr,) = sample_stream(h_recipe, stream)
@@ -1464,24 +1464,12 @@ def general_recipe(
                 children=(h_recipe,),
             )
 
-    direct_child = threshold_tuple(n, tuple(range(1, n + 1)), eps, field, profile)
-
-    def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        parts = sample_stream(direct_child, stream)
-        terms = [(coeffs[j], parts[j - 1]) for j in range(1, n + 1)]
-        return (sum_of(field, terms, constant=coeffs[0]),)
-
-    return Recipe(
-        kind="general",
-        field=field,
-        profile=profile,
-        eps=eps,
-        declared_degree_bound=direct_declared,
-        params={"spectrum": f.text(), "route": "direct", "t_constant_from": t_top},
-        sampler=sampler,
-        targets=(f,),
-        children=(direct_child,),
-    )
+    params = {
+        "spectrum": f.text(),
+        "route": "direct",
+        "t_constant_from": min_t_constant(f),
+    }
+    return _telescoped("general", f, n, eps, field, profile, params)
 
 
 # -- combinators --------------------------------------------------------------
@@ -1495,6 +1483,16 @@ def majority_tail(ell: int, eps: Fraction) -> Fraction:
     for k in range(need, ell + 1):
         total += math.comb(ell, k) * eps**k * (1 - eps) ** (ell - k)
     return total
+
+
+def _majority_vote(
+    ell: int, field: FieldSpec
+) -> Callable[[Sequence[tuple[PolyExpr, ...]]], tuple[PolyExpr, ...]]:
+    """The componentwise majority of ell drawn tuples, through the exact
+    majority polynomial of ell inputs (the step at floor(ell/2) + 1), which
+    is built once and shared by every vote."""
+    maj_poly = threshold_window(ell // 2 + 1, 0, ell, field)
+    return lambda draws: tuple(SymApply(maj_poly, votes) for votes in zip(*draws))
 
 
 def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
@@ -1520,16 +1518,11 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
     if ell == 1:
         return recipe
     field = recipe.field
-    # Majority of ell votes is the step at floor(ell/2) + 1.
-    maj_poly = threshold_window(ell // 2 + 1, 0, ell, field)
+    vote = _majority_vote(ell, field)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        draws = [
-            sample_stream(recipe, stream.child(("vote", j))) for j in range(ell)
-        ]
-        return tuple(
-            SymApply(maj_poly, tuple(draws[j][c] for j in range(ell)))
-            for c in range(recipe.arity)
+        return vote(
+            [sample_stream(recipe, stream.child(("vote", j))) for j in range(ell)]
         )
 
     return Recipe(
@@ -1709,18 +1702,14 @@ def enumerate_draws(
     if recipe.kind == "amplify":
         child = recipe.children()[0]
         ell = recipe.params["votes"]
-        maj_poly = threshold_window(ell // 2 + 1, 0, ell, recipe.field)
+        vote = _majority_vote(ell, recipe.field)
         pools = [list(enumerate_draws(child, limit)) for _ in range(ell)]
         total = math.prod(map(len, pools))
         if total > limit:
             raise ValueError(f"randomness space {total} exceeds limit {limit}")
         for combo in iter_product(*pools):
             prob = math.prod([q for q, _ in combo])
-            exprs = tuple(
-                SymApply(maj_poly, tuple(draw[c] for _, draw in combo))
-                for c in range(recipe.arity)
-            )
-            yield prob, exprs
+            yield prob, vote([draw for _, draw in combo])
         return
     raise ValueError(f"enumeration not supported for kind {recipe.kind!r}")
 

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import add, mod, mul
 from typing import Sequence
 
-from .polyalg import FieldElement, FieldSpec
+from .polyalg import FieldElement, FieldSpec, check_eps, log2_inv
 from .symfun import (
     BOOLEAN,
     Spectrum,
@@ -527,7 +527,6 @@ def maj_from_periodic(
     weights in a central window; the weight distribution mass outside the
     window is at most delta.  Rejected when no scale case validates.
     """
-    eps = Fraction(eps)
     n = g.n
     b = period(g)
     p = field.characteristic
@@ -539,8 +538,7 @@ def maj_from_periodic(
         raise ValueError(
             f"period {b} is not a characteristic power; use the modular reduction"
         )
-    if not 0 < eps < 1:
-        raise ValueError(f"error parameter must be in (0, 1), got {eps}")
+    eps = check_eps(eps)
 
     attempts = []
 
@@ -573,8 +571,7 @@ def maj_from_periodic(
         if m < 1:
             problems.append("window size collapses to zero")
         else:
-            log_delta = math.log2(delta.denominator) - math.log2(delta.numerator)
-            pinned = math.sqrt(m * log_delta)
+            pinned = math.sqrt(m * log2_inv(delta))
             if not (Fraction(1, 5) >= delta >= max(eps, Fraction(1, 1 << m))):
                 problems.append(f"confidence {delta} out of range")
             if 4 * pinned > b:
@@ -582,8 +579,7 @@ def maj_from_periodic(
                     f"window halfwidth 4*sqrt(m*log(1/delta)) = {4 * pinned:.2f} "
                     f"exceeds period {b}"
                 )
-            log_eps = math.log2(eps.denominator) - math.log2(eps.numerator)
-            floor_req = min(b, math.sqrt(n * log_eps)) / 40
+            floor_req = min(b, math.sqrt(n * log2_inv(eps))) / 40
             if pinned < floor_req:
                 problems.append(
                     f"sqrt(m*log(1/delta)) = {pinned:.2f} below {floor_req:.2f}"
@@ -601,8 +597,7 @@ def maj_from_periodic(
 
     case, m, delta = selected
     t_pin = (n - b - m) // 2
-    log_delta = math.log2(delta.denominator) - math.log2(delta.numerator)
-    halfwidth = 2 * math.sqrt(m * log_delta)
+    halfwidth = 2 * math.sqrt(m * log2_inv(delta))
     center = (n - b) / 2
 
     pattern = [0] * b

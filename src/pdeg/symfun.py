@@ -61,9 +61,6 @@ class Spectrum:
     def __str__(self) -> str:
         return self.text()
 
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
 
 def bits_text(values: Sequence[int]) -> str:
     """0/1 int entries as a line of '0'/'1' characters, one per entry."""
@@ -97,6 +94,18 @@ def parse_spectrum_file(path: str) -> Spectrum:
     return spectrum(line)
 
 
+# The parameters each named family takes, in order.
+_FAMILY_PARAMS = {
+    "OR": (),
+    "AND": (),
+    "MAJ": (),
+    "THR": ("t",),
+    "ETHR": ("t",),
+    "CONST": ("c",),
+    "MOD": ("b", "i"),
+}
+
+
 def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
     """Spectrum of a named function family on n variables.
 
@@ -107,6 +116,12 @@ def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
     if n < 0:
         raise ValueError("n must be non-negative")
     kind = kind.upper()
+    if kind not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown function kind: {kind}")
+    names = _FAMILY_PARAMS[kind]
+    if len(params) != len(names):
+        wanted = f"parameters ({', '.join(names)})" if names else "no parameters"
+        raise ValueError(f"{kind} takes {wanted}, got {list(params)}")
     if kind == "OR":
         return _step(n, 1)
     if kind == "AND":
@@ -131,12 +146,10 @@ def named_spectrum(kind: str, n: int, *params: int) -> Spectrum:
             raise ValueError(f"residue {i} out of range [0, {b - 1}]")
         block = (0,) * i + (1,) + (0,) * (b - 1 - i)
         return Spectrum((block * (n // b + 1))[: n + 1])
-    if kind == "CONST":
-        (c,) = params
-        if c not in (0, 1):
-            raise ValueError("constant must be 0 or 1")
-        return Spectrum((c,) * (n + 1))
-    raise ValueError(f"unknown function kind: {kind}")
+    (c,) = params
+    if c not in (0, 1):
+        raise ValueError("constant must be 0 or 1")
+    return Spectrum((c,) * (n + 1))
 
 
 def _step(n: int, t: int) -> Spectrum:

@@ -33,6 +33,7 @@ from operator import add, and_, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Sequence
 
 from .polyalg import (
+    EXPAND_LIMIT,
     FieldElement,
     FieldSpec,
     MultilinearPoly,
@@ -49,6 +50,7 @@ from .probpoly import (
     Sum,
     SymApply,
     Var,
+    char0_scales,
     majority_tail,
     post_order,
     recipe_from_json,
@@ -614,7 +616,7 @@ def exact_error(recipe: Recipe) -> tuple[Fraction, ...]:
         return tuple(Fraction(0) if w == 0 else miss for w in range(n + 1))
     if recipe.kind == "char0_or":
         ell = recipe.params["runs"]
-        scales = math.ceil(math.log2(n)) if n > 1 else 0
+        scales = char0_scales(n)
         out = [Fraction(0)]
         for w in range(1, n + 1):
             fail_run = Fraction(1)
@@ -657,12 +659,10 @@ class DegreeAudit:
         }
 
 
-def degree_audit(
-    recipe: Recipe, draws: int = 100, seed: int = 0, expand_limit: int = 16
-) -> DegreeAudit:
+def degree_audit(recipe: Recipe, draws: int = 100, seed: int = 0) -> DegreeAudit:
     """Check tracked degrees of sampled draws against the declared bound.
 
-    For recipes on at most expand_limit variables each draw is also expanded
+    For recipes on at most EXPAND_LIMIT variables each draw is also expanded
     into an explicit multilinear polynomial, whose true degree must not
     exceed the tracked degree.
     """
@@ -671,7 +671,7 @@ def degree_audit(
         draws = 1
     max_tracked = 0
     max_expanded: int | None = None
-    can_expand = recipe.n <= expand_limit
+    can_expand = recipe.n <= EXPAND_LIMIT
     for k in range(draws):
         tuple_k = sample_stream(recipe, root.child(("trial", k)))
         for expr in tuple_k:
@@ -751,10 +751,3 @@ def identity_failures(
         if got != want:
             failures.append((w, got, want))
     return failures
-
-
-def expected_spectrum_values(
-    spectra: Sequence[Spectrum], weight: int
-) -> list[int]:
-    """Operand values at one weight, a convenience for combiner debugging."""
-    return [s.values[weight] for s in spectra]

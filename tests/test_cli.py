@@ -72,6 +72,14 @@ class TestAnalyze:
         assert code == 0
         assert payload["spectrum"] == "0001000"
 
+    def test_kind_with_wrong_param_count(self, capsys):
+        code, payload, _ = run_cli(
+            capsys, ["analyze", "--kind", "MAJ", "--n", "6", "--params", "3"]
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "ValueError"
+        assert "MAJ takes no parameters" in payload["error"]["message"]
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["analyze", "--kind", "MAJ", "--n", "8"]
         cli.main(argv)
@@ -305,6 +313,15 @@ class TestReduce:
         assert code == 2
         assert "thresholds" in payload["error"]["message"]
 
+    def test_thr_takes_one_threshold(self, capsys):
+        code, payload, _ = run_cli(
+            capsys,
+            ["reduce", "--reduction", "thr", "--n", "20", "--thresholds", "3", "7"],
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "ValueError"
+        assert "exactly one threshold" in payload["error"]["message"]
+
     def test_maj_periodic_needs_eps(self, capsys):
         code, payload, _ = run_cli(
             capsys,
@@ -386,6 +403,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "usage"
+
+
+def test_package_exports_each_name_once():
+    import pdeg
+
+    assert len(pdeg.__all__) == len(set(pdeg.__all__))
+    missing = [name for name in pdeg.__all__ if not hasattr(pdeg, name)]
+    assert missing == []
 
 
 class TestConsoleScript:

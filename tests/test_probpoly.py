@@ -147,6 +147,13 @@ class TestProfiles:
         base = 24 * math.sqrt(3) + 24 * 3
         assert declared_bound(prof0, RATIONALS, 64, 1, EIGHTH) == math.ceil(6 * base)
 
+    def test_char0_scales_is_ceil_log2(self):
+        # The exact count equals the float formula at every size below 2^22.
+        sizes = range(1, 1 << 22)
+        assert list(map(probpoly.char0_scales, sizes)) == [
+            math.ceil(math.log2(m)) for m in sizes
+        ]
+
 
 class TestExprNodes:
     def test_degree_tracking(self):

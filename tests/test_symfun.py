@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,25 @@ def test_named_spectrum_rejects_bad_parameters():
         named_spectrum("NOPE", 4)
     with pytest.raises(ValueError):
         named_spectrum("CONST", 4, 2)
+
+
+@pytest.mark.parametrize(
+    "kind,params,names",
+    [
+        ("MAJ", (3,), "no parameters"),
+        ("OR", (1,), "no parameters"),
+        ("AND", (0,), "no parameters"),
+        ("THR", (), "(t)"),
+        ("ETHR", (1, 2), "(t)"),
+        ("CONST", (), "(c)"),
+        ("MOD", (3,), "(b, i)"),
+        ("MOD", (3, 0, 1), "(b, i)"),
+    ],
+)
+def test_named_spectrum_checks_its_parameter_count(kind, params, names):
+    with pytest.raises(ValueError, match=re.escape(f"{kind} takes")) as info:
+        named_spectrum(kind, 6, *params)
+    assert names in str(info.value)
 
 
 @pytest.mark.parametrize(

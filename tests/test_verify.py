@@ -47,7 +47,6 @@ from pdeg.verify import (
     empirical_error,
     exact_error,
     expand_expr,
-    expected_spectrum_values,
     identity_check,
     identity_failures,
 )
@@ -797,9 +796,3 @@ class TestIdentityChecks:
             return vals[0]
 
         assert identity_check(target, [a], combine, GF2, weights=[0, 3])
-
-    def test_expected_values_helper(self):
-        spectra = [named_spectrum("OR", 3), named_spectrum("AND", 3)]
-        assert expected_spectrum_values(spectra, 0) == [0, 0]
-        assert expected_spectrum_values(spectra, 1) == [1, 0]
-        assert expected_spectrum_values(spectra, 3) == [1, 1]
