@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import FieldSpec, check_eps, log2_inv
+from .polyalg import FieldSpec, check_eps, fraction_text, log2_inv
 from .probpoly import ConstantsProfile
 from .symfun import (
     Spectrum,
@@ -52,22 +52,6 @@ class BoundReport:
             "lower": self.lower,
             "notes": list(self.notes),
         }
-
-
-def _eps_text(eps: Fraction) -> str:
-    """Compact rendering that survives astronomically small parameters.
-
-    Plain str() on a fraction with a hundred-thousand-bit denominator is
-    both useless and (since the interpreter caps int-to-decimal conversion)
-    an error, so huge powers of two are written as 2^-k and anything else
-    huge as an approximate power of two.
-    """
-    num, den = eps.numerator, eps.denominator
-    if num.bit_length() <= 128 and den.bit_length() <= 128:
-        return str(eps)
-    if num == 1 and den & (den - 1) == 0:
-        return f"2^-{den.bit_length() - 1}"
-    return f"~2^-{log2_inv(eps):.6g}"
 
 
 def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
@@ -128,7 +112,7 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
     return BoundReport(
         n=n,
         characteristic=p,
-        eps=_eps_text(eps),
+        eps=fraction_text(eps, 128),
         period=b,
         radius=radius,
         radius_degenerate=degenerate,
@@ -230,7 +214,7 @@ def recurrence_report(
 
     return {
         "t": t,
-        "eps": _eps_text(eps),
+        "eps": fraction_text(eps, 128),
         "characteristic": characteristic,
         "profile": profile.name,
         "checks": checks,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from .bounds import predicted_bounds, recurrence_report
-from .polyalg import FieldSpec, check_eps
+from .polyalg import FieldSpec, check_eps, fraction_text, parse_fraction
 from .probpoly import (
     Recipe,
     general_recipe,
@@ -47,17 +46,8 @@ from .verify import _ColumnEvaluator, empirical_error, exact_error
 
 
 def parse_eps(text: str) -> Fraction:
-    """Accept 'a/b', '2^-k', or a decimal literal; always exact."""
-    text = text.strip()
-    power = re.fullmatch(r"2\^(-\d+)", text)
-    try:
-        if power:
-            value = Fraction(2) ** int(power.group(1))
-        else:
-            value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse error parameter {text!r}") from exc
-    return check_eps(value)
+    """Accept 'a/b', '2^-k', 'a/2^k', or a decimal literal; always exact."""
+    return check_eps(parse_fraction(text))
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -295,7 +285,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         recipe, trials=args.trials, seed=args.seed, jobs=args.jobs
     )
     try:
-        exact = [str(e) for e in exact_error(recipe)]
+        exact = [fraction_text(e) for e in exact_error(recipe)]
     except NotImplementedError:
         exact = None
     payload = {

@@ -12,15 +12,18 @@ forward differences are signed binomials, taken in the field directly.
 interpolate_window interpolates general values on a window and is the
 reference threshold_window is tested against.
 
-SymPoly.values tabulates a polynomial at weights 0..m.  In characteristic p
-it uses Lucas' theorem on the whole table: the binomial matrix C(w, k) mod p
-factors over base-p digits, so the table is a digit-by-digit transform of
-the coefficients, packed one per fixed-width slot of a single int.
+SymPoly.table tabulates a polynomial at weights 0..m and caches the table;
+it is the one way the package reads a weight polynomial's values.  In
+characteristic p it uses Lucas' theorem on the whole table where that is
+cheap: the binomial matrix C(w, k) mod p factors over base-p digits, so the
+table is a digit-by-digit transform of the coefficients, packed one per
+fixed-width slot of a single int.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass, field as dataclass_field
@@ -34,19 +37,25 @@ from .symfun import Spectrum, _is_char_power, period
 FieldElement = Union[int, Fraction]
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Exact primality by Miller-Rabin; ValueError for an odd p at or past
+    _PRIME_TEST_LIMIT, where those bases are not known to suffice."""
+    if p < 2 or any(p % q == 0 for q in _PRIME_BASES):
+        return p in _PRIME_BASES
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"characteristic {p} is too large to test for primality")
+    twos = ((p - 1) & (1 - p)).bit_length() - 1
+    odd = (p - 1) >> twos
+    return all(
+        pow(a, odd, p) == 1 or any(pow(a, odd << i, p) == p - 1 for i in range(twos))
+        for a in _PRIME_BASES
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,19 +145,42 @@ def ceil_log2_inv(eps: Fraction) -> int:
     return shift + ((num << shift) < den)
 
 
-@lru_cache(maxsize=32)
-def _pascal_rows(p: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..p-1 of Pascal's triangle reduced mod p."""
-    rows = [(1,)]
-    for m in range(1, p):
-        prev = rows[-1]
-        rows.append(
-            tuple(
-                ((prev[k - 1] if k else 0) + (prev[k] if k < m else 0)) % p
-                for k in range(m + 1)
-            )
-        )
-    return tuple(rows)
+def fraction_text(x: Fraction, max_bits: int | None = None) -> str:
+    """x as text: str(x) where it is short enough, else over a power of two.
+
+    str(x) is used unless the numerator or denominator has more than
+    max_bits bits or str() would pass the interpreter's limit on
+    int-to-decimal digits.  Then x = a/2^k is written 2^-k when a = 1 and
+    a/2^k otherwise, both of which parse_fraction reads back exactly; any
+    other x (or a numerator too long to write) is ~2^-y, y = log2(1/x) to
+    six figures, an approximation.
+    """
+    num, den = x.numerator, x.denominator
+    if max_bits is None or max(num.bit_length(), den.bit_length()) <= max_bits:
+        try:
+            return str(x)
+        except ValueError:
+            pass
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        try:
+            return f"2^-{k}" if num == 1 else f"{num}/2^{k}"
+        except ValueError:
+            pass
+    return f"~2^-{log2_inv(x):.6g}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Read 'a/b', '2^-k', 'a/2^k' or a decimal literal exactly; ValueError
+    on anything else."""
+    text = text.strip()
+    power = re.fullmatch(r"(?:(\d+)/2\^|2\^-)(\d+)", text)
+    try:
+        if power:
+            return Fraction(int(power.group(1) or 1), 1 << int(power.group(2)))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} as a fraction") from exc
 
 
 def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:
@@ -166,14 +198,13 @@ def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:
     if p == 2:
         # Lucas in base 2: C(w, k) is odd exactly when k's bits lie in w's.
         return 1 if w & k == k else 0
-    rows = _pascal_rows(p)
     result = 1
     while k > 0 or w > 0:
         wd, w = w % p, w // p
         kd, k = k % p, k // p
         if kd > wd:
             return 0
-        result = result * rows[wd][kd] % p
+        result = result * math.comb(wd, kd) % p
         if result == 0:
             return 0
     return result
@@ -242,14 +273,13 @@ def _lucas_plan_for(p: int, digits: int, top: int) -> _LucasPlan | None:
     A digit step multiplies an entry by at most sum_e C(d, e) = 2^d, so
     every entry stays below (p - 1) * 2^((p - 1) * digits), the slot bound.
     """
-    bound = (p - 1) << ((p - 1) * digits)
+    bound_bits = (p - 1).bit_length() + (p - 1) * digits
     typecode = next(
-        (c for c in "BHILQ" if bound.bit_length() <= 8 * array(c).itemsize), None
+        (c for c in "BHILQ" if bound_bits <= 8 * array(c).itemsize), None
     )
     if typecode is None:
         return None
     width = 8 * array(typecode).itemsize
-    rows = _pascal_rows(p)
     slots = (top + 1) * p ** (digits - 1)
     pairs = 0
     steps = []
@@ -263,7 +293,8 @@ def _lucas_plan_for(p: int, digits: int, top: int) -> _LucasPlan | None:
         step = []
         for e in range(high):
             shifts = tuple(
-                ((d - e) * stride * width, rows[d][e]) for d in range(e + 1, high + 1)
+                ((d - e) * stride * width, math.comb(d, e) % p)
+                for d in range(e + 1, high + 1)
             )
             step.append((repeat * (block << e * stride * width), shifts))
             pairs += len(shifts)
@@ -302,9 +333,11 @@ class SymPoly:
     Value at weight w is sum_k coeffs[k] * C(w, k), all arithmetic in the
     attached field.  Trailing zero coefficients are stripped on build, so
     len(coeffs) - 1 is the degree (the zero polynomial keeps one coefficient
-    and reports degree 0).  value_at_weight reads one weight; values(m)
+    and reports degree 0).  table(m) is the one read of its values: it
     builds the table at weights 0..m in one transform and caches it on the
     polynomial, in _table, which equality and hashing ignore.
+    value_at_weight reads one weight and is the reference the table is
+    tested against; the package itself does not call it.
     """
 
     field: FieldSpec
@@ -353,8 +386,19 @@ class SymPoly:
             b = b * (w - k) // (k + 1)
         return f.element(total)
 
-    def values(self, m: int) -> tuple[FieldElement, ...]:
-        """The values at weights 0..m, the whole table at once.
+    def table(self, m: int) -> tuple[FieldElement, ...]:
+        """The values at weights 0..m: the cached table itself, never a
+        copy, which may run past m.  A read past it builds and caches the
+        table at weights 0..m, which keeps every entry it had.  Entries
+        equal value_at_weight's, element types included."""
+        table = self._table
+        if table is None or len(table) <= m:
+            table = self._tabulate(m)
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def _tabulate(self, m: int) -> tuple[FieldElement, ...]:
+        """The table at weights 0..m, in one transform.
 
         Only c_0..c_m matter, since C(w, k) = 0 for k > w.  In characteristic
         p the table is a Lucas transform of the coefficients: by Lucas,
@@ -364,45 +408,15 @@ class SymPoly:
         one int.  Over GF(2) that is the subset zeta transform, ceil(log2(m+1))
         shift-XOR-mask steps.  Over Q, and for p so large that the digit
         steps outnumber the coefficients, it is Horner's rule: row k of the
-        nested sums is c_k plus the prefix sums of row k + 1.  Entries equal
-        value_at_weight's, element types included.
-
-        The table is cached on the polynomial: a later call at a weight the
-        cached table covers reads it (sliced when it is longer), and a call
-        beyond it builds and caches the longer table.
+        nested sums is c_k plus the prefix sums of row k + 1.
         """
-        table = self.table(m)
-        return table if len(table) == m + 1 else table[: m + 1]
-
-    def table(self, m: int) -> tuple[FieldElement, ...]:
-        """The cached value table, built by values' transform when it does
-        not cover weights 0..m; it may run past m."""
-        table = self._table
-        if table is None or len(table) <= m:
-            table = self._tabulate(m)
-            object.__setattr__(self, "_table", table)
-        return table
-
-    def tabulates_by_transform(self, m: int) -> bool:
-        """True when values(m) is a packed transform, which costs about as
-        much as a few pointwise reads: always over GF(2), and over GF(p)
-        when the Lucas plan has fewer steps than there are coefficients.
-        Over Q, and on the Horner fallback, a table costs O(m * degree)."""
-        p = self.field.characteristic
-        if p == 2:
-            return True
-        if not p:
-            return False
-        plan = _lucas_plan(p, m)
-        return plan is not None and plan.pairs < min(len(self.coeffs), m + 1) - 1
-
-    def _tabulate(self, m: int) -> tuple[FieldElement, ...]:
         coeffs = self.coeffs[: m + 1]
         p = self.field.characteristic
         if p == 2:
             return _zeta_gf2(coeffs, m)
-        if self.tabulates_by_transform(m):
-            return _lucas_gfp(coeffs, m, p, _lucas_plan(p, m))
+        plan = _lucas_plan(p, m) if p else None
+        if plan is not None and plan.pairs < len(coeffs) - 1:
+            return _lucas_gfp(coeffs, m, p, plan)
         table = [coeffs[-1]] * (m + 1)
         for c in reversed(coeffs[:-1]):
             table = list(accumulate(table[:m], initial=c))

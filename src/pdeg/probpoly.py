@@ -27,7 +27,9 @@ from .polyalg import (
     ceil_log2_inv,
     check_eps,
     exact_sympoly,
+    fraction_text,
     log2_inv,
+    parse_fraction,
     periodic_exact,
     threshold_window,
 )
@@ -244,11 +246,9 @@ def eval_expr(
     elementary symmetric form, weight_poly_at_values.  Its Var inputs are
     read straight off the point; nodes with equal var_indices share one
     count per call, and nodes with the same other inputs share their
-    values.  The polynomial is read from its cached value table
-    (SymPoly.table) when one covers the count, or when building one is a
-    cheap transform (GF(2), and GF(p) on the Lucas route); over Q and on
-    the Horner fallback an uncached polynomial is read by value_at_weight,
-    so a one-off point never pays for a whole table.
+    values.  The count is looked up in the polynomial's cached value table,
+    which a miss builds (SymPoly.table) for the node's whole input count, so
+    every later point and call reads the same table.
     """
     if memo is None:
         memo = {}
@@ -303,14 +303,10 @@ def eval_expr(
                 if count is None:
                     count = var_counts[var_idx] = int(sum(map(x.__getitem__, var_idx)))
                 count += ones
-                poly = e.poly
-                table = poly._table
-                if table is not None and count < len(table):
-                    val = table[count]
-                elif poly.tabulates_by_transform(m := len(e.inputs)):
-                    val = poly.table(m)[count]
-                else:
-                    val = poly.value_at_weight(count)
+                table = e.poly._table
+                if table is None or count >= len(table):
+                    table = e.poly.table(len(e.inputs))
+                val = table[count]
             else:
                 vals = list(map(x.__getitem__, e.var_indices)) + other_vals
                 val = weight_poly_at_values(e.poly, vals, field)
@@ -550,7 +546,8 @@ def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
 def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
     """Parse expr_to_json's node list.  A variable index, node or root
     reference or exponent that is not an int (bools included), a negative
-    variable index, and a reference to no earlier node raise ValueError."""
+    variable index, a reference to no earlier node and a sym node whose
+    polynomial is over another field raise ValueError."""
     field = FieldSpec(int(obj["char"]))
     parse = field.parse_element
     built: list[PolyExpr] = []
@@ -591,10 +588,14 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
                 tuple((parse(c), ref(i)) for c, i in node["terms"]),
             )
         elif op == "sym":
-            e = SymApply(
-                SymPoly.from_json(node["poly"]),
-                tuple(map(ref, node["inputs"])),
-            )
+            poly = SymPoly.from_json(node["poly"])
+            if poly.field != field:
+                raise ValueError(
+                    f"sym node {len(built)}: polynomial over characteristic "
+                    f"{poly.field.characteristic} in an expression over "
+                    f"characteristic {field.characteristic}"
+                )
+            e = SymApply(poly, tuple(map(ref, node["inputs"])))
         else:
             raise ValueError(f"unknown expression op {op!r}")
         built.append(e)
@@ -793,7 +794,7 @@ class Recipe:
             "kind": self.kind,
             "n": self.n,
             "arity": self.arity,
-            "eps": str(self.eps),
+            "eps": fraction_text(self.eps),
             "field": self.field.characteristic,
             "profile": self.profile.to_json() if self.profile else None,
             "declared_degree_bound": self.declared_degree_bound,
@@ -818,10 +819,14 @@ def _brief(values: tuple, edge: int = 3) -> str:
     return f"{len(values)} entries {values[:edge]} ... {values[-edge:]}"
 
 
-def _assert_declared(recipe_kind: str, structural: int, declared: int, detail: str) -> None:
+def _assert_declared(
+    recipe_kind: str, structural: int, declared: int, detail: Callable[[], str]
+) -> None:
+    """Refuse a construction whose structural degree passes its declared
+    bound; detail() describes it and is built only then."""
     if structural > declared:
         raise ValueError(
-            f"profile constants too small for {recipe_kind} ({detail}): "
+            f"profile constants too small for {recipe_kind} ({detail()}): "
             f"worst construction degree {structural} exceeds declared {declared}"
         )
 
@@ -991,7 +996,9 @@ def char0_or(n: int, eps: Fraction) -> Recipe:
         expr, deg = _char0_or_expr(field, range(n), eps, stream)
         return (expr,)
 
-    _assert_declared("char0_or", ell * (scales + 1), declared, f"n={n}, eps={eps}")
+    _assert_declared(
+        "char0_or", ell * (scales + 1), declared, lambda: f"n={n}, eps={fraction_text(eps)}"
+    )
 
     return Recipe(
         kind="char0_or",
@@ -1061,7 +1068,8 @@ def threshold_tuple(
             "threshold_tuple",
             structural,
             declared,
-            f"n={n}, thresholds={_brief(thresholds)}, eps={eps}, branch={branch}",
+            lambda: f"n={n}, thresholds={_brief(thresholds)}, "
+            f"eps={fraction_text(eps)}, branch={branch}",
         )
         return Recipe(
             kind="threshold_tuple",
@@ -1508,7 +1516,8 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
         raise ValueError("recipe is already exact; nothing to amplify")
     if delta >= recipe.eps:
         raise ValueError(
-            f"target error {delta} is not below the current error {recipe.eps}"
+            f"target error {fraction_text(delta)} is not below the current "
+            f"error {fraction_text(recipe.eps)}"
         )
     if delta <= 0:
         raise ValueError("target error must be positive")
@@ -1531,7 +1540,7 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
         profile=recipe.profile,
         eps=delta,
         declared_degree_bound=ell * recipe.declared_degree_bound,
-        params={"delta": str(delta), "votes": ell, "child": recipe.to_json()},
+        params={"delta": fraction_text(delta), "votes": ell, "child": recipe.to_json()},
         sampler=sampler,
         targets=recipe.target_spectra(),
         children=(recipe,),
@@ -1749,7 +1758,7 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
     "t_constant": ((), _spectrum_param(t_constant_recipe)),
     "bounded": ((), _spectrum_param(bounded_recipe)),
     "general": ((), _spectrum_param(general_recipe)),
-    "amplify": (("child",), lambda p, *_: amplify(p["child"], Fraction(p["delta"]))),
+    "amplify": (("child",), lambda p, *_: amplify(p["child"], parse_fraction(p["delta"]))),
     "compose": (("outer", "inners"), lambda p, *_: compose(p["outer"], p["inners"])),
     "sum": (
         ("parts",),
@@ -1788,7 +1797,7 @@ def recipe_from_json(obj: dict) -> Recipe:
         raise ValueError(f"unknown recipe kind {kind!r}")
     child_params, rebuild = _RECIPE_KINDS[kind]
     field = FieldSpec(int(obj["field"]))
-    eps = Fraction(obj["eps"])
+    eps = parse_fraction(obj["eps"])
     profile = (
         ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None
     )

@@ -16,8 +16,10 @@ reads its coefficients off the root's cube column with a Mobius
 (subset-difference) transform, with no polynomial arithmetic.  eval_expr
 evaluates one point in one iterative pass and stays the pointwise
 reference.  Every evaluator reads a SymApply's Var inputs off the split its
-node stores on creation and counts them directly.  A few constructions
-admit closed-form error values.
+node stores on creation and counts them directly, and reads its weight
+polynomial at that count from the one value table the polynomial caches,
+SymPoly.table, so a column pass and eval_expr share every table they
+build.  A few constructions admit closed-form error values.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .polyalg import (
     FieldElement,
     FieldSpec,
     MultilinearPoly,
+    fraction_text,
     subset_masks,
 )
 from .probpoly import (
@@ -86,7 +89,7 @@ class ErrorReport:
             "schema_version": 1,
             "mode": self.mode,
             "trials": self.trials,
-            "eps": str(self.eps),
+            "eps": fraction_text(self.eps),
             "per_weight": list(self.per_weight),
             "worst": self.worst,
             "worst_weight": self.worst_weight,

@@ -94,7 +94,7 @@ def test_01_periodic_power_spectra_are_represented_exactly():
                         continue
                     poly = periodic_exact(f, field)
                     assert poly.degree <= b - 1, (p, bits, n, poly.degree)
-                    got = poly.values(n)
+                    got = poly.table(n)
                     for w in range(n + 1):
                         assert got[w] == field.element(f.values[w]), (
                             p, bits, n, w,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pdeg import cli
+from pdeg.probpoly import recipe_from_json
 
 
 def run_cli(capsys, argv):
@@ -281,6 +283,54 @@ class TestVerify:
         )
         assert code == 2
         assert "4" in payload["error"]["message"]
+
+
+class TestExtremeParameters:
+    def test_error_parameter_past_the_digit_limit(self, capsys):
+        for field, k in (("0", 100000), ("2", 20000)):
+            code, payload, _ = run_cli(
+                capsys,
+                ["construct", "--kind", "OR", "--n", "40", "--eps", f"2^-{k}",
+                 "--field", field],
+            )
+            assert code == 0, payload
+            assert payload["recipe"]["eps"] == f"2^-{k}"
+            assert recipe_from_json(payload["recipe"]).eps == Fraction(1, 1 << k)
+        code, payload, _ = run_cli(
+            capsys,
+            ["verify", "--kind", "OR", "--n", "12", "--eps", "2^-20000",
+             "--field", "2", "--trials", "2"],
+        )
+        assert code == 0, payload
+        assert payload["report"]["eps"] == payload["recipe"]["eps"] == "2^-20000"
+        assert payload["exact_error"] == ["0"] * 13
+
+    def test_large_prime_fields_are_decided_quickly(self):
+        # Run in a child with a time limit: trial division up to sqrt(p)
+        # would never finish.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        base = [sys.executable, "-m", "pdeg.cli", "analyze", "--kind", "MAJ", "--n", "5"]
+        cases = [
+            (2**61 - 1, 0),
+            (318665857834031151167461, 2),  # strong pseudoprime to bases 2..37
+            (2**89 - 1, 2),  # prime, but past the exact Miller-Rabin range
+        ]
+        for p, want in cases:
+            proc = subprocess.run(
+                base + ["--field", str(p)], capture_output=True, text=True,
+                env=env, timeout=30,
+            )
+            assert proc.returncode == want, (p, proc.stdout)
+        # Pascal's triangle mod 10007 would hold about 5 * 10^7 entries; the
+        # child's address space is capped so that cannot take the machine.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdeg.cli", "construct", "--kind", "MAJ",
+             "--n", "20", "--eps", "1/8", "--field", "10007"],
+            capture_output=True, text=True, env=env, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
 
 
 class TestReduce:

@@ -4,9 +4,11 @@ _reference_eval below is the recursive walk eval_expr used to run, kept here
 as the reference: every value, and the type of every value, must match it on
 draws of every recipe family, at prefix points, random cube points and
 random field points.  SymPoly.value_at_weight is checked the same way against
-the f.add / f.mul / binomial_in_field sum it replaced.  GF(7) and GF(101)
-reach the Horner fallback of SymPoly.values, and the table tests check that
-eval_expr reads cached weight tables correctly whatever built them first.
+the f.add / f.mul / binomial_in_field sum it replaced, and is in turn the
+reference for SymPoly.table, the one read of a weight polynomial's values:
+the table tests check that eval_expr reads and grows the cached tables
+correctly whatever built them first.  GF(7) and GF(101) reach the table's
+Horner fallback.
 """
 
 import dataclasses
@@ -297,8 +299,7 @@ def test_weight_tables_match_reference(field):
     polys, draws = _shared_poly_draws(field, n)
     # Tables first built for fewer weights than the draws read.
     small = n // 4
-    for poly, _ in polys:
-        poly.values(small)
+    first = [poly.table(small) for poly, _ in polys]
     points = [[1] * w + [0] * (n - w) for w in range(n + 1)]
     points += [[rng.randrange(2) for _ in range(n)] for _ in range(8)]
     for draw in draws:
@@ -308,17 +309,21 @@ def test_weight_tables_match_reference(field):
                 got = eval_expr(e, x, field, memo)
                 want = _reference_eval(e, x, field, ref_memo)
                 assert _same(got, want), (x, got, want)
-    for poly, widest in polys:
-        # A table is built for more weights only where it is a transform;
-        # over Q and on the Horner fallback each point reads the polynomial.
-        covered = widest if poly.tabulates_by_transform(widest) else small
-        assert len(poly._table) == covered + 1
-        assert poly._table == SymPoly(field, poly.coeffs).values(covered)
-    transforms = [poly.tabulates_by_transform(n) for poly, _ in polys]
-    if field.characteristic in (0, 101):
-        assert not any(transforms)
-    else:
-        assert any(transforms)
+    for (poly, widest), early in zip(polys, first):
+        # Every draw read grew the table to the widest input count, and
+        # growing it kept the entries it had.
+        table = poly._table
+        assert len(table) == widest + 1
+        for w, v in enumerate(table):
+            assert _same(v, poly.value_at_weight(w)), (w, v)
+        assert all(map(_same, table, early)) and len(early) == small + 1
+        # A covered read returns the cached tuple itself; a wider one grows it.
+        assert poly.table(widest // 2) is table
+        wider = poly.table(2 * widest)
+        assert len(wider) == 2 * widest + 1 and poly._table is wider
+        assert all(map(_same, wider, table))
+        for w in range(widest + 1, 2 * widest + 1):
+            assert _same(wider[w], poly.value_at_weight(w)), (w, wider[w])
 
 
 def test_weight_tables_shared_across_points_and_calls():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdeg import polyalg
 from pdeg.polyalg import (
     GF2,
     RATIONALS,
@@ -16,7 +17,9 @@ from pdeg.polyalg import (
     constant_sympoly,
     exact_sympoly,
     expand_multilinear,
+    fraction_text,
     interpolate_window,
+    parse_fraction,
     periodic_exact,
     threshold_window,
 )
@@ -34,6 +37,18 @@ class TestFieldSpec:
         FieldSpec(0)
         FieldSpec(2)
         FieldSpec(101)
+
+    def test_primality_is_exact(self):
+        def trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        for p in range(-3, 3000):
+            assert polyalg._is_prime(p) == trial_division(p), p
+        # Strong pseudoprimes to every base up to 7, 11, 13 and 17.
+        for composite in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+            assert not polyalg._is_prime(composite)
+        for prime in (10007, 1000000007):
+            assert FieldSpec(prime).characteristic == prime
 
     def test_element_normalization(self):
         assert GF3.element(7) == 1
@@ -86,7 +101,30 @@ def test_binomial_in_field_matches_comb():
         for w in range(40):
             for k in range(40):
                 assert binomial_in_field(w, k, field) == math.comb(w, k) % p
+    # Larger primes, on w and k of one to three base-p digits.
+    for p in (257, 1009):
+        field = FieldSpec(p)
+        for w, k in ((10006, 5003), (3 * p + 5, p + 2), (p - 1, 2), (12, 13)):
+            assert binomial_in_field(w, k, field) == math.comb(w, k) % p, (p, w, k)
     assert binomial_in_field(10, 3, RATIONALS) == 120
+
+
+def test_fraction_text_round_trips():
+    tiny = Fraction(1, 1 << 20000)
+    assert fraction_text(Fraction(3, 8)) == "3/8"
+    assert fraction_text(Fraction(1, 1 << 128)) == str(Fraction(1, 1 << 128))
+    assert fraction_text(tiny) == "2^-20000"
+    assert fraction_text(3 * tiny) == "3/2^20000"
+    assert fraction_text(Fraction(3, 1 << 200), 128) == "3/2^200"
+    assert fraction_text(Fraction(0)) == "0"
+    for value in (Fraction(3, 8), Fraction(1, 1 << 128), tiny, 3 * tiny, Fraction(5)):
+        assert parse_fraction(fraction_text(value)) == value
+    # Beyond the digit limit and not a power of two: an approximation,
+    # which no parser reads back as exact.
+    text = fraction_text(Fraction(1, 3**20000))
+    assert text.startswith("~2^-31699.")
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_fraction(text)
 
 
 class TestSymPoly:
@@ -99,7 +137,7 @@ class TestSymPoly:
     def test_value_and_values(self):
         poly = SymPoly(RATIONALS, (0, 1, -1))
         assert [poly.value_at_weight(w) for w in range(3)] == [0, 1, 1]
-        assert poly.values(2) == (0, 1, 1)
+        assert poly.table(2) == (0, 1, 1)
 
     def test_json_roundtrip(self):
         poly = SymPoly(RATIONALS, (Fraction(1, 2), -3))
@@ -119,8 +157,9 @@ def _field_id(field):
 
 
 def _assert_values_match(poly, m, weights=None):
-    """values(m) equals value_at_weight at each weight, element types too."""
-    table = poly.values(m)
+    """A table(m) built afresh has m + 1 entries, each equal to
+    value_at_weight's, element types too."""
+    table = SymPoly(poly.field, poly.coeffs).table(m)
     assert len(table) == m + 1
     for w in range(m + 1) if weights is None else weights:
         want = poly.value_at_weight(w)
@@ -173,7 +212,7 @@ class TestValuesKernel:
         rng = random.Random(m)
         for t in (1, 2, 3, 5150, 10299, 10300):
             poly = threshold_window(t, 0, m, field)
-            assert poly.values(m) == named_spectrum("THR", m, t).values
+            assert poly.table(m) == named_spectrum("THR", m, t).values
         # A sparse poly of full degree, read at every digit boundary below
         # m and at random weights.
         coeffs = [0] * (m + 1)
@@ -206,7 +245,7 @@ class TestExactSymPoly:
                 for field in (RATIONALS, GF2, GF3):
                     poly = exact_sympoly(f, field)
                     assert poly.degree <= n
-                    assert poly.values(n) == tuple(
+                    assert poly.table(n) == tuple(
                         field.element(v) for v in bits
                     )
 
@@ -302,7 +341,7 @@ class TestPeriodicExact:
         par = spectrum("10101")
         poly = periodic_exact(par, GF2)
         assert poly.coeffs == (1, 1)
-        assert poly.values(4) == (1, 0, 1, 0, 1)
+        assert poly.table(4) == (1, 0, 1, 0, 1)
 
     def test_rejects_non_power_period(self):
         g = spectrum("".join("100"[w % 3] for w in range(10)))
@@ -327,7 +366,7 @@ class TestPeriodicExact:
                         continue
                     poly = periodic_exact(s, field)
                     assert poly.degree <= b - 1 or poly.degree == 0
-                    assert poly.values(n) == tuple(
+                    assert poly.table(n) == tuple(
                         field.element(v) for v in s.values
                     )
 

@@ -258,6 +258,16 @@ class TestExprNodes:
         with pytest.raises(ValueError, match=re.escape(message)):
             expr_from_json(self._json([node], [2]))
 
+    def test_expr_json_rejects_sym_poly_over_another_field(self):
+        # A char-0 polynomial in a GF(3) expression would read 5 at (1, 1)
+        # pointwise and 2 after reduction: refused, naming the node.
+        node = {"op": "sym", "poly": SymPoly(RATIONALS, (0, 0, 5)).to_json(), "inputs": [0, 1]}
+        with pytest.raises(ValueError, match="sym node 2: polynomial over characteristic 0"):
+            expr_from_json(self._json([node], [2]))
+        node["poly"] = SymPoly(GF3, (0, 0, 5)).to_json()
+        (e,) = expr_from_json(self._json([node], [2]))
+        assert eval_expr(e, [1, 1], GF3) == 2
+
     @pytest.mark.parametrize("root", ["0", 1.0, False])
     def test_expr_json_rejects_non_int_root(self, root):
         with pytest.raises(ValueError, match=re.escape(f"reference {root!r} is not an int")):
@@ -800,6 +810,23 @@ class TestRecipeSerialization:
     def test_every_rebuildable_kind_round_trips(self):
         built = {build().kind for build in _ROUNDTRIP_BUILDS}
         assert built == set(probpoly._RECIPE_KINDS)
+
+    def test_error_parameters_past_the_digit_limit(self):
+        # str() of 2^-20000 would pass the interpreter's 4300-digit limit.
+        tiny = Fraction(1, 1 << 20000)
+        for r in (
+            char0_or(8, tiny),
+            razborov_or(12, tiny, GF2),
+            threshold_tuple(12, (1,), tiny, GF2, practical_profile(GF2)),
+        ):
+            assert r.to_json()["eps"] == "2^-20000"
+            back = recipe_from_json(r.to_json())
+            assert back.eps == tiny and back.to_json() == r.to_json()
+        # An xor's eps is the sum of its parts': 3/2^20001, still exact.
+        x = xor_combine(razborov_or(12, tiny, GF2), razborov_or(12, tiny / 2, GF2))
+        assert x.to_json()["eps"] == "3/2^20001"
+        back = recipe_from_json(x.to_json())
+        assert back.eps == 3 * tiny / 2 and back.to_json() == x.to_json()
 
     def test_unknown_kind_rejected(self):
         r = constant_recipe(GF2, 4, 1)
