@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -51,7 +50,11 @@ def parse_eps(text: str) -> Fraction:
 
 
 def parse_field(text: str) -> FieldSpec:
-    return FieldSpec(int(text))
+    """A field characteristic; argparse reports a refusal with its reason."""
+    try:
+        return FieldSpec(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(payload: dict) -> None:
@@ -139,7 +142,6 @@ def _build_parser() -> _Parser:
     _add_construction_args(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=10_000)
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_reduce = sub.add_parser(
         "reduce", help="emit a reduction certificate for a spectrum"
@@ -277,13 +279,8 @@ def _cmd_sample(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    cpus = os.cpu_count() or 1
-    if args.jobs > cpus:
-        raise ValueError(f"--jobs {args.jobs} exceeds the {cpus} available CPUs")
     recipe = _resolve_recipe(args)
-    report = empirical_error(
-        recipe, trials=args.trials, seed=args.seed, jobs=args.jobs
-    )
+    report = empirical_error(recipe, trials=args.trials, seed=args.seed)
     try:
         exact = [fraction_text(e) for e in exact_error(recipe)]
     except NotImplementedError:

@@ -644,17 +644,29 @@ class ConstantsProfile:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantsProfile":
+        """Parse to_json's object.  Each number keeps its JSON type, so the
+        profile writes back the same JSON; a multiplier that is not an int
+        or a float, or a count that is not an int (bools included), raises
+        ValueError naming the field."""
+
+        def stored(name: str, kinds: tuple[type, ...] = (int, float)):
+            value = obj[name]
+            if type(value) not in kinds:
+                kind = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"profile {name} must be {kind}, got {value!r}")
+            return value
+
         return ConstantsProfile(
             name=obj["name"],
-            A=float(obj["A"]),
-            B=float(obj["B"]),
-            r_multiplier=float(obj["r_multiplier"]),
-            small_error_exponent_divisor=int(obj["small_error_exponent_divisor"]),
+            A=stored("A"),
+            B=stored("B"),
+            r_multiplier=stored("r_multiplier"),
+            small_error_exponent_divisor=stored("small_error_exponent_divisor", (int,)),
             subsample_ratio=Fraction(obj["subsample_ratio"]),
-            window_inner_multiplier=float(obj["window_inner_multiplier"]),
-            window_outer_multiplier=float(obj["window_outer_multiplier"]),
-            base_n=int(obj["base_n"]),
-            amplify_arity=int(obj["amplify_arity"]),
+            window_inner_multiplier=stored("window_inner_multiplier"),
+            window_outer_multiplier=stored("window_outer_multiplier"),
+            base_n=stored("base_n", (int,)),
+            amplify_arity=stored("amplify_arity", (int,)),
         )
 
 
@@ -1770,24 +1782,6 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
     ),
     "xor": (("a", "b"), lambda p, *_: xor_combine(p["a"], p["b"])),
 }
-
-
-def unknown_recipe_kinds(obj: dict) -> list:
-    """The kinds in a recipe's JSON tree that recipe_from_json cannot
-    rebuild, in walk order; nothing is built."""
-    unknown = []
-    stack = [obj]
-    while stack:
-        node = stack.pop()
-        kind = node.get("kind") if isinstance(node, dict) else None
-        if kind not in _RECIPE_KINDS:
-            unknown.append(kind)
-            continue
-        params = node.get("params") or {}
-        for name in _RECIPE_KINDS[kind][0]:
-            child = params.get(name)
-            stack.extend(child if isinstance(child, list) else [child])
-    return unknown
 
 
 def recipe_from_json(obj: dict) -> Recipe:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -56,10 +55,8 @@ from .probpoly import (
     char0_scales,
     majority_tail,
     post_order,
-    recipe_from_json,
     sample_stream,
     split_operands,
-    unknown_recipe_kinds,
     weight_poly_at_values,
 )
 from .symfun import BOOLEAN, Spectrum
@@ -466,133 +463,41 @@ def _wrong_counts(
     return counts
 
 
-def _trial_draws(
-    recipe: Recipe, master_seed: int, lo: int, hi: int
-) -> Iterable[tuple[PolyExpr, ...]]:
-    """The trial draws lo..hi-1 of the master seed, one at a time."""
-    root = SeedStream.from_seed(master_seed)
-    return (sample_stream(recipe, root.child(("trial", k))) for k in range(lo, hi))
+def empirical_error(recipe: Recipe, trials: int = 10_000, seed: int = 0) -> ErrorReport:
+    """Monte Carlo error of a recipe against its target spectra, in one pass.
 
-
-def _trial_counts(recipe: Recipe, master_seed: int, lo: int, hi: int) -> list[int]:
-    """Wrong counts at the points 1^w 0^(n-w) over trial draws lo..hi-1."""
-    evaluator = _ColumnEvaluator(recipe.field, recipe.n)
-    return _wrong_counts(recipe, _trial_draws(recipe, master_seed, lo, hi), evaluator)
-
-
-def _trial_counts_from_json(
-    recipe_json: dict, master_seed: int, lo: int, hi: int
-) -> list[int]:
-    """Process-pool entry point: rebuild the recipe, check that it round-trips,
-    then count."""
-    try:
-        recipe = recipe_from_json(recipe_json)
-        round_trips = recipe.to_json() == recipe_json
-    except (ValueError, KeyError, TypeError):
-        round_trips = False
-    if not round_trips:
-        raise _no_rebuild(recipe_json.get("kind"))
-    return _trial_counts(recipe, master_seed, lo, hi)
-
-
-def _no_rebuild(kind) -> ValueError:
-    return ValueError(
-        f"recipe kind {kind!r} does not round-trip through recipe_from_json, "
-        "so pool workers cannot rebuild it; use jobs=1"
-    )
-
-
-def empirical_error(
-    recipe: Recipe,
-    trials: int = 10_000,
-    seed: int = 0,
-    jobs: int = 1,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-) -> ErrorReport:
-    """Monte Carlo error of a recipe against its target spectra.
-
-    Randomness-free recipes are checked with a single draw.  For small n
-    every point of every weight is evaluated (exhaustive mode); otherwise
-    one representative point per weight is used, which matches the draw
-    distribution's symmetry under coordinate permutations.  jobs > 1 splits
-    the trials over a process pool, whose workers each rebuild the recipe
-    from its JSON; the parent builds nothing.  A recipe kind that
-    recipe_from_json does not know raises ValueError before the pool starts,
-    and a rebuild that does not round-trip raises the same ValueError from
-    its worker.
+    A randomness-free recipe is scored on its one draw from the seed
+    (single-draw mode); otherwise trial k scores the draw from the seed's
+    child ("trial", k).  For n <= EXHAUSTIVE_LIMIT a draw is scored on
+    every point of the cube (exhaustive mode), and per_weight[w] counts
+    wrong points over trials * C(n, w).  Beyond it a draw is scored on one
+    point per weight, 1^w 0^(n-w), as the draw distribution is symmetric
+    under coordinate permutations (stratified mode), and per_weight[w]
+    counts wrong draws over trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    n = recipe.n
-
+    n, eps = recipe.n, recipe.eps
+    root = SeedStream.from_seed(seed)
     if recipe.randomness_free:
-        draw = sample_stream(recipe, SeedStream.from_seed(seed))
-        counts = _wrong_counts(recipe, [draw], _ColumnEvaluator(recipe.field, n))
-        per_weight = [float(c) for c in counts]
-        return _finish_report("single-draw", 1, recipe.eps, per_weight)
-
-    if n <= exhaustive_limit:
-        return _exhaustive_error(recipe, trials, seed)
-
-    if jobs > 1:
-        chunk = (trials + jobs - 1) // jobs
-        ranges = [
-            (k, min(k + chunk, trials)) for k in range(0, trials, chunk)
-        ]
-        recipe_json = recipe.to_json()
-        unknown = unknown_recipe_kinds(recipe_json)
-        if unknown:
-            raise _no_rebuild(unknown[0])
-        totals = [0] * (n + 1)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [
-                pool.submit(_trial_counts_from_json, recipe_json, seed, lo, hi)
-                for lo, hi in ranges
-            ]
-            for fut in futures:
-                for w, c in enumerate(fut.result()):
-                    totals[w] += c
+        mode, trials, draws = "single-draw", 1, [sample_stream(recipe, root)]
     else:
-        totals = _trial_counts(recipe, seed, 0, trials)
-
-    per_weight = [c / trials for c in totals]
-    return _finish_report("stratified", trials, recipe.eps, per_weight)
-
-
-def _exhaustive_error(recipe: Recipe, trials: int, seed: int) -> ErrorReport:
-    """Score every draw on every point of the cube (small n only).
-
-    Each draw gets its cube columns from one pass of _cube_evaluator,
-    bit-packed over GF(2).  A point is wrong when any component misses its
-    target there, and the wrong points are counted per weight, so
-    per_weight[w] is that count over trials * C(n, w).
-    """
-    n = recipe.n
-    draws = _trial_draws(recipe, seed, 0, trials)
-    wrong = _wrong_counts(recipe, draws, _cube_evaluator(recipe.field, n))
-    per_weight = [wrong[w] / (trials * math.comb(n, w)) for w in range(n + 1)]
-    return _finish_report("exhaustive", trials, recipe.eps, per_weight)
-
-
-def _finish_report(
-    mode: str, trials: int, eps: Fraction, per_weight: Sequence[float]
-) -> ErrorReport:
-    worst_weight = max(range(len(per_weight)), key=lambda w: per_weight[w])
+        mode = "exhaustive" if n <= EXHAUSTIVE_LIMIT else "stratified"
+        draws = (sample_stream(recipe, root.child(("trial", k))) for k in range(trials))
+    if mode == "exhaustive":
+        evaluator = _cube_evaluator(recipe.field, n)
+        points = [math.comb(n, w) for w in range(n + 1)]
+    else:
+        evaluator, points = _ColumnEvaluator(recipe.field, n), repeat(1)
+    wrong = _wrong_counts(recipe, draws, evaluator)
+    per_weight = tuple(c / (trials * k) for c, k in zip(wrong, points))
+    worst_weight = max(range(n + 1), key=per_weight.__getitem__)
     worst = per_weight[worst_weight]
     eps_f = float(eps)
-    slack = 3.0 * math.sqrt(max(eps_f * (1.0 - eps_f), 1e-12) / max(trials, 1))
-    passed = worst <= eps_f + slack
+    slack = 3.0 * math.sqrt(max(eps_f * (1.0 - eps_f), 1e-12) / trials)
     return ErrorReport(
-        mode=mode,
-        trials=trials,
-        eps=eps,
-        per_weight=tuple(per_weight),
-        worst=worst,
-        worst_weight=worst_weight,
-        slack=slack,
-        passed=passed,
+        mode=mode, trials=trials, eps=eps, per_weight=per_weight, worst=worst,
+        worst_weight=worst_weight, slack=slack, passed=worst <= eps_f + slack,
     )
 
 

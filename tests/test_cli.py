@@ -247,19 +247,8 @@ class TestVerify:
         assert payload["report"]["trials"] == 60
         assert payload["exact_error"] is None
 
-    def test_jobs_do_not_change_output(self, capsys, monkeypatch):
-        # --jobs is capped at the CPU count; keep two jobs legal anywhere.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        base = ["verify", "--n", "40", "--thresholds", "2", "--eps", "1/8",
-                "--field", "2", "--trials", "40"]
-        cli.main(base)
-        first = json.loads(capsys.readouterr().out)
-        cli.main(base + ["--jobs", "2"])
-        second = json.loads(capsys.readouterr().out)
-        assert first["report"]["per_weight"] == second["report"]["per_weight"]
-
     @pytest.mark.parametrize(
-        "extra", [["--trials", "0"], ["--trials", "-3"], ["--jobs", "0"]]
+        "extra", [["--trials", "0"], ["--trials", "-3"]]
     )
     def test_rejects_counts_below_one(self, capsys, extra):
         code, payload, _ = run_cli(
@@ -270,19 +259,31 @@ class TestVerify:
         assert code == 2
         assert payload["error"]["type"] == "ValueError"
 
-    def test_rejects_jobs_above_cpu_count(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr("pdeg.verify.ProcessPoolExecutor", no_pool)
-        code, payload, _ = run_cli(
-            capsys,
-            ["verify", "--n", "40", "--thresholds", "2", "--eps", "1/8",
-             "--field", "2", "--trials", "40", "--jobs", "4"],
+    def test_scores_in_process(self):
+        # A fresh interpreter: importing pdeg loads no process-pool module,
+        # and --jobs is not an option.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        probe = (
+            "import sys, pdeg; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))"
         )
-        assert code == 2
-        assert "4" in payload["error"]["message"]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdeg.cli", "verify", "--n", "40",
+             "--thresholds", "2", "--eps", "1/8", "--field", "2",
+             "--trials", "40", "--jobs", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        payload = json.loads(proc.stdout)
+        assert payload["error"]["type"] == "usage"
+        assert "--jobs" in payload["error"]["message"]
 
 
 class TestExtremeParameters:
@@ -453,6 +454,21 @@ class TestUsageErrors:
         assert exc.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "field, reason",
+        [("4", "must be 0 or a prime"),
+         (str(2**89 - 1), "too large to test for primality"),
+         ("x", "invalid literal")],
+    )
+    def test_refused_field_says_why(self, capsys, field, reason):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--kind", "MAJ", "--n", "5", "--field", field])
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "usage"
+        assert payload["error"]["message"].startswith("argument --field: ")
+        assert reason in payload["error"]["message"]
 
 
 def test_package_exports_each_name_once():

@@ -1,4 +1,4 @@
-from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, sqrt
 
@@ -30,6 +30,7 @@ from pdeg.probpoly import (
     one_minus,
     practical_profile,
     razborov_or,
+    recipe_from_json,
     sample,
     sample_stream,
     threshold_tuple,
@@ -104,22 +105,16 @@ class TestEmpiricalError:
         for w in range(1, 4):
             assert abs(rep.per_weight[w] - float(exact[w])) <= rep.slack
 
-    def test_stratified_matches_exhaustive(self):
+    def test_stratified_matches_exhaustive(self, monkeypatch):
         # Draw distributions here are symmetric under coordinate
         # permutations, so one point per weight estimates the same quantity.
+        monkeypatch.setattr(verify_module, "EXHAUSTIVE_LIMIT", 0)
         r = razborov_or(4, QUARTER, GF2)
-        strat = empirical_error(r, trials=3000, seed=7, exhaustive_limit=0)
+        strat = empirical_error(r, trials=3000, seed=7)
         assert strat.mode == "stratified"
         exact = exact_error(r)
         for w in range(5):
             assert abs(strat.per_weight[w] - float(exact[w])) <= 2 * strat.slack
-
-    def test_jobs_split_is_deterministic(self):
-        r = razborov_or(16, QUARTER, GF2)
-        a = empirical_error(r, trials=60, seed=5)
-        b = empirical_error(r, trials=60, seed=5, jobs=2)
-        assert a.per_weight == b.per_weight
-        assert b.mode == "stratified"
 
     def test_report_json(self):
         r = constant_recipe(GF2, 3, 0)
@@ -141,7 +136,7 @@ class TestEmpiricalError:
         assert rep.worst == 1.0
 
 
-    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -3}, {"jobs": 0}])
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -3}])
     def test_rejects_counts_below_one(self, bad):
         with pytest.raises(ValueError):
             empirical_error(razborov_or(20, QUARTER, GF2), **bad)
@@ -149,74 +144,27 @@ class TestEmpiricalError:
             empirical_error(constant_recipe(GF2, 3, 0), **bad)
 
     def test_sequential_path_scores_the_recipe_itself(self):
-        base = razborov_or(20, QUARTER, GF2)
-        r = handmade(
-            lambda stream: sample_stream(base, stream),
-            GF2,
-            20,
-            base.target_spectra(),
-            randomness_free=False,
-        )
-        assert empirical_error(r, trials=20, seed=4) == empirical_error(
-            base, trials=20, seed=4
-        )
-
-    def test_pool_rejects_recipes_it_cannot_rebuild(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr("pdeg.verify.ProcessPoolExecutor", no_pool)
-        base = razborov_or(20, QUARTER, GF2)
-        r = handmade(
-            lambda stream: sample_stream(base, stream),
-            GF2,
-            20,
-            base.target_spectra(),
-            randomness_free=False,
-        )
-        with pytest.raises(ValueError, match="'handmade'.*jobs=1"):
-            empirical_error(r, trials=20, seed=4, jobs=2)
-
-    def test_pool_builds_the_recipe_once_per_worker(self, monkeypatch):
-        builds = _count_pool_builds(monkeypatch)
-        r = razborov_or(20, QUARTER, GF2)
-        rep = empirical_error(r, trials=60, seed=5, jobs=3)
-        assert builds == {"pools": 1, "builds": 3}
-        assert rep == empirical_error(r, trials=60, seed=5)
-
-    def test_pool_checks_nested_kinds_before_it_starts(self, monkeypatch):
-        builds = _count_pool_builds(monkeypatch)
-        base = razborov_or(20, QUARTER, GF2)
-        inner = handmade(
-            lambda stream: sample_stream(base, stream),
-            GF2,
-            20,
-            base.target_spectra(),
-            randomness_free=False,
-        )
-        with pytest.raises(ValueError, match="'handmade'.*jobs=1"):
-            empirical_error(amplify(inner, EIGHTH), trials=20, seed=4, jobs=2)
-        assert builds == {"pools": 0, "builds": 0}
-
-    def test_pool_worker_rejects_a_rebuild_that_differs(self, monkeypatch):
-        builds = _count_pool_builds(monkeypatch)
-        base = razborov_or(20, QUARTER, GF2)
-        # A known kind whose JSON no longer matches what its constructor
-        # builds: the kind check passes, the workers' round-trip check not.
-        tampered = Recipe(
-            kind=base.kind,
-            field=base.field,
-            profile=base.profile,
-            eps=base.eps,
-            declared_degree_bound=base.declared_degree_bound + 1,
-            params=base.params,
-            sampler=lambda stream: sample_stream(base, stream),
-            targets=base.target_spectra(),
-            draws=True,
-        )
-        with pytest.raises(ValueError, match="'razborov_or'.*jobs=1"):
-            empirical_error(tampered, trials=20, seed=4, jobs=2)
-        assert builds == {"pools": 1, "builds": 2}
+        # A recipe that recipe_from_json cannot rebuild is scored in every
+        # mode exactly as the recipe whose draws it returns; only eps and
+        # its slack, which handmade fixes, may differ.
+        for base, mode in (
+            (razborov_or(20, QUARTER, GF2), "stratified"),
+            (razborov_or(6, QUARTER, GF2), "exhaustive"),
+            (exact_recipe(GF2, [named_spectrum("MAJ", 6)]), "single-draw"),
+        ):
+            r = handmade(
+                lambda stream, base=base: sample_stream(base, stream),
+                GF2,
+                base.n,
+                base.target_spectra(),
+                randomness_free=base.randomness_free,
+            )
+            with pytest.raises(ValueError, match="'handmade'"):
+                recipe_from_json(r.to_json())
+            report = empirical_error(r, trials=20, seed=4)
+            want = empirical_error(base, trials=20, seed=4)
+            assert report.mode == mode
+            assert replace(report, eps=want.eps, slack=want.slack) == want
 
     def test_deep_chain_does_not_recurse(self):
         # At 1^w 0^(n-w) the chain is x_0, i.e. OR, which misses THR 2 at
@@ -238,7 +186,12 @@ class TestEmpiricalError:
 
     @pytest.mark.parametrize("field", [GF2, GF3])
     @pytest.mark.parametrize("exhaustive_limit", [14, 0])
-    def test_out_of_range_variable_fails_cleanly(self, field, exhaustive_limit):
+    def test_out_of_range_variable_fails_cleanly(
+        self, field, exhaustive_limit, monkeypatch
+    ):
+        # n = 3: the default limit scores on the cube, 0 on one point per
+        # weight.
+        monkeypatch.setattr(verify_module, "EXHAUSTIVE_LIMIT", exhaustive_limit)
         for expr in (Var(7), LinearForm((1, 1), (0, -1)), SymApply(
             SymPoly(field, (0, 1)), (Var(0), Var(3))
         )):
@@ -246,39 +199,7 @@ class TestEmpiricalError:
                 lambda stream: (expr,), field, 3, [named_spectrum("OR", 3)], False
             )
             with pytest.raises(ValueError, match="variable index -?[0-9]+ out of range"):
-                empirical_error(r, trials=2, exhaustive_limit=exhaustive_limit)
-
-
-def _count_pool_builds(monkeypatch):
-    """Run pool workers in this process; count the pools and recipe builds."""
-    counts = {"pools": 0, "builds": 0}
-    real_rebuild = verify_module.recipe_from_json
-
-    def counting_rebuild(obj):
-        counts["builds"] += 1
-        return real_rebuild(obj)
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            counts["pools"] += 1
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            try:
-                fut.set_result(fn(*args))
-            except Exception as exc:
-                fut.set_exception(exc)
-            return fut
-
-    monkeypatch.setattr(verify_module, "recipe_from_json", counting_rebuild)
-    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", InlinePool)
-    return counts
+                empirical_error(r, trials=2)
 
 
 def _deep_chain_recipe(randomness_free):
@@ -642,10 +563,9 @@ class TestExactError:
         r = threshold_tuple(40 if p == 0 else 100, (1,), EIGHTH, field, prof)
         assert r.params["branch"] == "or"
         assert max(exact_error(r)) <= EIGHTH / 2
-        pooled = empirical_error(r, trials=8, seed=3, jobs=2)
-        assert pooled.per_weight == empirical_error(r, trials=8, seed=3).per_weight
+        assert empirical_error(r, trials=8, seed=3).mode == "stratified"
         general = general_recipe(named_spectrum("OR", 100), EIGHTH, field, prof)
-        assert empirical_error(general, trials=4, seed=3, jobs=2).mode == "stratified"
+        assert empirical_error(general, trials=4, seed=3).mode == "stratified"
 
     def test_no_closed_form(self):
         prof = practical_profile(GF2)
