@@ -87,21 +87,18 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
     if b == 1 and radius == 0 and not degenerate:
         case = "constant"
         upper = 0.0
-        lower = 0.0
     elif b > 1 and not _is_char_power(b, p):
         case = "per-not-p-power"
         upper = root_nl
-        lower = root_nl
     elif radius == 0 and not degenerate:
         case = "p-power-bounded-zero"
         upper = min(root_nl, float(b))
-        lower = min(root_nl, float(b))
     else:
         case = "mixed"
         mixed = b + math.sqrt(radius * L) + L
         upper = min(root_nl, mixed)
-        lower = min(root_nl, mixed)
 
+    lower = upper
     if case != "constant":
         if not Fraction(1, 1 << n) <= eps <= Fraction(1, 3):
             lower = None

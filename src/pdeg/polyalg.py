@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple, Sequence, Union
 
 from .symfun import Spectrum, _is_char_power, period
@@ -66,6 +66,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p = self.characteristic
+        if type(p) is not int:
+            raise ValueError(f"characteristic {p!r} is not an int")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
@@ -107,6 +109,8 @@ class FieldSpec:
         return str(a)
 
     def parse_element(self, text: str) -> FieldElement:
+        if type(text) is not str:
+            raise ValueError(f"field element {text!r} is not a string")
         text = text.strip()
         if "/" in text:
             return self.element(Fraction(text))
@@ -172,7 +176,9 @@ def fraction_text(x: Fraction, max_bits: int | None = None) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     """Read 'a/b', '2^-k', 'a/2^k' or a decimal literal exactly; ValueError
-    on anything else."""
+    on anything else, a value that is not a string included."""
+    if type(text) is not str:
+        raise ValueError(f"fraction {text!r} is not a string")
     text = text.strip()
     power = re.fullmatch(r"(?:(\d+)/2\^|2\^-)(\d+)", text)
     try:
@@ -434,7 +440,7 @@ class SymPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "SymPoly":
-        field = FieldSpec(int(obj["char"]))
+        field = FieldSpec(obj["char"])
         return SymPoly(field, tuple(field.parse_element(c) for c in obj["coeffs"]))
 
 
@@ -558,12 +564,18 @@ def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
     return SymPoly(field, tuple(_forward_differences(g.values[:b])))
 
 
-class MultilinearPoly:
-    """Multilinear polynomial over the field, term map frozenset -> coefficient.
+def set_bits(m: int) -> list[int]:
+    """Indices of the bits set in m >= 0, ascending."""
+    return [i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
 
-    Multiplication applies x_i**2 = x_i, so products stay multilinear; this
-    is the representation used by the degree audit when expanding sampled
-    expression trees.
+
+class MultilinearPoly:
+    """Multilinear polynomial over the field, term map mask -> coefficient.
+
+    A monomial is an int mask: bit i set means x_i is in it, the index a
+    point of the cube {0,1}^n has.  Multiplication is the union m1 | m2
+    (x_i**2 = x_i), so products stay multilinear; this is the representation
+    used by the degree audit when expanding sampled expression trees.
     """
 
     __slots__ = ("field", "n", "terms")
@@ -571,18 +583,16 @@ class MultilinearPoly:
     def __init__(self, field: FieldSpec, n: int, terms: dict | None = None):
         self.field = field
         self.n = n
-        self.terms: dict[frozenset, FieldElement] = {}
+        self.terms: dict[int, FieldElement] = {}
         if terms:
             for mono, c in terms.items():
                 c = field.element(c)
                 if c != 0:
-                    self.terms[frozenset(mono)] = c
+                    self.terms[mono] = c
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(len(m) for m in self.terms)
+        return max((m.bit_count() for m in self.terms), default=0)
 
     @property
     def term_count(self) -> int:
@@ -611,7 +621,7 @@ class MultilinearPoly:
 
     def mul(self, other: "MultilinearPoly") -> "MultilinearPoly":
         f = self.field
-        out: dict[frozenset, FieldElement] = {}
+        out: dict[int, FieldElement] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = m1 | m2
@@ -629,7 +639,7 @@ class MultilinearPoly:
         total = f.element(0)
         for mono, c in self.terms.items():
             prod = c
-            for i in mono:
+            for i in set_bits(mono):
                 prod = f.mul(prod, x[i])
                 if prod == 0:
                     break
@@ -637,40 +647,35 @@ class MultilinearPoly:
         return total
 
     def to_json(self) -> dict:
+        """Terms keyed by comma-joined variable indices, ascending, and
+        listed in ascending order of those index lists."""
         fmt = self.field.format_element
+        terms = sorted((set_bits(m), c) for m, c in self.terms.items())
         return {
             "char": self.field.characteristic,
             "n": self.n,
-            "terms": {
-                ",".join(str(i) for i in sorted(mono)): fmt(c)
-                for mono, c in sorted(self.terms.items(), key=lambda kv: sorted(kv[0]))
-            },
+            "terms": {",".join(map(str, mono)): fmt(c) for mono, c in terms},
         }
 
     @staticmethod
     def constant(field: FieldSpec, n: int, c: FieldElement) -> "MultilinearPoly":
-        return MultilinearPoly(field, n, {frozenset(): c})
+        return MultilinearPoly(field, n, {0: c})
 
     @staticmethod
     def variable(field: FieldSpec, n: int, i: int) -> "MultilinearPoly":
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for n={n}")
-        return MultilinearPoly(field, n, {frozenset([i]): 1})
+        return MultilinearPoly(field, n, {1 << i: 1})
 
 
 def expand_multilinear(poly: SymPoly, n: int) -> MultilinearPoly:
     """Expand a weight polynomial into the multilinear polynomial on n
-    variables: C(w, k) becomes the k-th elementary symmetric polynomial.
+    variables: C(w, k) becomes the k-th elementary symmetric polynomial,
+    so the monomial with mask m gets coefficient c_k, k = popcount(m).
 
     Exponential in n, so n is capped at EXPAND_LIMIT.
     """
     if n > EXPAND_LIMIT:
         raise ValueError(f"expansion limited to {EXPAND_LIMIT} variables, got {n}")
-    field = poly.field
-    out = MultilinearPoly(field, n)
-    for k, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
-        layer = MultilinearPoly(field, n, {frozenset(s): c for s in combinations(range(n), k)})
-        out = out.add(layer)
-    return out
+    coeffs = poly.coeffs[: n + 1] + (0,) * (n + 1 - len(poly.coeffs))
+    return MultilinearPoly(poly.field, n, {m: coeffs[m.bit_count()] for m in range(1 << n)})

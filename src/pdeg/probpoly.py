@@ -548,7 +548,7 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
     reference or exponent that is not an int (bools included), a negative
     variable index, a reference to no earlier node and a sym node whose
     polynomial is over another field raise ValueError."""
-    field = FieldSpec(int(obj["char"]))
+    field = FieldSpec(obj["char"])
     parse = field.parse_element
     built: list[PolyExpr] = []
 
@@ -960,16 +960,16 @@ def _char0_or_expr(
     indices: Sequence[int],
     eps: Fraction,
     stream: SeedStream,
-) -> tuple[PolyExpr, int]:
+) -> PolyExpr:
     """Disjunction gadget over the given variable indices, rationals only.
 
-    Returns the expression and its formal degree bound.  Each run samples
-    one subset per density 2**-j; the run evaluates to exactly 1 when some
-    sampled sum is exactly 1.  Runs multiply the failure probability.
+    Each run samples one subset per density 2**-j; the run evaluates to
+    exactly 1 when some sampled sum is exactly 1.  Runs multiply the
+    failure probability.
     """
     m = len(indices)
     if m == 0:
-        return Constant(field.element(0)), 0
+        return Constant(field.element(0))
     ell = max(1, ceil_log2_inv(eps))
     scales = char0_scales(m)
     run_factors = []
@@ -990,8 +990,7 @@ def _char0_or_expr(
                 summed = Constant(field.element(0))
             level_factors.append(one_minus(summed, field))
         run_factors.append(one_minus(Product(tuple(level_factors)), field))
-    expr = one_minus(Product(tuple(one_minus(r, field) for r in run_factors)), field)
-    return expr, ell * (scales + 1)
+    return one_minus(Product(tuple(one_minus(r, field) for r in run_factors)), field)
 
 
 def char0_or(n: int, eps: Fraction) -> Recipe:
@@ -1005,8 +1004,7 @@ def char0_or(n: int, eps: Fraction) -> Recipe:
     declared = 4 * max(1, scales) * ell
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        expr, deg = _char0_or_expr(field, range(n), eps, stream)
-        return (expr,)
+        return (_char0_or_expr(field, range(n), eps, stream),)
 
     _assert_declared(
         "char0_or", ell * (scales + 1), declared, lambda: f"n={n}, eps={fraction_text(eps)}"
@@ -1052,7 +1050,9 @@ def threshold_tuple(
     construction; and otherwise recursion on a subsampled input vector with
     exact interpolation near each threshold.
     """
-    thresholds = tuple(int(t) for t in thresholds)
+    thresholds = tuple(thresholds)
+    if any(type(t) is not int for t in thresholds):
+        raise ValueError(f"thresholds must be ints, got {list(thresholds)!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not thresholds:
@@ -1186,10 +1186,9 @@ def _hash_branch(n, thresholds, field, r, finish):
                 detectors.append(form)
         else:
             for j, members in enumerate(buckets):
-                gadget, _ = _char0_or_expr(
-                    field, members, eps_or, stream.child(("bucket", j))
+                detectors.append(
+                    _char0_or_expr(field, members, eps_or, stream.child(("bucket", j)))
                 )
-                detectors.append(gadget)
         det = tuple(detectors)
         out = []
         for poly, p1 in zip(polys, lows):
@@ -1695,14 +1694,17 @@ def xor_combine(a: Recipe, b: Recipe) -> Recipe:
 # Exhaustive randomness enumeration (small recipes only)
 
 
-def enumerate_draws(
-    recipe: Recipe, limit: int = 1 << 22
-) -> Iterator[tuple[Fraction, tuple[PolyExpr, ...]]]:
+# The largest randomness space enumerate_draws walks; it guards against
+# runaway spaces.
+ENUMERATE_LIMIT = 1 << 22
+
+
+def enumerate_draws(recipe: Recipe) -> Iterator[tuple[Fraction, tuple[PolyExpr, ...]]]:
     """Yield (probability, drawn tuple) over the whole randomness space.
 
     Supported for deterministic recipes, the vanishing-form disjunction, and
-    majority votes over supported recipes; raises otherwise.  The limit
-    guards against runaway spaces.
+    majority votes over supported recipes; raises otherwise, and when the
+    space exceeds ENUMERATE_LIMIT.
     """
     if recipe.randomness_free:
         yield Fraction(1), sample(recipe, 0)
@@ -1712,8 +1714,8 @@ def enumerate_draws(
         n = recipe.n
         ell = recipe.params["forms"]
         count = p ** (ell * n)
-        if count > limit:
-            raise ValueError(f"randomness space {count} exceeds limit {limit}")
+        if count > ENUMERATE_LIMIT:
+            raise ValueError(f"randomness space {count} exceeds limit {ENUMERATE_LIMIT}")
         weight = Fraction(1, count)
         negate = recipe.params["negate"]
         for flat in iter_product(range(p), repeat=ell * n):
@@ -1724,10 +1726,10 @@ def enumerate_draws(
         child = recipe.children()[0]
         ell = recipe.params["votes"]
         vote = _majority_vote(ell, recipe.field)
-        pools = [list(enumerate_draws(child, limit)) for _ in range(ell)]
+        pools = [list(enumerate_draws(child)) for _ in range(ell)]
         total = math.prod(map(len, pools))
-        if total > limit:
-            raise ValueError(f"randomness space {total} exceeds limit {limit}")
+        if total > ENUMERATE_LIMIT:
+            raise ValueError(f"randomness space {total} exceeds limit {ENUMERATE_LIMIT}")
         for combo in iter_product(*pools):
             prob = math.prod([q for q, _ in combo])
             yield prob, vote([draw for _, draw in combo])
@@ -1790,7 +1792,7 @@ def recipe_from_json(obj: dict) -> Recipe:
     if kind not in _RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {kind!r}")
     child_params, rebuild = _RECIPE_KINDS[kind]
-    field = FieldSpec(int(obj["field"]))
+    field = FieldSpec(obj["field"])
     eps = parse_fraction(obj["eps"])
     profile = (
         ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None

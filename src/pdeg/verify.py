@@ -39,6 +39,7 @@ from .polyalg import (
     FieldSpec,
     MultilinearPoly,
     fraction_text,
+    set_bits,
     subset_masks,
 )
 from .probpoly import (
@@ -290,8 +291,8 @@ class _CubeColumns(_ColumnEvaluator):
     def _coordinate(self, i: int, point: int) -> int:
         return (point >> i) & 1
 
-    def coefficients(self, col: list[FieldElement]) -> dict[frozenset, FieldElement]:
-        """Multilinear coefficients of a cube column, by monomial.
+    def coefficients(self, col: list[FieldElement]) -> dict[int, FieldElement]:
+        """Multilinear coefficients of a cube column, by monomial mask.
 
         The Mobius transform: for each i, a[m] -= a[m - 2^i] wherever bit i
         of m is set.  Each pass runs over whichever is fewer, the 2^i
@@ -312,13 +313,9 @@ class _CubeColumns(_ColumnEvaluator):
             h = step
         p = self.field.characteristic
         if p:
-            masks = [m for m, c in enumerate(a) if c % p]
-            coeffs = [a[m] % p for m in masks]
-        else:
-            # Over Q, element makes integral values ints.
-            masks = [m for m, c in enumerate(a) if c]
-            coeffs = [self.field.element(a[m]) for m in masks]
-        return dict(zip(_monomials(masks, self.n), coeffs))
+            return {m: r for m, c in enumerate(a) if (r := c % p)}
+        # Over Q, element makes integral values ints.
+        return {m: self.field.element(c) for m, c in enumerate(a) if c}
 
 
 class _CubeBits:
@@ -371,15 +368,15 @@ class _CubeBits:
             wrong |= col ^ target
         return [(wrong & lay).bit_count() for lay in self.layers]
 
-    def coefficients(self, col: int) -> dict[frozenset, FieldElement]:
-        """Multilinear coefficients of a cube column, by monomial.
+    def coefficients(self, col: int) -> dict[int, FieldElement]:
+        """Multilinear coefficients of a cube column, by monomial mask.
 
-        The Mobius transform over GF(2): n shift-XOR steps.
+        The Mobius transform over GF(2): n shift-XOR steps.  Bit m of the
+        result is the coefficient of monomial m.
         """
         for i, mask in enumerate(self.var_masks):
             col ^= (col << (1 << i)) & mask
-        masks = [m for m, b in enumerate(bin(col)[:1:-1]) if b == "1"]
-        return dict.fromkeys(_monomials(masks, self.n), 1)
+        return dict.fromkeys(set_bits(col), 1)
 
     def _count(self, cols: Sequence[int]) -> list[int]:
         """Bits of the number of ones among cols at each point, lowest first."""
@@ -425,26 +422,6 @@ class _CubeBits:
 def _cube_evaluator(field: FieldSpec, n: int) -> _CubeColumns | _CubeBits:
     """Column evaluator on {0,1}^n: bit-packed over GF(2), lists elsewhere."""
     return _CubeBits(n) if field.characteristic == 2 else _CubeColumns(field, n)
-
-
-def _monomials(masks: Sequence[int], n: int) -> list[frozenset]:
-    """For each mask, the set of variables whose bits are set in it.
-
-    Each set is the union of one entry from a table over the low n // 2
-    variables and one from a table over the rest.
-    """
-    half = n // 2
-    low, high = _subsets(range(half)), _subsets(range(half, n))
-    low_mask = (1 << half) - 1
-    return [low[m & low_mask] | high[m >> half] for m in masks]
-
-
-def _subsets(indices: Iterable[int]) -> list[frozenset]:
-    """Every subset of indices, listed by mask: bit j picks the j-th index."""
-    out = [frozenset()]
-    for i in indices:
-        out += [s | {i} for s in out]
-    return out
 
 
 def _wrong_counts(

@@ -765,10 +765,11 @@ class TestEnumerateDraws:
         assert len(draws) == 3 ** (2 * 2)
         assert sum(q for q, _ in draws) == 1
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(probpoly, "ENUMERATE_LIMIT", 100)
         r = razborov_or(8, EIGHTH, GF2)
         with pytest.raises(ValueError):
-            list(enumerate_draws(r, limit=100))
+            list(enumerate_draws(r))
 
     def test_unsupported_kind(self):
         r = char0_or(3, QUARTER)
@@ -844,6 +845,55 @@ class TestRecipeSerialization:
         assert x.to_json()["eps"] == "3/2^20001"
         back = recipe_from_json(x.to_json())
         assert back.eps == 3 * tiny / 2 and back.to_json() == x.to_json()
+
+    @staticmethod
+    def _loaders(char=2, eps="1/4", coeff="1"):
+        """The three JSON loaders, each given one characteristic and one
+        piece of element text."""
+        recipe = constant_recipe(GF2, 4, 1).to_json()
+        recipe.update(field=char, eps=eps)
+        poly = {"char": char, "coeffs": [coeff, "0"]}
+        expr = {
+            "char": char,
+            "nodes": [{"op": "linear", "coeffs": [coeff], "indices": [0]}],
+            "roots": [0],
+        }
+        return [
+            lambda: recipe_from_json(recipe),
+            lambda: SymPoly.from_json(poly),
+            lambda: expr_from_json(expr),
+        ]
+
+    @pytest.mark.parametrize("loader", range(3), ids=["recipe", "sympoly", "expr"])
+    @pytest.mark.parametrize("char", [2.5, 2.0, "2", True])
+    def test_loaders_refuse_non_int_characteristic(self, loader, char):
+        load = self._loaders(char=char)[loader]
+        with pytest.raises(ValueError, match=re.escape(f"characteristic {char!r} is not an int")):
+            load()
+
+    @pytest.mark.parametrize(
+        "loader, kw, message",
+        [
+            (0, {"eps": 0.25}, "fraction 0.25 is not a string"),
+            (1, {"coeff": 1}, "field element 1 is not a string"),
+            (2, {"coeff": 1}, "field element 1 is not a string"),
+        ],
+        ids=["recipe-eps", "sympoly-coeff", "expr-linear-coeff"],
+    )
+    def test_loaders_refuse_non_string_text(self, loader, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._loaders(**kw)[loader]()
+
+    @pytest.mark.parametrize("thresholds", [(True, 2), (1, 2.0), (2.5,)])
+    def test_threshold_tuple_refuses_non_int_thresholds(self, thresholds):
+        with pytest.raises(ValueError, match="thresholds must be ints"):
+            threshold_tuple(40, thresholds, EIGHTH, GF2, practical_profile(GF2))
+
+    def test_recipe_json_refuses_non_int_threshold(self):
+        obj = threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)).to_json()
+        obj["params"]["thresholds"] = [2.5]
+        with pytest.raises(ValueError, match=re.escape("thresholds must be ints, got [2.5]")):
+            recipe_from_json(obj)
 
     def test_unknown_kind_rejected(self):
         r = constant_recipe(GF2, 4, 1)

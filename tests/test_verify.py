@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, sqrt
@@ -432,7 +433,7 @@ def sparse_expand(expr, n, field, memo=None):
     elif isinstance(expr, LinearForm):
         out = MultilinearPoly(field, n)
         for c, i in zip(expr.coeffs, expr.indices):
-            out = out.add(MultilinearPoly(field, n, {frozenset([i]): c}))
+            out = out.add(MultilinearPoly(field, n, {1 << i: c}))
     elif isinstance(expr, Power):
         base = sparse_expand(expr.base, n, field, memo)
         out = MultilinearPoly.constant(field, n, 1)
@@ -650,6 +651,23 @@ class TestExpandExpr:
         poly = expand_expr(expr, 5, GF2)
         for x in self.points(5):
             assert poly.evaluate(x) == eval_expr(expr, list(x), GF2)
+
+    @pytest.mark.parametrize(
+        "recipe", [razborov_or(12, QUARTER, GF2), char0_or(12, QUARTER)], ids=["gf2", "q"]
+    )
+    def test_two_digit_indices_in_json(self, recipe):
+        # Index lists sort as numbers, not as text: [1, 2] before [1, 10].
+        rng = random.Random(12)
+        (expr,) = sample(recipe, 3)
+        poly = expand_expr(expr, 12, recipe.field)
+        monos = [[int(i) for i in k.split(",")] if k else [] for k in poly.to_json()["terms"]]
+        assert len(monos) == poly.term_count
+        assert all(m == sorted(set(m)) for m in monos)
+        assert monos == sorted(monos)
+        assert any(m[-1] >= 10 for m in monos if m)
+        for _ in range(64):
+            x = [rng.randrange(2) for _ in range(12)]
+            assert poly.evaluate(x) == eval_expr(expr, x, recipe.field)
 
     @pytest.mark.parametrize(
         "n, field, draw", [c[1:] for c in CUBE_DRAWS], ids=[c[0] for c in CUBE_DRAWS]
