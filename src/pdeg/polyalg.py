@@ -13,11 +13,14 @@ interpolate_window interpolates general values on a window and is the
 reference threshold_window is tested against.
 
 SymPoly.table tabulates a polynomial at weights 0..m and caches the table;
-it is the one way the package reads a weight polynomial's values.  In
-characteristic p it uses Lucas' theorem on the whole table where that is
-cheap: the binomial matrix C(w, k) mod p factors over base-p digits, so the
-table is a digit-by-digit transform of the coefficients, packed one per
-fixed-width slot of a single int.
+it is the one way the package reads a weight polynomial's values.  An
+interpolant whose values are known when it is built (a step window from
+weight 0, an exact spectrum, a periodic part) has its table seeded with
+them there, so reading it builds nothing.  Any other table is built from the
+coefficients.  In characteristic p that uses Lucas' theorem on the whole
+table where that is cheap: the binomial matrix C(w, k) mod p factors over
+base-p digits, so the table is a digit-by-digit transform of the
+coefficients, packed one per fixed-width slot of a single int.
 """
 
 from __future__ import annotations
@@ -340,10 +343,12 @@ class SymPoly:
     attached field.  Trailing zero coefficients are stripped on build, so
     len(coeffs) - 1 is the degree (the zero polynomial keeps one coefficient
     and reports degree 0).  table(m) is the one read of its values: it
-    builds the table at weights 0..m in one transform and caches it on the
-    polynomial, in _table, which equality and hashing ignore.
-    value_at_weight reads one weight and is the reference the table is
-    tested against; the package itself does not call it.
+    returns the table cached on the polynomial, in _table, which equality,
+    hashing and repr ignore.  The interpolants threshold_window (from weight
+    0), exact_sympoly and periodic_exact seed that table when they build the
+    polynomial; otherwise table(m) builds it at weights 0..m in one
+    transform.  value_at_weight reads one weight and is the reference the
+    table is tested against; the package itself does not call it.
     """
 
     field: FieldSpec
@@ -393,10 +398,13 @@ class SymPoly:
         return f.element(total)
 
     def table(self, m: int) -> tuple[FieldElement, ...]:
-        """The values at weights 0..m: the cached table itself, never a
-        copy, which may run past m.  A read past it builds and caches the
-        table at weights 0..m, which keeps every entry it had.  Entries
-        equal value_at_weight's, element types included."""
+        """The values at weights 0..m >= 0: the cached table itself, never a
+        copy, which may run past m.  The table is the one seeded when the
+        polynomial was built, if any, or the last one built.  A read past it
+        builds and caches the table at weights 0..m, which keeps every entry
+        it had.  Entries equal value_at_weight's, element types included."""
+        if m < 0:
+            raise ValueError(f"no table at weights 0..{m}")
         table = self._table
         if table is None or len(table) <= m:
             table = self._tabulate(m)
@@ -448,6 +456,13 @@ def constant_sympoly(field: FieldSpec, c: FieldElement) -> SymPoly:
     return SymPoly(field, (field.element(c),))
 
 
+def _seeded(poly: SymPoly, values: Sequence[int]) -> SymPoly:
+    """poly with its cached table set to values, its 0/1 values at weights
+    0..len(values) - 1.  Plain ints are _tabulate's entries in every field."""
+    object.__setattr__(poly, "_table", tuple(values))
+    return poly
+
+
 def _forward_differences(values: Sequence[int]) -> list[int]:
     """Iterated forward differences over the integers: row k holds Delta^k."""
     diffs = list(values)
@@ -464,9 +479,10 @@ def exact_sympoly(f: Spectrum, field: FieldSpec) -> SymPoly:
     In the binomial basis the interpolation matrix C(w, k) for w, k in [0, n]
     is triangular with unit diagonal, so the coefficients are the forward
     differences of the spectrum.  Computing them over the integers first and
-    reducing afterwards gives the same matching values in any field.
+    reducing afterwards gives the same matching values in any field, so the
+    table is seeded with f's values.
     """
-    return SymPoly(field, tuple(_forward_differences(f.values)))
+    return _seeded(SymPoly(field, tuple(_forward_differences(f.values))), f.values)
 
 
 def interpolate_window(
@@ -506,37 +522,39 @@ def threshold_window(t: int, lo: int, hi: int, field: FieldSpec) -> SymPoly:
     column S_j = (-1)^j C(lo+j-1, j) built once (S_0 = 1; every other S_j is
     0 when lo = 0, so there the deltas are the coefficients).  In
     characteristic p every binomial is taken mod p by Lucas' theorem, so each
-    coefficient is a sum of at most hi - lo + 1 products below p**2.
+    coefficient is a sum of at most hi - lo + 1 products below p**2.  When
+    lo = 0 the window's values are the step on weights 0..hi, and they seed
+    its table.
     """
     if lo < 0:
         raise ValueError("window start must be non-negative")
     if hi < lo:
         raise ValueError("cannot interpolate an empty window")
     size = hi - lo + 1
-    s = t - lo
-    if s <= 0:
-        return constant_sympoly(field, 1)
-    if s >= size:
-        return constant_sympoly(field, 0)
-    deltas = []
-    for k in range(s, size):
-        c = binomial_in_field(k - 1, s - 1, field)
-        if c:
-            deltas.append((k, -c if (k - s) & 1 else c))
-    coeffs = [0] * size
-    for k, d in deltas:
-        coeffs[k] = d
-    if lo > 0:
-        for j in range(1, size):
-            shift = binomial_in_field(lo + j - 1, j, field)
-            if shift == 0:
-                continue
-            if j & 1:
-                shift = -shift
-            for k, d in deltas:
-                if k >= j:
-                    coeffs[k - j] += shift * d
-    return SymPoly(field, tuple(coeffs))
+    s = min(max(t - lo, 0), size)
+    if s in (0, size):
+        poly = constant_sympoly(field, int(s == 0))
+    else:
+        deltas = []
+        for k in range(s, size):
+            c = binomial_in_field(k - 1, s - 1, field)
+            if c:
+                deltas.append((k, -c if (k - s) & 1 else c))
+        coeffs = [0] * size
+        for k, d in deltas:
+            coeffs[k] = d
+        if lo > 0:
+            for j in range(1, size):
+                shift = binomial_in_field(lo + j - 1, j, field)
+                if shift == 0:
+                    continue
+                if j & 1:
+                    shift = -shift
+                for k, d in deltas:
+                    if k >= j:
+                        coeffs[k - j] += shift * d
+        poly = SymPoly(field, tuple(coeffs))
+    return _seeded(poly, (0,) * s + (1,) * (size - s)) if lo == 0 else poly
 
 
 def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
@@ -560,8 +578,10 @@ def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
             f"period {b} is not a characteristic power (characteristic {p})"
         )
     # sum_k c_k C(w, k) = g(w) on w in [0, b - 1] (Newton's forward
-    # formula): c_k is the k-th forward difference of g at 0.
-    return SymPoly(field, tuple(_forward_differences(g.values[:b])))
+    # formula): c_k is the k-th forward difference of g at 0.  Both sides
+    # repeat with period b, so the table is g's values at every weight.
+    poly = SymPoly(field, tuple(_forward_differences(g.values[:b])))
+    return _seeded(poly, g.values)
 
 
 def set_bits(m: int) -> list[int]:

@@ -274,9 +274,10 @@ def _shared_poly_draws(field, n):
     """Two draws over n variables that share their SymPoly objects, with
     inputs of several sizes and non-Var inputs, some shared by two nodes
     and one that is 2 wherever x_0 = x_1 = 1.  Returns each polynomial with
-    its widest input count, and the draws."""
-    maj = exact_sympoly(named_spectrum("MAJ", n), field)
-    mod = exact_sympoly(named_spectrum("MOD", n, 3, 0), field)
+    its widest input count, and the draws.  The polynomials are unseeded
+    twins of exact_sympoly's, so no table is cached before the first read."""
+    maj = SymPoly(field, exact_sympoly(named_spectrum("MAJ", n), field).coeffs)
+    mod = SymPoly(field, exact_sympoly(named_spectrum("MOD", n, 3, 0), field).coeffs)
     xs = tuple(Var(i) for i in range(n))
     half = xs[: n // 2]
     flipped = tuple(one_minus(v, field) for v in half) + (LinearForm((1, 1), (0, 1)),)

@@ -23,6 +23,7 @@ from pdeg.polyalg import (
     periodic_exact,
     threshold_window,
 )
+from pdeg.probpoly import Var, _majority_vote
 from pdeg.symfun import Spectrum, named_spectrum, period, spectrum
 
 GF3 = FieldSpec(3)
@@ -206,12 +207,22 @@ class TestValuesKernel:
                     _assert_values_match(_random_poly(rng, field, degree), m)
             q *= p
 
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
+    def test_negative_table_size_rejected(self, field):
+        poly = SymPoly(field, (1, 1))
+        with pytest.raises(ValueError):
+            poly.table(-1)
+        assert poly._table is None
+        # A seeded table does not answer the read either.
+        with pytest.raises(ValueError):
+            threshold_window(1, 0, 3, field).table(-1)
+
     @pytest.mark.parametrize("field", [GF2, GF3], ids=_field_id)
     def test_tables_up_to_ten_thousand_three_hundred(self, field):
         m = 10300
         rng = random.Random(m)
         for t in (1, 2, 3, 5150, 10299, 10300):
-            poly = threshold_window(t, 0, m, field)
+            poly = SymPoly(field, threshold_window(t, 0, m, field).coeffs)
             assert poly.table(m) == named_spectrum("THR", m, t).values
         # A sparse poly of full degree, read at every digit boundary below
         # m and at random weights.
@@ -245,7 +256,8 @@ class TestExactSymPoly:
                 for field in (RATIONALS, GF2, GF3):
                     poly = exact_sympoly(f, field)
                     assert poly.degree <= n
-                    assert poly.table(n) == tuple(
+                    # The unseeded twin's table reads the coefficients.
+                    assert SymPoly(field, poly.coeffs).table(n) == tuple(
                         field.element(v) for v in bits
                     )
 
@@ -366,9 +378,80 @@ class TestPeriodicExact:
                         continue
                     poly = periodic_exact(s, field)
                     assert poly.degree <= b - 1 or poly.degree == 0
-                    assert poly.table(n) == tuple(
+                    # The unseeded twin's table reads the coefficients.
+                    assert SymPoly(field, poly.coeffs).table(n) == tuple(
                         field.element(v) for v in s.values
                     )
+
+
+SEED_FIELDS = [GF2, GF3, GF5, RATIONALS]
+
+
+def _assert_seeded(poly):
+    """poly's table was seeded when it was built and equals the table its
+    unseeded twin builds from the coefficients, element types included;
+    equality, hashing, repr and JSON do not see it."""
+    table = poly._table
+    assert table is not None
+    twin = SymPoly(poly.field, poly.coeffs)
+    want = twin._tabulate(len(table) - 1)
+    assert [(v, type(v)) for v in table] == [(v, type(v)) for v in want], poly
+    assert poly == twin and hash(poly) == hash(twin)
+    assert repr(poly) == repr(twin) and poly.to_json() == twin.to_json()
+
+
+class TestSeededTables:
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_threshold_windows_from_zero(self, field):
+        for hi in range(41):
+            for t in range(hi + 2):
+                poly = threshold_window(t, 0, hi, field)
+                assert poly._table == tuple(int(w >= t) for w in range(hi + 1))
+                _assert_seeded(poly)
+        # Thresholds outside the window give the constant windows.
+        assert threshold_window(-3, 0, 5, field)._table == (1,) * 6
+        assert threshold_window(9, 0, 5, field)._table == (0,) * 6
+
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_windows_past_zero_are_not_seeded(self, field):
+        for t in range(12):
+            assert threshold_window(t, 1, 10, field)._table is None
+
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_exact_sympoly(self, field):
+        rng = random.Random(31 + field.characteristic)
+        for _ in range(60):
+            n = rng.randrange(41)
+            f = Spectrum(tuple(rng.randrange(2) for _ in range(n + 1)))
+            poly = exact_sympoly(f, field)
+            assert poly._table == f.values
+            _assert_seeded(poly)
+
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_periodic_exact(self, field):
+        p = field.characteristic
+        if p:
+            spectra = [
+                named_spectrum("MOD", n, b, r)
+                for b in (p, p * p)
+                for n in (2 * b, 3 * b + 2)
+                for r in range(b)
+            ]
+        else:
+            # Over Q only period 1 is a characteristic power.
+            spectra = [named_spectrum("CONST", n, c) for n in (1, 7, 40) for c in (0, 1)]
+        for g in spectra:
+            poly = periodic_exact(g, field)
+            assert poly._table == g.values
+            _assert_seeded(poly)
+
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_majority_vote(self, field):
+        for ell in (1, 3, 5, 9, 31):
+            vote = _majority_vote(ell, field)
+            (node,) = vote([(Var(i),) for i in range(ell)])
+            assert node.poly._table == named_spectrum("MAJ", ell).values
+            _assert_seeded(node.poly)
 
 
 class TestMultilinearPoly:

@@ -362,6 +362,26 @@ class TestColumnEvaluator:
         evaluator.columns((SymApply(maj, xs),))
         assert maj._table is table
 
+    @pytest.mark.parametrize("field", [RATIONALS, GF3, GF2], ids=["Q", "GF3", "GF2"])
+    def test_interpolant_tables_are_seeded_not_rebuilt(self, field, monkeypatch):
+        # Scoring every threshold at n = 100, and MAJ through the direct
+        # route, reads only tables seeded when the windows were built.
+        calls = []
+        tabulate = SymPoly._tabulate
+        monkeypatch.setattr(
+            SymPoly, "_tabulate", lambda poly, m: calls.append(m) or tabulate(poly, m)
+        )
+        profile = practical_profile(field)
+        every = threshold_tuple(100, tuple(range(101)), EIGHTH, field, profile)
+        maj = general_recipe(named_spectrum("MAJ", 30), EIGHTH, field, profile)
+        assert maj.params["route"] == "direct"
+        for recipe in (every, maj):
+            assert empirical_error(recipe, trials=2, seed=41).passed
+        assert calls == []
+        # The count does see a table built from the coefficients.
+        SymPoly(field, (1, 1)).table(3)
+        assert calls == [3]
+
 
 def _cube_recipes():
     """Recipes on 8 variables over GF(2), GF(3), GF(5) and Q."""
