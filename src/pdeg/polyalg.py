@@ -15,8 +15,8 @@ reference threshold_window is tested against.
 SymPoly.table tabulates a polynomial at weights 0..m and caches the table;
 it is the one way the package reads a weight polynomial's values.  An
 interpolant whose values are known when it is built (a step window from
-weight 0, an exact spectrum, a periodic part) has its table seeded with
-them there, so reading it builds nothing.  Any other table is built from the
+weight 0, an exact spectrum) has its table seeded with them there, so
+reading it builds nothing.  Any other table is built from the
 coefficients.  In characteristic p that uses Lucas' theorem on the whole
 table where that is cheap: the binomial matrix C(w, k) mod p factors over
 base-p digits, so the table is a digit-by-digit transform of the
@@ -345,9 +345,8 @@ class SymPoly:
     and reports degree 0).  table(m) is the one read of its values: it
     returns the table cached on the polynomial, in _table, which equality,
     hashing and repr ignore.  The interpolants threshold_window (from weight
-    0), exact_sympoly and periodic_exact seed that table when they build the
-    polynomial; otherwise table(m) builds it at weights 0..m in one
-    transform.  value_at_weight reads one weight and is the reference the
+    0) and exact_sympoly seed that table when they build the polynomial;
+    otherwise table(m) builds it at weights 0..m in one transform.  value_at_weight reads one weight and is the reference the
     table is tested against; the package itself does not call it.
     """
 
@@ -578,10 +577,8 @@ def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:
             f"period {b} is not a characteristic power (characteristic {p})"
         )
     # sum_k c_k C(w, k) = g(w) on w in [0, b - 1] (Newton's forward
-    # formula): c_k is the k-th forward difference of g at 0.  Both sides
-    # repeat with period b, so the table is g's values at every weight.
-    poly = SymPoly(field, tuple(_forward_differences(g.values[:b])))
-    return _seeded(poly, g.values)
+    # formula): c_k is the k-th forward difference of g at 0.
+    return SymPoly(field, tuple(_forward_differences(g.values[:b])))
 
 
 def set_bits(m: int) -> list[int]:
