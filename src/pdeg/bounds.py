@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import FieldSpec, check_eps, fraction_text, log2_inv
+from .polyalg import FieldSpec, check_eps, fraction_text, log2_inv, record_json
 from .probpoly import ConstantsProfile
 from .symfun import (
     Spectrum,
@@ -39,19 +39,7 @@ class BoundReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "characteristic": self.characteristic,
-            "eps": self.eps,
-            "period": self.period,
-            "radius": self.radius,
-            "radius_degenerate": self.radius_degenerate,
-            "case": self.case,
-            "upper": self.upper,
-            "lower": self.lower,
-            "notes": list(self.notes),
-        }
+        return record_json(self, schema_version=1)
 
 
 def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:

@@ -29,7 +29,8 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field as dataclass_field
+from contextlib import suppress
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -61,6 +62,51 @@ def _is_prime(p: int) -> bool:
     )
 
 
+# The JSON types each kind of field takes, and their name in error text.
+_JSON_KINDS = {
+    int: ((int,), "an int"),
+    float: ((int, float), "an int or a float"),
+    bool: ((bool,), "a bool"),
+    str: ((str,), "a string"),
+    Fraction: ((str,), "fraction text"),
+}
+
+
+def bounded_repr(value) -> str:
+    """repr(value), cut short so error text stays bounded."""
+    text = repr(value)
+    return text if len(text) <= 24 else text[:24] + "..."
+
+
+def json_field(name: str, value, kind: type):
+    """value, read from the JSON field name, if its type is one its kind
+    takes: exactly an int (never a bool) for int, an int or a float for
+    float, kept as it is, a bool for bool, a string for str, and for
+    Fraction the text parse_fraction reads, returned parsed.  Anything else
+    raises ValueError naming the field and showing a bounded repr of it."""
+    types, what = _JSON_KINDS[kind]
+    if type(value) in types:
+        if kind is not Fraction:
+            return value
+        with suppress(ValueError):
+            return parse_fraction(value)
+    raise ValueError(f"{name} {bounded_repr(value)} is not {what}")
+
+
+def record_json(record, **head) -> dict:
+    """A dataclass record as a JSON object: head's keys, then each field in
+    declaration order, a Fraction written by fraction_text and a tuple as a
+    list."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if type(value) is Fraction:
+            value = fraction_text(value)
+        elif type(value) is tuple:
+            value = list(value)
+        head[f.name] = value
+    return head
+
+
 @dataclass(frozen=True, slots=True)
 class FieldSpec:
     """A prime field F_p (characteristic p > 0) or the rationals (0)."""
@@ -68,9 +114,7 @@ class FieldSpec:
     characteristic: int
 
     def __post_init__(self) -> None:
-        p = self.characteristic
-        if type(p) is not int:
-            raise ValueError(f"characteristic {p!r} is not an int")
+        p = json_field("characteristic", self.characteristic, int)
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
@@ -112,9 +156,7 @@ class FieldSpec:
         return str(a)
 
     def parse_element(self, text: str) -> FieldElement:
-        if type(text) is not str:
-            raise ValueError(f"field element {text!r} is not a string")
-        text = text.strip()
+        text = json_field("field element", text, str).strip()
         if "/" in text:
             return self.element(Fraction(text))
         return self.element(int(text))
@@ -180,9 +222,7 @@ def fraction_text(x: Fraction, max_bits: int | None = None) -> str:
 def parse_fraction(text: str) -> Fraction:
     """Read 'a/b', '2^-k', 'a/2^k' or a decimal literal exactly; ValueError
     on anything else, a value that is not a string included."""
-    if type(text) is not str:
-        raise ValueError(f"fraction {text!r} is not a string")
-    text = text.strip()
+    text = json_field("fraction", text, str).strip()
     power = re.fullmatch(r"(?:(\d+)/2\^|2\^-)(\d+)", text)
     try:
         if power:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from itertools import compress, islice, product as iter_product
 from operator import attrgetter, not_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 from .polyalg import (
     FieldElement,
@@ -28,9 +28,10 @@ from .polyalg import (
     check_eps,
     exact_sympoly,
     fraction_text,
+    json_field,
     log2_inv,
-    parse_fraction,
     periodic_exact,
+    record_json,
     threshold_window,
 )
 from .symfun import (
@@ -552,18 +553,13 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
     parse = field.parse_element
     built: list[PolyExpr] = []
 
-    def integer(what: str, i) -> int:
-        if type(i) is not int:
-            raise ValueError(f"{what} {i!r} is not an int")
-        return i
-
     def ref(i) -> PolyExpr:
-        if not 0 <= integer("reference", i) < len(built):
+        if not 0 <= json_field("reference", i, int) < len(built):
             raise ValueError(f"reference {i} is not one of nodes 0..{len(built) - 1}")
         return built[i]
 
     def index(i) -> int:
-        if integer("variable index", i) < 0:
+        if json_field("variable index", i, int) < 0:
             raise ValueError(f"variable index {i} is negative")
         return i
 
@@ -579,7 +575,7 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
                 tuple(index(i) for i in node["indices"]),
             )
         elif op == "pow":
-            e = Power(ref(node["base"]), integer("exponent", node["exponent"]))
+            e = Power(ref(node["base"]), json_field("exponent", node["exponent"], int))
         elif op == "mul":
             e = Product(tuple(map(ref, node["factors"])))
         elif op == "sum":
@@ -629,44 +625,19 @@ class ConstantsProfile:
     amplify_arity: int
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "A": self.A,
-            "B": self.B,
-            "r_multiplier": self.r_multiplier,
-            "small_error_exponent_divisor": self.small_error_exponent_divisor,
-            "subsample_ratio": str(self.subsample_ratio),
-            "window_inner_multiplier": self.window_inner_multiplier,
-            "window_outer_multiplier": self.window_outer_multiplier,
-            "base_n": self.base_n,
-            "amplify_arity": self.amplify_arity,
-        }
+        return record_json(self)
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantsProfile":
-        """Parse to_json's object.  Each number keeps its JSON type, so the
-        profile writes back the same JSON; a multiplier that is not an int
-        or a float, or a count that is not an int (bools included), raises
-        ValueError naming the field."""
-
-        def stored(name: str, kinds: tuple[type, ...] = (int, float)):
-            value = obj[name]
-            if type(value) not in kinds:
-                kind = " or ".join(k.__name__ for k in kinds)
-                raise ValueError(f"profile {name} must be {kind}, got {value!r}")
-            return value
-
+        """Parse to_json's object, each field read by json_field as the kind
+        it is declared, so a number keeps its JSON type and writes back the
+        same JSON; a value of another type raises ValueError naming it."""
+        kinds = get_type_hints(ConstantsProfile)
         return ConstantsProfile(
-            name=obj["name"],
-            A=stored("A"),
-            B=stored("B"),
-            r_multiplier=stored("r_multiplier"),
-            small_error_exponent_divisor=stored("small_error_exponent_divisor", (int,)),
-            subsample_ratio=Fraction(obj["subsample_ratio"]),
-            window_inner_multiplier=stored("window_inner_multiplier"),
-            window_outer_multiplier=stored("window_outer_multiplier"),
-            base_n=stored("base_n", (int,)),
-            amplify_arity=stored("amplify_arity", (int,)),
+            **{
+                f.name: json_field(f"profile {f.name}", obj[f.name], kinds[f.name])
+                for f in fields(ConstantsProfile)
+            }
         )
 
 
@@ -722,10 +693,8 @@ def declared_bound(
     profile: ConstantsProfile, field: FieldSpec, n: int, t: int, eps: Fraction
 ) -> int:
     """A*sqrt(t*log2(1/eps)) + B*log2(1/eps), times the char-0 disjunction's
-    scale count over the rationals; eps must lie in (0, 1]."""
-    if eps <= 0 or eps > 1:
-        raise ValueError(f"error parameter must be in (0, 1], got {eps}")
-    L = log2_inv(eps)
+    scale count over the rationals; eps must lie in (0, 1)."""
+    L = log2_inv(check_eps(eps))
     base = profile.A * math.sqrt(max(t, 0) * L) + profile.B * L
     if field.characteristic == 0:
         base *= max(1, char0_scales(n))
@@ -1050,9 +1019,7 @@ def threshold_tuple(
     construction; and otherwise recursion on a subsampled input vector with
     exact interpolation near each threshold.
     """
-    thresholds = tuple(thresholds)
-    if any(type(t) is not int for t in thresholds):
-        raise ValueError(f"thresholds must be ints, got {list(thresholds)!r}")
+    thresholds = tuple(json_field("threshold", t, int) for t in thresholds)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not thresholds:
@@ -1741,10 +1708,15 @@ def enumerate_draws(recipe: Recipe) -> Iterator[tuple[Fraction, tuple[PolyExpr, 
 # Serialization
 
 
+def _param(p: dict, name: str, kind: type = int):
+    """params[name], read by json_field as the kind it is declared."""
+    return json_field(name, p[name], kind)
+
+
 def _spectrum_param(build: Callable[..., Recipe]) -> Callable[..., Recipe]:
     """The rebuild of a kind built from params["spectrum"], eps, field and
     profile."""
-    return lambda p, *args: build(parse_spectrum(p["spectrum"]), *args)
+    return lambda p, *args: build(parse_spectrum(_param(p, "spectrum", str)), *args)
 
 
 # Every recipe kind recipe_from_json rebuilds: the params that hold child
@@ -1754,32 +1726,41 @@ def _spectrum_param(build: Callable[..., Recipe]) -> Callable[..., Recipe]:
 _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
     "constant": (
         (),
-        lambda p, eps, field, _: constant_recipe(field, p["n"], p["value"]),
+        lambda p, eps, field, _: constant_recipe(
+            field, _param(p, "n"), _param(p, "value")
+        ),
     ),
     "exact": (
         (),
-        lambda p, eps, field, _: exact_recipe(field, map(parse_spectrum, p["spectra"])),
+        lambda p, eps, field, _: exact_recipe(
+            field, [parse_spectrum(json_field("spectra", s, str)) for s in p["spectra"]]
+        ),
     ),
     "razborov_or": (
         (),
-        lambda p, eps, field, _: razborov_or(p["n"], eps, field, p["negate"]),
+        lambda p, eps, field, _: razborov_or(
+            _param(p, "n"), eps, field, _param(p, "negate", bool)
+        ),
     ),
-    "char0_or": ((), lambda p, eps, *_: char0_or(p["n"], eps)),
+    "char0_or": ((), lambda p, eps, *_: char0_or(_param(p, "n"), eps)),
     "threshold_tuple": (
         (),
-        lambda p, *args: threshold_tuple(p["n"], tuple(p["thresholds"]), *args),
+        lambda p, *args: threshold_tuple(_param(p, "n"), tuple(p["thresholds"]), *args),
     ),
     "t_constant": ((), _spectrum_param(t_constant_recipe)),
     "bounded": ((), _spectrum_param(bounded_recipe)),
     "general": ((), _spectrum_param(general_recipe)),
-    "amplify": (("child",), lambda p, *_: amplify(p["child"], parse_fraction(p["delta"]))),
+    "amplify": (
+        ("child",),
+        lambda p, *_: amplify(p["child"], _param(p, "delta", Fraction)),
+    ),
     "compose": (("outer", "inners"), lambda p, *_: compose(p["outer"], p["inners"])),
     "sum": (
         ("parts",),
         lambda p, eps, field, _: sum_recipes(
             p["parts"],
             list(map(field.parse_element, p["coefficients"])),
-            parse_spectrum(p["target"]),
+            parse_spectrum(_param(p, "target", str)),
         ),
     ),
     "xor": (("a", "b"), lambda p, *_: xor_combine(p["a"], p["b"])),
@@ -1793,7 +1774,7 @@ def recipe_from_json(obj: dict) -> Recipe:
         raise ValueError(f"unknown recipe kind {kind!r}")
     child_params, rebuild = _RECIPE_KINDS[kind]
     field = FieldSpec(obj["field"])
-    eps = parse_fraction(obj["eps"])
+    eps = json_field("eps", obj["eps"], Fraction)
     profile = (
         ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None
     )

@@ -15,7 +15,14 @@ from itertools import repeat
 from operator import add, mod, mul
 from typing import Sequence
 
-from .polyalg import FieldElement, FieldSpec, check_eps, log2_inv
+from .polyalg import (
+    FieldElement,
+    FieldSpec,
+    bounded_repr,
+    check_eps,
+    json_field,
+    log2_inv,
+)
 from .symfun import (
     BOOLEAN,
     Spectrum,
@@ -33,35 +40,13 @@ from .symfun import (
 )
 
 
-def _shown(value) -> str:
-    """repr(value), cut short so error text stays bounded."""
-    text = repr(value)
-    return text if len(text) <= 24 else text[:24] + "..."
-
-
 def _bit_string(name: str, text) -> str:
     """A certificate's stored 0/1 text, or ValueError naming its field."""
     if type(text) is str and text and not text.strip("01"):
         return text
     raise ValueError(
-        f"certificate {name} must be a nonempty 0/1 string, got {_shown(text)}"
+        f"certificate {name} must be a nonempty 0/1 string, got {bounded_repr(text)}"
     )
-
-
-def _stored(name: str, value, kind: type = int):
-    """A certificate's stored field, of exactly that type (so an int field
-    refuses bools), or ValueError naming the field."""
-    if type(value) is not kind:
-        raise ValueError(
-            f"certificate {name} must be {kind.__name__}, got {_shown(value)}"
-        )
-    return value
-
-
-def _polarity(value) -> int:
-    if _stored("polarity", value) not in (0, 1):
-        raise ValueError(f"certificate polarity must be 0 or 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +91,21 @@ class LiteralCombiner:
 
     @staticmethod
     def from_json(obj: dict) -> "LiteralCombiner":
-        """Parse to_json's terms; a coefficient or slot that is not an int
-        (bools included) or a polarity other than 0/1 raises ValueError."""
+        """Parse to_json's terms; a coefficient, slot or polarity that is not
+        an int (bools included) or a polarity other than 0/1 raises
+        ValueError naming the field."""
+
+        def literal(slot, pol) -> tuple[int, int]:
+            slot = json_field("certificate slot", slot, int)
+            if json_field("certificate polarity", pol, int) not in (0, 1):
+                raise ValueError(f"certificate polarity must be 0 or 1, got {pol}")
+            return slot, pol
+
         return LiteralCombiner(
             tuple(
                 (
-                    _stored("coefficient", coeff),
-                    tuple((_stored("slot", s), _polarity(p)) for s, p in literals),
+                    json_field("certificate coefficient", coeff, int),
+                    tuple(literal(*lit) for lit in literals),
                 )
                 for coeff, literals in obj["terms"]
             )
@@ -125,7 +118,8 @@ class ReductionCertificate:
 
     restrictions[i] = (zeros, ones) defines slot i as the source with that
     many inputs pinned; when source_reflected is set the pinning applies to
-    the weight-reversed source.  claimed_degree bounds the combiner degree.
+    the weight-reversed source.  claimed_degree bounds the combiner degree,
+    and target_n is read off the target text; check verifies both.
     """
 
     kind: str
@@ -133,12 +127,15 @@ class ReductionCertificate:
     source_reflected: bool
     target_label: str
     target_params: tuple[int, ...]
-    target_n: int
     target_spectrum: str
     restrictions: tuple[tuple[int, int], ...]
     combiner: LiteralCombiner
     claimed_degree: int
     extras: dict
+
+    @property
+    def target_n(self) -> int:
+        return len(self.target_spectrum) - 1
 
     def _source(self) -> Spectrum:
         src = spectrum(self.source)
@@ -153,7 +150,8 @@ class ReductionCertificate:
         return not self.failures(field)
 
     def failures(self, field: FieldSpec) -> list[tuple[int, FieldElement, int]]:
-        """Weights w where the combiner misses the target, as (w, got, want).
+        """Weights w where the combiner misses the target, as (w, got, want);
+        a combiner of degree above claimed_degree raises ValueError.
 
         Works on bit-packed 0/1 weight columns read straight from the stored
         text: slot (zeros, ones) reads the source at w + ones, so its column
@@ -189,6 +187,11 @@ class ReductionCertificate:
                         f"combiner reads slot {slot}, but the certificate has "
                         f"{len(columns)} restrictions"
                     )
+        if self.combiner.degree > self.claimed_degree:
+            raise ValueError(
+                f"combiner degree {self.combiner.degree} exceeds claimed_degree "
+                f"{self.claimed_degree}"
+            )
 
         planes: dict[FieldElement, list[int]] = {}
         for coeff, literals in self.combiner.terms:
@@ -247,23 +250,32 @@ class ReductionCertificate:
     @staticmethod
     def from_json(obj: dict) -> "ReductionCertificate":
         """Parse to_json's object.  A number that is not an int (bools
-        included) and a source_reflected that is not a bool raise
-        ValueError naming the field; nothing is coerced."""
+        included), a source_reflected that is not a bool, and target text
+        that is not 0/1 or whose n differs raise ValueError naming the field;
+        nothing is coerced."""
         target = obj["target"]
+        text = _bit_string("target spectrum", target["spectrum"])
+        if json_field("certificate target n", target["n"], int) != len(text) - 1:
+            raise ValueError(f"certificate target n {target['n']} is not {len(text) - 1}")
         return ReductionCertificate(
             kind=obj["kind"],
             source=obj["source"],
-            source_reflected=_stored("source_reflected", obj["source_reflected"], bool),
+            source_reflected=json_field(
+                "certificate source_reflected", obj["source_reflected"], bool
+            ),
             target_label=target["label"],
-            target_params=tuple(_stored("target param", x) for x in target["params"]),
-            target_n=_stored("target n", target["n"]),
-            target_spectrum=target["spectrum"],
+            target_params=tuple(
+                json_field("certificate target param", x, int) for x in target["params"]
+            ),
+            target_spectrum=text,
             restrictions=tuple(
-                (_stored("restriction", z), _stored("restriction", o))
+                tuple(json_field("certificate restriction", x, int) for x in (z, o))
                 for z, o in obj["restrictions"]
             ),
             combiner=LiteralCombiner.from_json(obj["combiner"]),
-            claimed_degree=_stored("claimed_degree", obj["claimed_degree"]),
+            claimed_degree=json_field(
+                "certificate claimed_degree", obj["claimed_degree"], int
+            ),
             extras=dict(obj["extras"]),
         )
 
@@ -487,7 +499,6 @@ def mod_from_periodic(
                 source_reflected=False,
                 target_label="MOD",
                 target_params=(q, residue),
-                target_n=m_target,
                 target_spectrum=target.text(),
                 restrictions=restrictions,
                 combiner=combiner,
@@ -649,7 +660,6 @@ def maj_from_periodic(
         source_reflected=False,
         target_label="MAJ_WINDOW",
         target_params=(m,),
-        target_n=m,
         target_spectrum=(cycle * (m // b + 1))[: m + 1],
         restrictions=restrictions,
         combiner=combiner,
@@ -681,7 +691,6 @@ def thr_restrictions(n: int, t: int) -> tuple[ReductionCertificate, ...]:
         source_reflected=False,
         target_label="MAJ",
         target_params=(),
-        target_n=2 * t - 1,
         target_spectrum=named_spectrum("MAJ", 2 * t - 1).text(),
         restrictions=(((n - 2 * t + 1), 0),),
         combiner=identity,
@@ -695,7 +704,6 @@ def thr_restrictions(n: int, t: int) -> tuple[ReductionCertificate, ...]:
         source_reflected=False,
         target_label="OR",
         target_params=(),
-        target_n=half,
         target_spectrum=named_spectrum("OR", half).text(),
         restrictions=((n // 2 - t + 1, t - 1),),
         combiner=identity,
@@ -778,7 +786,6 @@ def _thr_complement_core(
         source_reflected=reflected,
         target_label="THR_COMPLEMENT",
         target_params=(t,),
-        target_n=m + t,
         target_spectrum=target.text(),
         restrictions=tuple((z, o) for z, o, _ in slots),
         combiner=combiner,
@@ -911,7 +918,6 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
         source_reflected=False,
         target_label="MAJ",
         target_params=(),
-        target_n=m1,
         target_spectrum=maj.text(),
         restrictions=tuple(restrictions),
         combiner=combiner,

@@ -38,7 +38,7 @@ from .polyalg import (
     FieldElement,
     FieldSpec,
     MultilinearPoly,
-    fraction_text,
+    record_json,
     set_bits,
     subset_masks,
 )
@@ -83,17 +83,7 @@ class ErrorReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "mode": self.mode,
-            "trials": self.trials,
-            "eps": fraction_text(self.eps),
-            "per_weight": list(self.per_weight),
-            "worst": self.worst,
-            "worst_weight": self.worst_weight,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return record_json(self, schema_version=1)
 
 
 def _post_order(roots: Sequence[PolyExpr], rules: dict) -> list:
@@ -534,14 +524,7 @@ class DegreeAudit:
     max_expanded: int | None
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "declared": self.declared,
-            "max_tracked": self.max_tracked,
-            "draws": self.draws,
-            "expanded": self.expanded,
-            "max_expanded": self.max_expanded,
-        }
+        return record_json(self, schema_version=1)
 
 
 def degree_audit(recipe: Recipe, draws: int = 100, seed: int = 0) -> DegreeAudit:

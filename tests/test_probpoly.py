@@ -149,7 +149,9 @@ class TestProfiles:
     @pytest.mark.parametrize(
         "field, value",
         [("A", True), ("B", "24"), ("window_inner_multiplier", None),
-         ("base_n", 10.0), ("amplify_arity", False), ("r_multiplier", "10")],
+         ("base_n", 10.0), ("amplify_arity", False), ("r_multiplier", "10"),
+         ("subsample_ratio", 0.1), ("subsample_ratio", True),
+         ("subsample_ratio", "one tenth"), ("name", 7), ("name", None)],
     )
     def test_from_json_refuses_non_numbers(self, field, value):
         obj = dict(practical_profile(GF2).to_json(), **{field: value})
@@ -164,6 +166,10 @@ class TestProfiles:
         prof0 = practical_profile(RATIONALS)
         base = 24 * math.sqrt(3) + 24 * 3
         assert declared_bound(prof0, RATIONALS, 64, 1, EIGHTH) == math.ceil(6 * base)
+
+    def test_declared_bound_refuses_eps_one(self):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\), got 1"):
+            declared_bound(practical_profile(GF2), GF2, 40, 1, Fraction(1))
 
     def test_char0_scales_is_ceil_log2(self):
         # The exact count equals the float formula at every size below 2^22.
@@ -874,7 +880,7 @@ class TestRecipeSerialization:
     @pytest.mark.parametrize(
         "loader, kw, message",
         [
-            (0, {"eps": 0.25}, "fraction 0.25 is not a string"),
+            (0, {"eps": 0.25}, "eps 0.25 is not fraction text"),
             (1, {"coeff": 1}, "field element 1 is not a string"),
             (2, {"coeff": 1}, "field element 1 is not a string"),
         ],
@@ -886,13 +892,82 @@ class TestRecipeSerialization:
 
     @pytest.mark.parametrize("thresholds", [(True, 2), (1, 2.0), (2.5,)])
     def test_threshold_tuple_refuses_non_int_thresholds(self, thresholds):
-        with pytest.raises(ValueError, match="thresholds must be ints"):
+        with pytest.raises(ValueError, match=r"threshold (True|2\.0|2\.5) is not"):
             threshold_tuple(40, thresholds, EIGHTH, GF2, practical_profile(GF2))
 
     def test_recipe_json_refuses_non_int_threshold(self):
         obj = threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)).to_json()
         obj["params"]["thresholds"] = [2.5]
-        with pytest.raises(ValueError, match=re.escape("thresholds must be ints, got [2.5]")):
+        with pytest.raises(ValueError, match=re.escape("threshold 2.5 is not an int")):
+            recipe_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "build, param, value, message",
+        [
+            (lambda: razborov_or(6, QUARTER, GF2), "negate", "no", "negate 'no' is not"),
+            (lambda: razborov_or(6, QUARTER, GF2), "n", 6.0, "n 6.0 is not an int"),
+            (lambda: constant_recipe(GF2, 4, 1), "value", True, "value True is not"),
+            (lambda: constant_recipe(GF2, 4, 1), "n", "4", "n '4' is not an int"),
+            (
+                lambda: threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)),
+                "n",
+                40.0,
+                "n 40.0 is not an int",
+            ),
+            (lambda: char0_or(6, QUARTER), "n", 6.0, "n 6.0 is not an int"),
+            (
+                lambda: general_recipe(
+                    named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
+                ),
+                "spectrum",
+                [0, 0, 0, 0, 1, 1, 1],
+                "spectrum [0, 0, 0, 0, 1, 1, 1] is not a string",
+            ),
+            (
+                lambda: general_recipe(
+                    named_spectrum("MAJ", 6), EIGHTH, GF2, practical_profile(GF2)
+                ),
+                "spectrum",
+                5,
+                "spectrum 5 is not a string",
+            ),
+            (
+                lambda: exact_recipe(GF3, [named_spectrum("MAJ", 4)]),
+                "spectra",
+                [[0, 0, 1, 1, 1]],
+                "spectra [0, 0, 1, 1, 1] is not a string",
+            ),
+            (
+                lambda: sum_recipes(
+                    [
+                        razborov_or(3, QUARTER, GF3),
+                        exact_recipe(GF3, [named_spectrum("MAJ", 3)]),
+                    ],
+                    [1, -1],
+                    spectrum("0100"),
+                ),
+                "target",
+                [0, 1, 0, 0],
+                "target [0, 1, 0, 0] is not a string",
+            ),
+            (
+                lambda: amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)),
+                "delta",
+                0.15625,
+                "delta 0.15625 is not fraction text",
+            ),
+        ],
+        ids=[
+            "negate-text", "razborov-n-float", "constant-value-bool", "constant-n-text",
+            "threshold-n-float", "char0-n-float", "general-spectrum-list",
+            "general-spectrum-int", "exact-spectra-list", "sum-target-list",
+            "amplify-delta-float",
+        ],
+    )
+    def test_recipe_json_refuses_mistyped_params(self, build, param, value, message):
+        obj = build().to_json()
+        obj["params"][param] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             recipe_from_json(obj)
 
     def test_unknown_kind_rejected(self):

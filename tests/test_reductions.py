@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -436,7 +437,6 @@ class TestThrComplement:
             source_reflected=cert.source_reflected,
             target_label=cert.target_label,
             target_params=cert.target_params,
-            target_n=cert.target_n,
             target_spectrum=cert.target_spectrum,
             restrictions=cert.restrictions,
             combiner=LiteralCombiner(((2, ((0, 1),)),)),
@@ -496,7 +496,6 @@ class TestMajFromGeneral:
             source_reflected=cert.source_reflected,
             target_label=cert.target_label,
             target_params=cert.target_params,
-            target_n=cert.target_n,
             target_spectrum=cert.target_spectrum,
             restrictions=((zeros - 1, ones + 1),) + cert.restrictions[1:],
             combiner=cert.combiner,
@@ -592,7 +591,10 @@ def _mutants(cert, field, rng):
         )
         for _ in range(4)
     )
-    yield dataclasses.replace(cert, combiner=LiteralCombiner(mixed))
+    combiner = LiteralCombiner(mixed)
+    yield dataclasses.replace(
+        cert, combiner=combiner, claimed_degree=max(cert.claimed_degree, combiner.degree)
+    )
 
 
 class TestColumnCheck:
@@ -665,7 +667,7 @@ class TestMalformedCertificate:
         ],
     )
     def test_fields_are_not_coerced(self, changes, name):
-        with pytest.raises(ValueError, match=f"certificate {name} must be"):
+        with pytest.raises(ValueError, match=f"certificate {name} (.+ is not|must be 0 or 1)"):
             self.loaded(**changes)
 
     @pytest.mark.parametrize(
@@ -679,11 +681,14 @@ class TestMalformedCertificate:
     def test_target_numbers_are_not_coerced(self, key, value, name):
         obj = thr_restrictions(9, 3)[0].to_json()
         obj["target"][key] = value
-        with pytest.raises(ValueError, match=f"certificate {name} must be int"):
+        refused = value[0] if key == "params" else value
+        with pytest.raises(
+            ValueError, match=re.escape(f"certificate {name} {refused!r} is not an int")
+        ):
             ReductionCertificate.from_json(obj)
 
     def test_combiner_from_json_is_strict(self):
-        with pytest.raises(ValueError, match="coefficient must be int, got 1.5"):
+        with pytest.raises(ValueError, match="coefficient 1.5 is not an int"):
             LiteralCombiner.from_json({"terms": [[1.5, [[0.9, True]]]]})
         with pytest.raises(ValueError) as info:
             LiteralCombiner.from_json({"terms": [["1" * 5000, []]]})
@@ -694,6 +699,18 @@ class TestMalformedCertificate:
             back = ReductionCertificate.from_json(cert.to_json())
             assert back == cert
             assert type(back.source_reflected) is bool
+
+    def test_claimed_degree_and_target_n_are_checked(self):
+        cert = mod_from_periodic(spectrum("011010" * 6 + "0"), GF2)[0]
+        assert (cert.combiner.degree, cert.target_n) == (2, 30) and cert.check(GF2)
+        low = dataclasses.replace(cert, claimed_degree=0)
+        for claimed in (low, ReductionCertificate.from_json(low.to_json())):
+            with pytest.raises(ValueError, match="exceeds claimed_degree 0"):
+                claimed.check(GF2)
+        obj = cert.to_json()
+        obj["target"]["n"] = 999
+        with pytest.raises(ValueError, match="certificate target n 999 is not 30"):
+            ReductionCertificate.from_json(obj)
 
 
 class TestFailuresFromText:
@@ -751,7 +768,9 @@ class TestFailuresFromText:
     def test_non_string_text_is_a_value_error(self):
         obj = thr_restrictions(9, 3)[0].to_json()
         obj["target"]["spectrum"] = None
-        cert = ReductionCertificate.from_json(obj)
+        with pytest.raises(ValueError, match="target spectrum must be"):
+            ReductionCertificate.from_json(obj)
+        cert = dataclasses.replace(thr_restrictions(9, 3)[0], target_spectrum=None)
         with pytest.raises(ValueError, match="target spectrum must be"):
             cert.check(GF2)
 
