@@ -108,22 +108,6 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
     )
 
 
-def bernstein_tail(m: int, q, theta) -> float:
-    """Bernstein bound on P[|Bin(m, q) - mq| >= theta]."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    q = float(q)
-    theta = float(theta)
-    if not 0 <= q <= 1:
-        raise ValueError("q must be a probability")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    denom = 2 * m * q * (1 - q) + 2 * theta / 3
-    if denom == 0:
-        return 1.0
-    return min(1.0, 2 * math.exp(-theta * theta / denom))
-
-
 def recurrence_report(
     t: int, eps, profile: ConstantsProfile, characteristic: int
 ) -> dict:

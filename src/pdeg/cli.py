@@ -97,6 +97,7 @@ def _add_spectrum_args(parser: argparse.ArgumentParser) -> None:
         metavar="P",
         help="family parameters, e.g. the threshold for THR",
     )
+    parser.add_argument("--field", type=parse_field, default=FieldSpec(0))
 
 
 def _add_construction_args(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +110,6 @@ def _add_construction_args(parser: argparse.ArgumentParser) -> None:
         help="build the joint threshold tuple for these values instead",
     )
     parser.add_argument("--eps", type=parse_eps, required=True)
-    parser.add_argument("--field", type=parse_field, default=FieldSpec(0))
     parser.add_argument(
         "--profile", choices=("paper", "practical"), default="practical"
     )
@@ -123,7 +123,6 @@ def _build_parser() -> _Parser:
         "analyze", help="period, radius, and decomposition of a spectrum"
     )
     _add_spectrum_args(p_analyze)
-    p_analyze.add_argument("--field", type=parse_field, default=FieldSpec(0))
 
     p_construct = sub.add_parser(
         "construct", help="build a recipe and report its declared bounds"
@@ -152,7 +151,6 @@ def _build_parser() -> _Parser:
         required=True,
         choices=("mod", "maj-periodic", "thr", "thr-complement", "maj-general"),
     )
-    p_reduce.add_argument("--field", type=parse_field, default=FieldSpec(0))
     p_reduce.add_argument("--eps", type=parse_eps)
     p_reduce.add_argument(
         "--thresholds", type=int, nargs="+", metavar="T",
@@ -166,7 +164,6 @@ def _build_parser() -> _Parser:
         "bounds", help="predicted degree bounds, or audit the recursion"
     )
     _add_spectrum_args(p_bounds)
-    p_bounds.add_argument("--field", type=parse_field, default=FieldSpec(0))
     p_bounds.add_argument("--eps", type=parse_eps, required=True)
     p_bounds.add_argument(
         "--audit", action="store_true", help="audit the degree recursion"
@@ -209,8 +206,6 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     b = period(f)
     radius, degenerate = bounded_radius_flagged(f)
     payload = {
-        "schema_version": 1,
-        "command": "analyze",
         "n": f.n,
         "spectrum": f.text(),
         "period": b,
@@ -239,8 +234,6 @@ def _cmd_analyze(args) -> tuple[dict, int]:
 def _cmd_construct(args) -> tuple[dict, int]:
     recipe = _resolve_recipe(args)
     payload = {
-        "schema_version": 1,
-        "command": "construct",
         "recipe": recipe.to_json(),
         "targets": [s.text() for s in recipe.target_spectra()],
     }
@@ -264,8 +257,6 @@ def _cmd_sample(args) -> tuple[dict, int]:
         for expr, col in zip(exprs, columns)
     ]
     payload = {
-        "schema_version": 1,
-        "command": "sample",
         "seed": args.seed,
         "recipe": recipe.to_json(),
         "components": components,
@@ -286,8 +277,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
     except NotImplementedError:
         exact = None
     payload = {
-        "schema_version": 1,
-        "command": "verify",
         "recipe": recipe.to_json(),
         "report": report.to_json(),
         "exact_error": exact,
@@ -323,8 +312,6 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         certs = [maj_from_general(_resolve_spectrum(args), field)]
 
     payload = {
-        "schema_version": 1,
-        "command": "reduce",
         "reduction": args.reduction,
         "certificates": [c.to_json() for c in certs],
     }
@@ -351,17 +338,13 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         report = recurrence_report(
             args.t_value, args.eps, profile, field.characteristic
         )
-        report["schema_version"] = 1
-        report["command"] = "bounds"
         ok = report["ok"]
         _note(f"recurrence audit: {'PASS' if ok else 'FAIL'}")
         return report, 0 if ok else 1
     f = _resolve_spectrum(args)
     rep = predicted_bounds(f, args.eps, field)
-    payload = rep.to_json()
-    payload["command"] = "bounds"
     _note(f"case {rep.case}: upper ~{rep.upper:.4g}")
-    return payload, 0
+    return rep.to_json(), 0
 
 
 _COMMANDS = {
@@ -387,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
         )
         return 2
-    _emit(payload)
+    _emit({**payload, "schema_version": 1, "command": args.command})
     return code
 
 

@@ -17,10 +17,11 @@ it is the one way the package reads a weight polynomial's values.  An
 interpolant whose values are known when it is built (a step window from
 weight 0, an exact spectrum) has its table seeded with them there, so
 reading it builds nothing.  Any other table is built from the
-coefficients.  In characteristic p that uses Lucas' theorem on the whole
-table where that is cheap: the binomial matrix C(w, k) mod p factors over
-base-p digits, so the table is a digit-by-digit transform of the
-coefficients, packed one per fixed-width slot of a single int.
+coefficients.  In every characteristic p, GF(2) included, that uses
+Lucas' theorem on the whole table where that is cheap: the binomial matrix
+C(w, k) mod p factors over base-p digits, so the table is a digit-by-digit
+transform of the coefficients, packed one per fixed-width slot of a single
+int.  Over Q it is Horner's rule.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _JSON_KINDS = {
     bool: ((bool,), "a bool"),
     str: ((str,), "a string"),
     Fraction: ((str,), "fraction text"),
+    list: ((list,), "a list"),
 }
 
 
@@ -81,9 +83,10 @@ def bounded_repr(value) -> str:
 def json_field(name: str, value, kind: type):
     """value, read from the JSON field name, if its type is one its kind
     takes: exactly an int (never a bool) for int, an int or a float for
-    float, kept as it is, a bool for bool, a string for str, and for
-    Fraction the text parse_fraction reads, returned parsed.  Anything else
-    raises ValueError naming the field and showing a bounded repr of it."""
+    float, kept as it is, a bool for bool, a string for str, a list for
+    list, and for Fraction the text parse_fraction reads, returned parsed.
+    Anything else raises ValueError naming the field and showing a bounded
+    repr of it."""
     types, what = _JSON_KINDS[kind]
     if type(value) in types:
         if kind is not Fraction:
@@ -260,35 +263,22 @@ def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:
 
 
 @lru_cache(maxsize=16)
-def subset_masks(bits: int, width: int = 1) -> tuple[int, ...]:
-    """Mask i holds a 1 in slot j (of `width` bits), for j < 2^bits, exactly
-    when bit i of j is set.
+def subset_masks(bits: int) -> tuple[int, ...]:
+    """Mask i has bit j set, for j < 2^bits, exactly when bit i of j is set.
 
-    Built as one block of 2^(i+1) slots whose upper half is set, doubled
-    until it covers all 2^bits slots.
+    Built as one block of 2^(i+1) bits whose upper half is set, doubled
+    until it covers all 2^bits bits.
     """
     size = 1 << bits
     masks = []
     for i in range(bits):
         half = 1 << i
-        ones = ((1 << half * width) - 1) // ((1 << width) - 1)
-        mask, span = ones << half * width, 2 * half
+        mask, span = ((1 << half) - 1) << half, 2 * half
         while span < size:
-            mask |= mask << span * width
+            mask |= mask << span
             span *= 2
         masks.append(mask)
     return tuple(masks)
-
-
-def _zeta_gf2(coeffs: Sequence[int], m: int) -> tuple[int, ...]:
-    """Values at weights 0..m over GF(2), one byte per weight: after the
-    shift-XOR-mask steps byte w holds the parity of the coefficients c_k
-    over the submasks k of w."""
-    bits = m.bit_length()
-    x = int.from_bytes(bytes(coeffs), "little")
-    for i, mask in enumerate(subset_masks(bits, 8)):
-        x ^= (x << (8 << i)) & mask
-    return tuple(x.to_bytes(1 << bits, "little")[: m + 1])
 
 
 class _LucasPlan(NamedTuple):
@@ -354,8 +344,8 @@ def _lucas_plan_for(p: int, digits: int, top: int) -> _LucasPlan | None:
 def _lucas_gfp(
     coeffs: Sequence[int], m: int, p: int, plan: _LucasPlan
 ) -> tuple[int, ...]:
-    """Values at weights 0..m over GF(p), p > 2: the coefficients packed one
-    per slot, transformed one base-p digit at a time, unpacked and reduced
+    """Values at weights 0..m over GF(p): the coefficients packed one per
+    slot, transformed one base-p digit at a time, unpacked and reduced
     once."""
     packed = array(plan.typecode, coeffs)
     if sys.byteorder == "big":
@@ -386,8 +376,9 @@ class SymPoly:
     returns the table cached on the polynomial, in _table, which equality,
     hashing and repr ignore.  The interpolants threshold_window (from weight
     0) and exact_sympoly seed that table when they build the polynomial;
-    otherwise table(m) builds it at weights 0..m in one transform.  value_at_weight reads one weight and is the reference the
-    table is tested against; the package itself does not call it.
+    otherwise table(m) builds it at weights 0..m in one transform.
+    value_at_weight reads one weight and is the reference the table is
+    tested against; the package itself does not call it.
     """
 
     field: FieldSpec
@@ -458,15 +449,12 @@ class SymPoly:
         C(w, k) mod p is the product of the digit binomials of w and k, so
         the binomial matrix is a tensor power of Pascal's triangle mod p and
         is applied one base-p digit at a time, on coefficients packed into
-        one int.  Over GF(2) that is the subset zeta transform, ceil(log2(m+1))
-        shift-XOR-mask steps.  Over Q, and for p so large that the digit
-        steps outnumber the coefficients, it is Horner's rule: row k of the
-        nested sums is c_k plus the prefix sums of row k + 1.
+        one int; over GF(2) that is the subset zeta transform.  Over Q, and
+        when the digit steps outnumber the coefficients, it is Horner's rule:
+        row k of the nested sums is c_k plus the prefix sums of row k + 1.
         """
         coeffs = self.coeffs[: m + 1]
         p = self.field.characteristic
-        if p == 2:
-            return _zeta_gf2(coeffs, m)
         plan = _lucas_plan(p, m) if p else None
         if plan is not None and plan.pairs < len(coeffs) - 1:
             return _lucas_gfp(coeffs, m, p, plan)
@@ -488,7 +476,8 @@ class SymPoly:
     @staticmethod
     def from_json(obj: dict) -> "SymPoly":
         field = FieldSpec(obj["char"])
-        return SymPoly(field, tuple(field.parse_element(c) for c in obj["coeffs"]))
+        coeffs = json_field("coeffs", obj["coeffs"], list)
+        return SymPoly(field, tuple(map(field.parse_element, coeffs)))
 
 
 def constant_sympoly(field: FieldSpec, c: FieldElement) -> SymPoly:

@@ -139,7 +139,7 @@ class Power:
     def __post_init__(self) -> None:
         if self.exponent < 1:
             raise ValueError("exponent must be positive")
-        object.__setattr__(self, "deg", self.exponent * self.base.deg)
+        self.deg = self.exponent * self.base.deg
 
 
 @dataclass(eq=False, slots=True)
@@ -148,7 +148,7 @@ class Product:
     deg: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deg", sum(map(_deg, self.factors)))
+        self.deg = sum(map(_deg, self.factors))
 
 
 @dataclass(eq=False, slots=True)
@@ -160,7 +160,7 @@ class Sum:
     deg: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deg", max([t.deg for _, t in self.terms], default=0))
+        self.deg = max([t.deg for _, t in self.terms], default=0)
 
 
 @dataclass(eq=False, slots=True)
@@ -198,14 +198,13 @@ class SymApply:
                 else:
                     others.append(e)
             inner = max(map(_deg, inputs))
-        object.__setattr__(self, "deg", self.poly.degree * inner)
+        self.deg = self.poly.degree * inner
         # Var inputs x_0..x_(m-1) in order, the usual case, are stored as a
         # range: recipes hold such nodes for their whole life, and a tuple
         # of n indices per node adds up.
         m = len(var_indices)
-        split = range(m) if var_indices == list(range(m)) else tuple(var_indices)
-        object.__setattr__(self, "var_indices", split)
-        object.__setattr__(self, "others", tuple(others))
+        self.var_indices = range(m) if var_indices == list(range(m)) else tuple(var_indices)
+        self.others = tuple(others)
 
 
 PolyExpr = Constant | Var | LinearForm | Power | Product | Sum | SymApply
@@ -230,18 +229,15 @@ def sum_of(
     return Sum(field.element(constant), tuple(kept))
 
 
-def eval_expr(
-    expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec, memo: dict | None = None
-) -> FieldElement:
+def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> FieldElement:
     """Evaluate at a point, sharing work across common subexpressions.
 
     One iterative walk with an explicit stack, so DAG depth is unbounded: a
     node stays on the stack until its operands are in memo, which is keyed
-    by the nodes themselves (they hash by identity), so a memo kept across
-    calls holds its nodes alive and never mistakes a new node for a freed
-    one.  A Product multiplies its known factors in order, stops at the
-    first zero partial product and pushes only its next unknown factor, so
-    factors after a zero are never evaluated.  When the point and a
+    by the nodes themselves (they hash by identity).  A Product multiplies
+    its known factors in order, stops at the first zero partial product and
+    pushes only its next unknown factor, so factors after a zero are never
+    evaluated.  When the point and a
     SymApply's other inputs are all 0/1, the SymApply counts its ones and
     reads its weight polynomial at that count; otherwise it evaluates the
     elementary symmetric form, weight_poly_at_values.  Its Var inputs are
@@ -251,8 +247,7 @@ def eval_expr(
     which a miss builds (SymPoly.table) for the node's whole input count, so
     every later point and call reads the same table.
     """
-    if memo is None:
-        memo = {}
+    memo = {}
     p = field.characteristic
     boolean_point = BOOLEAN.issuperset(x)
     # Per call, keyed by value: equal var_indices share one count, and
@@ -1733,7 +1728,8 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
     "exact": (
         (),
         lambda p, eps, field, _: exact_recipe(
-            field, [parse_spectrum(json_field("spectra", s, str)) for s in p["spectra"]]
+            field,
+            [parse_spectrum(json_field("spectra", s, str)) for s in _param(p, "spectra", list)],
         ),
     ),
     "razborov_or": (
@@ -1745,7 +1741,9 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
     "char0_or": ((), lambda p, eps, *_: char0_or(_param(p, "n"), eps)),
     "threshold_tuple": (
         (),
-        lambda p, *args: threshold_tuple(_param(p, "n"), tuple(p["thresholds"]), *args),
+        lambda p, *args: threshold_tuple(
+            _param(p, "n"), tuple(_param(p, "thresholds", list)), *args
+        ),
     ),
     "t_constant": ((), _spectrum_param(t_constant_recipe)),
     "bounded": ((), _spectrum_param(bounded_recipe)),
@@ -1759,7 +1757,7 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
         ("parts",),
         lambda p, eps, field, _: sum_recipes(
             p["parts"],
-            list(map(field.parse_element, p["coefficients"])),
+            list(map(field.parse_element, _param(p, "coefficients", list))),
             parse_spectrum(_param(p, "target", str)),
         ),
     ),
@@ -1767,8 +1765,18 @@ _RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
 }
 
 
+# The claims a recipe's JSON carries that its rebuild derives, and their kinds.
+_RECIPE_CLAIMS = {
+    "n": int, "arity": int, "declared_degree_bound": int, "randomness_free": bool
+}
+
+
 def recipe_from_json(obj: dict) -> Recipe:
-    """Rebuild a recipe from its serialized form by re-running its constructor."""
+    """Rebuild a recipe from its serialized form by re-running its constructor.
+
+    Every recipe in the tree must derive the n, arity, declared degree bound
+    and randomness_free its JSON claims; ValueError names a claim that is
+    mistyped or differs."""
     kind = obj["kind"]
     if kind not in _RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {kind!r}")
@@ -1786,4 +1794,12 @@ def recipe_from_json(obj: dict) -> Recipe:
             if type(child) is list
             else recipe_from_json(child)
         )
-    return rebuild(params, eps, field, profile)
+    recipe = rebuild(params, eps, field, profile)
+    for name, claim_kind in _RECIPE_CLAIMS.items():
+        claimed = json_field(name, obj[name], claim_kind)
+        derived = getattr(recipe, name)
+        if claimed != derived:
+            raise ValueError(
+                f"{kind} recipe claims {name} {claimed!r}, but rebuilds with {derived!r}"
+            )
+    return recipe

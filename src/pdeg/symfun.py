@@ -325,14 +325,6 @@ def threshold_combination(f: Spectrum) -> tuple[int, ...]:
     return (v[0],) + tuple(v[j] - v[j - 1] for j in range(1, len(v)))
 
 
-def is_t_constant(f: Spectrum, t: int) -> bool:
-    """True when Spec f is constant on [t, n]."""
-    if not 0 <= t <= f.n:
-        raise ValueError("t out of range")
-    tail = f.values[t:]
-    return all(x == tail[0] for x in tail)
-
-
 def min_t_constant(f: Spectrum) -> int:
     """Smallest t such that Spec f is constant on [t, n]."""
     v = f.values
@@ -341,21 +333,3 @@ def min_t_constant(f: Spectrum) -> int:
         t -= 1
     return t
 
-
-def window_distinctness(g: Spectrum) -> bool:
-    """Check that length-b windows at incongruent offsets are pairwise distinct.
-
-    Here b = per(g) > 1.  Two windows [i, i+b-1] and [j, j+b-1] with
-    i != j (mod b) must differ; a match would force a period smaller than b.
-    """
-    b = period(g)
-    if b == 1:
-        raise ValueError("window distinctness is only defined for period > 1")
-    v = g.values
-    starts = range(0, g.n - b + 2)
-    windows = {s: v[s : s + b] for s in starts}
-    for i in starts:
-        for j in starts:
-            if i < j and (j - i) % b != 0 and windows[i] == windows[j]:
-                return False
-    return True

@@ -590,15 +590,14 @@ def identity_check(
     operands: Sequence[Spectrum],
     combine: Callable[[Sequence[FieldElement], FieldSpec], FieldElement],
     field: FieldSpec,
-    weights: Sequence[int] | None = None,
 ) -> bool:
     """Verify that combining the operand spectra reproduces the target.
 
     The combiner receives the operand values at one weight and returns a
     field element; the identity holds when it matches the target bit at
-    every requested weight (all weights by default).
+    every weight.
     """
-    return not identity_failures(target, operands, combine, field, weights)
+    return not identity_failures(target, operands, combine, field)
 
 
 def identity_failures(
@@ -606,13 +605,10 @@ def identity_failures(
     operands: Sequence[Spectrum],
     combine: Callable[[Sequence[FieldElement], FieldSpec], FieldElement],
     field: FieldSpec,
-    weights: Sequence[int] | None = None,
 ) -> list[tuple[int, FieldElement, int]]:
     """Weights where the combined value misses the target, with both values."""
-    if weights is None:
-        weights = range(target.n + 1)
     failures = []
-    for w in weights:
+    for w in range(target.n + 1):
         values = [field.element(op.values[w]) for op in operands]
         got = field.element(combine(values, field))
         want = field.element(target.values[w])

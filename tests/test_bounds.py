@@ -5,7 +5,6 @@ import pytest
 
 from pdeg.bounds import (
     BoundReport,
-    bernstein_tail,
     predicted_bounds,
     recurrence_audit,
     recurrence_report,
@@ -96,31 +95,6 @@ class TestPredictedBounds:
         assert obj["n"] == 64
         assert obj["characteristic"] == 2
         assert isinstance(obj["notes"], list)
-
-
-class TestBernsteinTail:
-    def test_reference_value(self):
-        want = 2 * math.exp(-900 / (2 * 100 * 0.25 + 20))
-        assert bernstein_tail(100, Fraction(1, 2), 30) == pytest.approx(want)
-
-    def test_capped_at_one(self):
-        assert bernstein_tail(100, 0.5, 0.001) == 1.0
-
-    def test_degenerate_q(self):
-        assert bernstein_tail(50, 0, 6) == pytest.approx(2 * math.exp(-9))
-        assert bernstein_tail(50, 0, 0) == 1.0
-
-    def test_monotone_in_theta(self):
-        vals = [bernstein_tail(200, 0.5, th) for th in range(5, 100, 5)]
-        assert vals == sorted(vals, reverse=True)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bernstein_tail(-1, 0.5, 1)
-        with pytest.raises(ValueError):
-            bernstein_tail(10, 1.5, 1)
-        with pytest.raises(ValueError):
-            bernstein_tail(10, 0.5, -1)
 
 
 class TestRecurrence:

@@ -184,9 +184,9 @@ def test_matches_recursive_reference(field):
         for seed in range(3):
             draw = sample(recipe, seed)
             for x in _points(recipe.n, field, rng):
-                memo, ref_memo = {}, {}
+                ref_memo = {}
                 for e in draw:
-                    got = eval_expr(e, x, field, memo)
+                    got = eval_expr(e, x, field)
                     want = _reference_eval(e, x, field, ref_memo)
                     assert _same(got, want), (name, seed, x, got, want)
 
@@ -219,18 +219,7 @@ def test_product_stops_at_first_zero_factor():
     assert eval_expr(Product((Constant(0), Var(99))), [1, 0, 1], GF2) == 0
     shared = Sum(1, ((1, Var(0)),))
     expr = Product((shared, Var(1), Var(99)))
-    memo = {}
-    assert eval_expr(expr, [1, 0, 1], GF2, memo) == 0
-    assert shared in memo
-
-
-def test_memo_reused_across_calls_keeps_its_nodes():
-    # Each Constant is dropped by the caller after its call; a memo keyed by
-    # id() would read a freed node's value for a new node at the same address.
-    memo = {}
-    got = [eval_expr(Constant(k % 3), [0], GF3, memo) for k in range(6)]
-    assert got == [0, 1, 2, 0, 1, 2]
-    assert len(memo) == 6
+    assert eval_expr(expr, [1, 0, 1], GF2) == 0
 
 
 def test_symapply_splits_inputs_once():
@@ -305,9 +294,9 @@ def test_weight_tables_match_reference(field):
     points += [[rng.randrange(2) for _ in range(n)] for _ in range(8)]
     for draw in draws:
         for x in points:
-            memo, ref_memo = {}, {}
+            ref_memo = {}
             for e in draw:
-                got = eval_expr(e, x, field, memo)
+                got = eval_expr(e, x, field)
                 want = _reference_eval(e, x, field, ref_memo)
                 assert _same(got, want), (x, got, want)
     for (poly, widest), early in zip(polys, first):

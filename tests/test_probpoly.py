@@ -938,6 +938,18 @@ class TestRecipeSerialization:
                 "spectra [0, 0, 1, 1, 1] is not a string",
             ),
             (
+                lambda: exact_recipe(GF3, [named_spectrum("MAJ", 4)]),
+                "spectra",
+                "00111",
+                "spectra '00111' is not a list",
+            ),
+            (
+                lambda: threshold_tuple(40, (2,), EIGHTH, GF2, practical_profile(GF2)),
+                "thresholds",
+                {"0": 2},
+                "thresholds {'0': 2} is not a list",
+            ),
+            (
                 lambda: sum_recipes(
                     [
                         razborov_or(3, QUARTER, GF3),
@@ -951,6 +963,19 @@ class TestRecipeSerialization:
                 "target [0, 1, 0, 0] is not a string",
             ),
             (
+                lambda: sum_recipes(
+                    [
+                        razborov_or(3, QUARTER, GF3),
+                        exact_recipe(GF3, [named_spectrum("MAJ", 3)]),
+                    ],
+                    [1, -1],
+                    spectrum("0100"),
+                ),
+                "coefficients",
+                "1",
+                "coefficients '1' is not a list",
+            ),
+            (
                 lambda: amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)),
                 "delta",
                 0.15625,
@@ -960,7 +985,8 @@ class TestRecipeSerialization:
         ids=[
             "negate-text", "razborov-n-float", "constant-value-bool", "constant-n-text",
             "threshold-n-float", "char0-n-float", "general-spectrum-list",
-            "general-spectrum-int", "exact-spectra-list", "sum-target-list",
+            "general-spectrum-int", "exact-spectra-list", "exact-spectra-text",
+            "threshold-thresholds-dict", "sum-target-list", "sum-coefficients-text",
             "amplify-delta-float",
         ],
     )
@@ -969,6 +995,35 @@ class TestRecipeSerialization:
         obj["params"][param] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             recipe_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "claim, value, message",
+        [
+            ("declared_degree_bound", 0, "claims declared_degree_bound 0, but rebuilds with 2"),
+            ("n", 99, "claims n 99, but rebuilds with 6"),
+            ("arity", 5, "claims arity 5, but rebuilds with 1"),
+            ("randomness_free", True, "claims randomness_free True, but rebuilds with False"),
+            ("n", 6.0, "n 6.0 is not an int"),
+            ("arity", True, "arity True is not an int"),
+            ("declared_degree_bound", "2", "declared_degree_bound '2' is not an int"),
+            ("randomness_free", 0, "randomness_free 0 is not a bool"),
+        ],
+    )
+    def test_recipe_json_refuses_claims_it_does_not_rebuild(self, claim, value, message):
+        obj = razborov_or(6, QUARTER, GF2).to_json()
+        obj[claim] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            recipe_from_json(obj)
+
+    def test_child_claims_are_checked_too(self):
+        obj = amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)).to_json()
+        obj["params"]["child"]["declared_degree_bound"] = 0
+        with pytest.raises(ValueError, match="razborov_or recipe claims declared_degree_bound 0"):
+            recipe_from_json(obj)
+
+    def test_sympoly_json_refuses_text_for_coeffs(self):
+        with pytest.raises(ValueError, match=re.escape("coeffs '101' is not a list")):
+            SymPoly.from_json({"char": 2, "coeffs": "101"})
 
     def test_unknown_kind_rejected(self):
         r = constant_recipe(GF2, 4, 1)

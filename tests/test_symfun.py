@@ -10,7 +10,6 @@ from pdeg.symfun import (
     bounded_radius,
     bounded_radius_flagged,
     complement_spectrum,
-    is_t_constant,
     min_t_constant,
     named_spectrum,
     parse_spectrum_file,
@@ -20,7 +19,6 @@ from pdeg.symfun import (
     spectrum,
     standard_decomposition,
     threshold_combination,
-    window_distinctness,
     xor_spectra,
 )
 
@@ -413,25 +411,4 @@ def test_t_constant():
     assert min_t_constant(named_spectrum("OR", 5)) == 1
     assert min_t_constant(named_spectrum("MAJ", 6)) == 4
     assert min_t_constant(spectrum("1111")) == 0
-    assert is_t_constant(named_spectrum("OR", 5), 1)
-    assert not is_t_constant(named_spectrum("MAJ", 6), 3)
-    with pytest.raises(ValueError):
-        is_t_constant(spectrum("0011"), 7)
 
-
-def test_window_distinctness():
-    with pytest.raises(ValueError):
-        window_distinctness(spectrum("1111"))
-    # For any spectrum whose period is b > 1, windows at incongruent
-    # offsets must differ; sample widely.
-    import random
-
-    rng = random.Random(7)
-    checked = 0
-    while checked < 10_000:
-        n = rng.randrange(2, 25)
-        s = Spectrum(tuple(rng.randrange(2) for _ in range(n + 1)))
-        if period(s) == 1:
-            continue
-        assert window_distinctness(s), s.text()
-        checked += 1

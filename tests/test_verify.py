@@ -745,12 +745,3 @@ class TestIdentityChecks:
         fails = identity_failures(target, [a], combine, GF2)
         assert [w for w, _, _ in fails] == [1, 2]
         assert not identity_check(target, [a], combine, GF2)
-
-    def test_weight_subset(self):
-        a = named_spectrum("OR", 3)
-        target = named_spectrum("AND", 3)
-
-        def combine(vals, field):
-            return vals[0]
-
-        assert identity_check(target, [a], combine, GF2, weights=[0, 3])
