@@ -71,6 +71,7 @@ _JSON_KINDS = {
     str: ((str,), "a string"),
     Fraction: ((str,), "fraction text"),
     list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
 
 
@@ -84,9 +85,9 @@ def json_field(name: str, value, kind: type):
     """value, read from the JSON field name, if its type is one its kind
     takes: exactly an int (never a bool) for int, an int or a float for
     float, kept as it is, a bool for bool, a string for str, a list for
-    list, and for Fraction the text parse_fraction reads, returned parsed.
-    Anything else raises ValueError naming the field and showing a bounded
-    repr of it."""
+    list, an object for dict, and for Fraction the text parse_fraction
+    reads, returned parsed.  Anything else raises ValueError naming the
+    field and showing a bounded repr of it."""
     types, what = _JSON_KINDS[kind]
     if type(value) in types:
         if kind is not Fraction:
@@ -94,6 +95,15 @@ def json_field(name: str, value, kind: type):
         with suppress(ValueError):
             return parse_fraction(value)
     raise ValueError(f"{name} {bounded_repr(value)} is not {what}")
+
+
+def json_key(obj, name: str, kind: type | None = int, prefix: str = ""):
+    """obj[name], read by json_field as kind, or unread for kind None (for a
+    reader that checks its own type).  obj that is not a JSON object or has
+    no field name raises ValueError naming the field as prefix + name."""
+    if type(obj) is not dict or name not in obj:
+        raise ValueError(f"{prefix}{name} is missing from {bounded_repr(obj)}")
+    return obj[name] if kind is None else json_field(prefix + name, obj[name], kind)
 
 
 def record_json(record, **head) -> dict:
@@ -475,8 +485,8 @@ class SymPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "SymPoly":
-        field = FieldSpec(obj["char"])
-        coeffs = json_field("coeffs", obj["coeffs"], list)
+        field = FieldSpec(json_key(obj, "char", None))
+        coeffs = json_key(obj, "coeffs", list)
         return SymPoly(field, tuple(map(field.parse_element, coeffs)))
 
 

@@ -29,6 +29,7 @@ from .polyalg import (
     exact_sympoly,
     fraction_text,
     json_field,
+    json_key,
     log2_inv,
     periodic_exact,
     record_json,
@@ -540,11 +541,12 @@ def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
 
 
 def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
-    """Parse expr_to_json's node list.  A variable index, node or root
-    reference or exponent that is not an int (bools included), a negative
-    variable index, a reference to no earlier node and a sym node whose
-    polynomial is over another field raise ValueError."""
-    field = FieldSpec(obj["char"])
+    """Parse expr_to_json's node list.  A missing or mistyped field, a
+    variable index, node or root reference or exponent that is not an int
+    (bools included), a negative variable index, a reference to no earlier
+    node and a sym node whose polynomial is over another field raise
+    ValueError."""
+    field = FieldSpec(json_key(obj, "char", None))
     parse = field.parse_element
     built: list[PolyExpr] = []
 
@@ -558,39 +560,39 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
             raise ValueError(f"variable index {i} is negative")
         return i
 
-    for node in obj["nodes"]:
-        op = node["op"]
+    for node in json_key(obj, "nodes", list):
+        op = json_key(node, "op", str)
         if op == "const":
-            e: PolyExpr = Constant(parse(node["value"]))
+            e: PolyExpr = Constant(parse(json_key(node, "value", str)))
         elif op == "var":
-            e = Var(index(node["index"]))
+            e = Var(index(json_key(node, "index", None)))
         elif op == "linear":
             e = LinearForm(
-                tuple(parse(c) for c in node["coeffs"]),
-                tuple(index(i) for i in node["indices"]),
+                tuple(map(parse, json_key(node, "coeffs", list))),
+                tuple(map(index, json_key(node, "indices", list))),
             )
         elif op == "pow":
-            e = Power(ref(node["base"]), json_field("exponent", node["exponent"], int))
+            e = Power(ref(json_key(node, "base", None)), json_key(node, "exponent"))
         elif op == "mul":
-            e = Product(tuple(map(ref, node["factors"])))
+            e = Product(tuple(map(ref, json_key(node, "factors", list))))
         elif op == "sum":
             e = Sum(
-                parse(node["constant"]),
-                tuple((parse(c), ref(i)) for c, i in node["terms"]),
+                parse(json_key(node, "constant", str)),
+                tuple((parse(c), ref(i)) for c, i in json_key(node, "terms", list)),
             )
         elif op == "sym":
-            poly = SymPoly.from_json(node["poly"])
+            poly = SymPoly.from_json(json_key(node, "poly", dict))
             if poly.field != field:
                 raise ValueError(
                     f"sym node {len(built)}: polynomial over characteristic "
                     f"{poly.field.characteristic} in an expression over "
                     f"characteristic {field.characteristic}"
                 )
-            e = SymApply(poly, tuple(map(ref, node["inputs"])))
+            e = SymApply(poly, tuple(map(ref, json_key(node, "inputs", list))))
         else:
             raise ValueError(f"unknown expression op {op!r}")
         built.append(e)
-    return tuple(map(ref, obj["roots"]))
+    return tuple(map(ref, json_key(obj, "roots", list)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +626,13 @@ class ConstantsProfile:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantsProfile":
-        """Parse to_json's object, each field read by json_field as the kind
+        """Parse to_json's object, each field read by json_key as the kind
         it is declared, so a number keeps its JSON type and writes back the
-        same JSON; a value of another type raises ValueError naming it."""
+        same JSON; a missing or mistyped field raises ValueError naming it."""
         kinds = get_type_hints(ConstantsProfile)
         return ConstantsProfile(
             **{
-                f.name: json_field(f"profile {f.name}", obj[f.name], kinds[f.name])
+                f.name: json_key(obj, f.name, kinds[f.name], "profile ")
                 for f in fields(ConstantsProfile)
             }
         )
@@ -1249,49 +1251,41 @@ def t_constant_recipe(
 ) -> Recipe:
     """Representation of a spectrum that is constant from some weight t on.
 
-    Telescopes the spectrum into at most t threshold indicators served by a
-    single shared threshold-vector draw, so the whole combination fails only
-    when that one draw fails.
+    Telescopes the spectrum into the threshold indicators of the weights it
+    steps at, all at most t, served by a single shared threshold-vector
+    draw, so the whole combination fails only when that one draw fails.
     """
-    eps = Fraction(eps)
     t = min_t_constant(f)
+    # A constant spectrum is drawn without error.
+    eps = Fraction(eps) if t else Fraction(0)
     params = {"spectrum": f.text(), "t": t}
-
-    if t == 0:
-        base = constant_recipe(field, f.n, f.values[0])
-        return Recipe(
-            kind="t_constant",
-            field=field,
-            profile=profile,
-            eps=Fraction(0),
-            declared_degree_bound=0,
-            params=params,
-            sampler=base._sampler,
-            targets=(f,),
-            children=(base,),
-        )
-
-    return _telescoped("t_constant", f, t, eps, field, profile, params)
+    return _telescoped("t_constant", f, eps, field, profile, params)
 
 
 def _telescoped(
     kind: str,
     f: Spectrum,
-    t: int,
     eps: Fraction,
     field: FieldSpec,
     profile: ConstantsProfile,
     params: dict,
 ) -> Recipe:
-    """f as a_0 + sum_j a_j [w >= j] over j = 1..t, for f constant from
-    weight t >= 1 on, with every threshold served by one threshold_tuple
-    draw; the recipe declares that tuple's bound."""
+    """f as a_0 + sum_j a_j [w >= j] over the weights j where f steps
+    (a_j != 0), every step served by one threshold_tuple draw; the recipe
+    declares that tuple's bound.  A spectrum with no step is the constant
+    draw, declaring 0."""
     coeffs = threshold_combination(f)
-    child = threshold_tuple(f.n, tuple(range(1, t + 1)), eps, field, profile)
+    steps = tuple(j for j in range(1, f.n + 1) if coeffs[j])
+    if not steps:
+        child = constant_recipe(field, f.n, coeffs[0])
+        sampler = child._sampler
+    else:
+        child = threshold_tuple(f.n, steps, eps, field, profile)
+        terms = [coeffs[j] for j in steps]
 
-    def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        parts = sample_stream(child, stream)
-        return (sum_of(field, zip(coeffs[1:], parts), constant=coeffs[0]),)
+        def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+            parts = sample_stream(child, stream)
+            return (sum_of(field, zip(terms, parts), constant=coeffs[0]),)
 
     return Recipe(
         kind=kind,
@@ -1388,11 +1382,10 @@ def general_recipe(
     Route one (when the middle-window period is 1 or a power of the
     characteristic): split f = g XOR h, represent g exactly below its period
     and h through the bounded construction, then recombine as g + h - 2gh.
-    Route two (always available): telescope f through one full
-    threshold-vector polynomial, on every threshold 1..n even when f is
-    constant from a lower weight on.  Ties prefer route one.  The routes are
-    compared by declared degree before route two's child is built, so only
-    the winner is constructed.
+    Route two (always available): telescope f through one threshold-vector
+    polynomial on the weights f steps at.  Ties prefer route one.  The
+    routes are compared by declared degree before route two's child is
+    built, so only the winner is constructed.
     """
     eps = Fraction(eps)
     n = f.n
@@ -1412,8 +1405,7 @@ def general_recipe(
             )
             decomposition = (report, g_poly, h_recipe)
 
-    # The declared bound threshold_tuple(n, 1..n) would carry.
-    direct_declared = declared_bound(profile, field, n, n, eps)
+    direct_declared = declared_bound(profile, field, n, min_t_constant(f), eps)
 
     if decomposition is not None:
         report, g_poly, h_recipe = decomposition
@@ -1450,7 +1442,7 @@ def general_recipe(
         "route": "direct",
         "t_constant_from": min_t_constant(f),
     }
-    return _telescoped("general", f, n, eps, field, profile, params)
+    return _telescoped("general", f, eps, field, profile, params)
 
 
 # -- combinators --------------------------------------------------------------
@@ -1703,65 +1695,63 @@ def enumerate_draws(recipe: Recipe) -> Iterator[tuple[Fraction, tuple[PolyExpr, 
 # Serialization
 
 
-def _param(p: dict, name: str, kind: type = int):
-    """params[name], read by json_field as the kind it is declared."""
-    return json_field(name, p[name], kind)
-
-
 def _spectrum_param(build: Callable[..., Recipe]) -> Callable[..., Recipe]:
     """The rebuild of a kind built from params["spectrum"], eps, field and
     profile."""
-    return lambda p, *args: build(parse_spectrum(_param(p, "spectrum", str)), *args)
+    return lambda p, *args: build(parse_spectrum(json_key(p, "spectrum", str)), *args)
 
 
 # Every recipe kind recipe_from_json rebuilds: the params that hold child
-# recipes in JSON (a single recipe or a list of them), and the rebuild,
-# called as rebuild(params, eps, field, profile) with those params already
-# rebuilt into recipes.
-_RECIPE_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Recipe]]] = {
+# recipes in JSON, each a single recipe (dict) or a list of them (list), and
+# the rebuild, called as rebuild(params, eps, field, profile) with those
+# params already rebuilt into recipes.
+_RECIPE_KINDS: dict[str, tuple[dict[str, type], Callable[..., Recipe]]] = {
     "constant": (
-        (),
+        {},
         lambda p, eps, field, _: constant_recipe(
-            field, _param(p, "n"), _param(p, "value")
+            field, json_key(p, "n"), json_key(p, "value")
         ),
     ),
     "exact": (
-        (),
+        {},
         lambda p, eps, field, _: exact_recipe(
             field,
-            [parse_spectrum(json_field("spectra", s, str)) for s in _param(p, "spectra", list)],
+            [parse_spectrum(json_field("spectra", s, str)) for s in json_key(p, "spectra", list)],
         ),
     ),
     "razborov_or": (
-        (),
+        {},
         lambda p, eps, field, _: razborov_or(
-            _param(p, "n"), eps, field, _param(p, "negate", bool)
+            json_key(p, "n"), eps, field, json_key(p, "negate", bool)
         ),
     ),
-    "char0_or": ((), lambda p, eps, *_: char0_or(_param(p, "n"), eps)),
+    "char0_or": ({}, lambda p, eps, *_: char0_or(json_key(p, "n"), eps)),
     "threshold_tuple": (
-        (),
+        {},
         lambda p, *args: threshold_tuple(
-            _param(p, "n"), tuple(_param(p, "thresholds", list)), *args
+            json_key(p, "n"), tuple(json_key(p, "thresholds", list)), *args
         ),
     ),
-    "t_constant": ((), _spectrum_param(t_constant_recipe)),
-    "bounded": ((), _spectrum_param(bounded_recipe)),
-    "general": ((), _spectrum_param(general_recipe)),
+    "t_constant": ({}, _spectrum_param(t_constant_recipe)),
+    "bounded": ({}, _spectrum_param(bounded_recipe)),
+    "general": ({}, _spectrum_param(general_recipe)),
     "amplify": (
-        ("child",),
-        lambda p, *_: amplify(p["child"], _param(p, "delta", Fraction)),
+        {"child": dict},
+        lambda p, *_: amplify(p["child"], json_key(p, "delta", Fraction)),
     ),
-    "compose": (("outer", "inners"), lambda p, *_: compose(p["outer"], p["inners"])),
+    "compose": (
+        {"outer": dict, "inners": list},
+        lambda p, *_: compose(p["outer"], p["inners"]),
+    ),
     "sum": (
-        ("parts",),
+        {"parts": list},
         lambda p, eps, field, _: sum_recipes(
             p["parts"],
-            list(map(field.parse_element, _param(p, "coefficients", list))),
-            parse_spectrum(_param(p, "target", str)),
+            list(map(field.parse_element, json_key(p, "coefficients", list))),
+            parse_spectrum(json_key(p, "target", str)),
         ),
     ),
-    "xor": (("a", "b"), lambda p, *_: xor_combine(p["a"], p["b"])),
+    "xor": ({"a": dict, "b": dict}, lambda p, *_: xor_combine(p["a"], p["b"])),
 }
 
 
@@ -1775,28 +1765,28 @@ def recipe_from_json(obj: dict) -> Recipe:
     """Rebuild a recipe from its serialized form by re-running its constructor.
 
     Every recipe in the tree must derive the n, arity, declared degree bound
-    and randomness_free its JSON claims; ValueError names a claim that is
-    mistyped or differs."""
-    kind = obj["kind"]
+    and randomness_free its JSON claims; ValueError names a field that is
+    missing or mistyped and a claim that differs."""
+    kind = json_key(obj, "kind", str)
     if kind not in _RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {kind!r}")
     child_params, rebuild = _RECIPE_KINDS[kind]
-    field = FieldSpec(obj["field"])
-    eps = json_field("eps", obj["eps"], Fraction)
+    field = FieldSpec(json_key(obj, "field", None))
+    eps = json_key(obj, "eps", Fraction)
     profile = (
         ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None
     )
-    params = dict(obj["params"])
-    for name in child_params:
-        child = params[name]
+    params = dict(json_key(obj, "params", dict))
+    for name, child_kind in child_params.items():
+        child = json_key(params, name, child_kind)
         params[name] = (
-            list(map(recipe_from_json, child))
-            if type(child) is list
-            else recipe_from_json(child)
+            recipe_from_json(child)
+            if child_kind is dict
+            else list(map(recipe_from_json, child))
         )
     recipe = rebuild(params, eps, field, profile)
     for name, claim_kind in _RECIPE_CLAIMS.items():
-        claimed = json_field(name, obj[name], claim_kind)
+        claimed = json_key(obj, name, claim_kind)
         derived = getattr(recipe, name)
         if claimed != derived:
             raise ValueError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mod, mul
@@ -21,6 +22,7 @@ from .polyalg import (
     bounded_repr,
     check_eps,
     json_field,
+    json_key,
     log2_inv,
 )
 from .symfun import (
@@ -91,9 +93,9 @@ class LiteralCombiner:
 
     @staticmethod
     def from_json(obj: dict) -> "LiteralCombiner":
-        """Parse to_json's terms; a coefficient, slot or polarity that is not
-        an int (bools included) or a polarity other than 0/1 raises
-        ValueError naming the field."""
+        """Parse to_json's terms; terms that are not a list, a coefficient,
+        slot or polarity that is not an int (bools included) or a polarity
+        other than 0/1 raises ValueError naming the field."""
 
         def literal(slot, pol) -> tuple[int, int]:
             slot = json_field("certificate slot", slot, int)
@@ -107,7 +109,7 @@ class LiteralCombiner:
                     json_field("certificate coefficient", coeff, int),
                     tuple(literal(*lit) for lit in literals),
                 )
-                for coeff, literals in obj["terms"]
+                for coeff, literals in json_key(obj, "terms", list, "certificate ")
             )
         )
 
@@ -249,34 +251,32 @@ class ReductionCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "ReductionCertificate":
-        """Parse to_json's object.  A number that is not an int (bools
-        included), a source_reflected that is not a bool, and target text
-        that is not 0/1 or whose n differs raise ValueError naming the field;
-        nothing is coerced."""
-        target = obj["target"]
-        text = _bit_string("target spectrum", target["spectrum"])
-        if json_field("certificate target n", target["n"], int) != len(text) - 1:
+        """Parse to_json's object.  A missing or mistyped field, a number
+        that is not an int (bools included), and target text that is not 0/1
+        or whose n differs raise ValueError naming the field; nothing is
+        coerced."""
+        read = partial(json_key, prefix="certificate ")
+        target = read(obj, "target", dict)
+        text = _bit_string("target spectrum", target.get("spectrum"))
+        if read(target, "n", int, prefix="certificate target ") != len(text) - 1:
             raise ValueError(f"certificate target n {target['n']} is not {len(text) - 1}")
         return ReductionCertificate(
-            kind=obj["kind"],
-            source=obj["source"],
-            source_reflected=json_field(
-                "certificate source_reflected", obj["source_reflected"], bool
-            ),
-            target_label=target["label"],
+            kind=read(obj, "kind", str),
+            source=read(obj, "source", str),
+            source_reflected=read(obj, "source_reflected", bool),
+            target_label=read(target, "label", str, prefix="certificate target "),
             target_params=tuple(
-                json_field("certificate target param", x, int) for x in target["params"]
+                json_field("certificate target param", x, int)
+                for x in read(target, "params", list, prefix="certificate target ")
             ),
             target_spectrum=text,
             restrictions=tuple(
                 tuple(json_field("certificate restriction", x, int) for x in (z, o))
-                for z, o in obj["restrictions"]
+                for z, o in read(obj, "restrictions", list)
             ),
-            combiner=LiteralCombiner.from_json(obj["combiner"]),
-            claimed_degree=json_field(
-                "certificate claimed_degree", obj["claimed_degree"], int
-            ),
-            extras=dict(obj["extras"]),
+            combiner=LiteralCombiner.from_json(read(obj, "combiner", dict)),
+            claimed_degree=read(obj, "claimed_degree", int),
+            extras=dict(read(obj, "extras", dict)),
         )
 
 

@@ -154,20 +154,22 @@ class TestSample:
 # sha256 of `pdeg sample --kind K --n 60 --eps 1/8 --field F` stdout, recorded
 # while each value was still computed by one eval_expr call per point.  The
 # OR digests were re-recorded when all-ones threshold tuples took one
-# disjunction per draw in place of the hashed branch.
+# disjunction per draw in place of the hashed branch.  MAJ, OR and THR 10
+# were re-recorded when the direct route came to telescope through only the
+# weights a spectrum steps at, which OR and THR 10 now take.
 SAMPLE_DIGESTS = {
-    ("MAJ", "2"): "6f22d31cea0c2414c5b2f2fe8f5e8b79a6aec1605d6365c75b891273ce66f8b3",
-    ("MAJ", "3"): "84963018ecf97624d612c11c4e45773b47151cb59b7d832a93058ea4af860df4",
-    ("MAJ", "0"): "8e43b2ac761587bea35d20a3abc67ee243ce0dfb1c8abf1af4866491e0db32bd",
-    ("OR", "2"): "0133d2b63816208cf068e5aa73960f2590480023cb66188d96f541671f2a16bf",
-    ("OR", "3"): "6a654c5b1e061e1e355fbf5e0f3edcec0a125cb2e298443751a5aa89beca8d1d",
-    ("OR", "0"): "df2a92798febda10abc5abb02ca583bc7fdc89d0113e62b153b4bcd9c1490af5",
+    ("MAJ", "2"): "fddc85ef96a213e1e3df0cc2362030f2dfcd4de3c2393df5a0575072d3e7f380",
+    ("MAJ", "3"): "20dc3308cf4288b6b6ab3d4ff6aba08217873993b99a9449730d849a53ac7d18",
+    ("MAJ", "0"): "cfe75435d36d2e494735b77f322f28ce01a945ca746781ab48ef0008bef67b59",
+    ("OR", "2"): "891fc34d93b8d3d77d90f4b2de077a0a9698ecb8f204c956b3dd0c92a18e6a03",
+    ("OR", "3"): "d67cb997b8f2b829e5417a7de1d0deefd246ad9a93319f1032611cce01723848",
+    ("OR", "0"): "d23bc8d7500cdac87083ef4c1380703a0a935be61fa967d6d5a8028a1c8ffa11",
     ("MOD 3 0", "2"): "1cea4d553d4f7e4e4aa02bb17c8d6841ca0d48b4e5d7be5ba4114bc0aabfd671",
     ("MOD 3 0", "3"): "bd5537e5bc9b48857454420aeaca7f3ac75b0286dd542e7a22973b473a11ef5e",
     ("MOD 3 0", "0"): "6f11d28993ed0c54b86a3b1cbffe6ee562b6f9a2c2ad457c8878783b9685c9fa",
-    ("THR 10", "2"): "13b8f1f0a6f42afc013aec2d3c7e1853cc90885ccc1a75da531f846ba1d3a534",
-    ("THR 10", "3"): "aab082e05600376469839fe2b12c27449ee0bc27bea4308a5daf49be3e1c2e86",
-    ("THR 10", "0"): "b90a9d6fb140b825346e802ec94093a069d14d631f852ffd690c424ed241e5a4",
+    ("THR 10", "2"): "080011fb6a30f9aac3f5f463f052069ea1a800a686a9c963f6a36dc14af8f829",
+    ("THR 10", "3"): "2909dd32b7ed60a3038d5b0f16c0c5146a58fd6439f9d63fe344f4d1845a8451",
+    ("THR 10", "0"): "0d99c4d4c68c0ffc0a9ef54ed23a3e20fe42f12952e10f28a784677983939ef8",
 }
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -664,11 +665,57 @@ class TestGeneral:
         # The losing direct route is never built.
         assert (12, tuple(range(1, 13))) not in built
 
+    @pytest.mark.parametrize("build", [general_recipe, t_constant_recipe])
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    @pytest.mark.parametrize("text", ["00", "11", "000", "111"])
+    def test_constant_spectra_draw_the_constant(self, build, field, text):
+        # n = 1 and 2 take the direct route, which has no step to telescope.
+        f = spectrum(text)
+        r = build(f, EIGHTH, field, practical_profile(field))
+        assert r.declared_degree_bound == 0 and r.randomness_free
+        assert draw_values(r) == [f.values]
+        assert recipe_from_json(r.to_json()).to_json() == r.to_json()
+
     def test_invalid_eps_rejected_before_either_route(self):
         f = named_spectrum("MAJ", 6)
         for eps in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             with pytest.raises(ValueError, match="error parameter"):
                 general_recipe(f, eps, GF2, practical_profile(GF2))
+
+
+class TestTelescoped:
+    """t_constant_recipe and general_recipe's direct route telescope a
+    spectrum through one threshold tuple on the weights it steps at."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_every_small_spectrum(self, field):
+        profile = practical_profile(field)
+        for n in range(1, 8):
+            # The bound every direct route declared when it ran through 1..n.
+            full = declared_bound(profile, field, n, n, EIGHTH)
+            for bits in product((0, 1), repeat=n + 1):
+                steps = [j for j in range(1, n + 1) if bits[j] != bits[j - 1]]
+                for build in (t_constant_recipe, general_recipe):
+                    r = build(Spectrum(bits), EIGHTH, field, profile)
+                    if r.params.get("route") == "decomposition":
+                        continue
+                    (child,) = r.children()
+                    if steps:
+                        assert child.params["thresholds"] == steps
+                    else:
+                        assert child.kind == "constant"
+                    assert r.declared_degree_bound <= full
+                    seeds = range(1 if r.randomness_free else 3)
+                    draws = [sample(r, seed) for seed in seeds]
+                    assert max(e.deg for d in draws for e in d) <= r.declared_degree_bound
+                    if r.randomness_free:
+                        assert draw_values(r) == [bits]
+
+    @pytest.mark.parametrize("n", [3500, 5000])
+    def test_large_majority_builds_on_its_one_step(self, n):
+        r = general_recipe(named_spectrum("MAJ", n), EIGHTH, GF2, practical_profile(GF2))
+        (child,) = r.children()
+        assert r.params["route"] == "direct" and len(child.params["thresholds"]) == 1
 
 
 class TestCombinators:
@@ -818,6 +865,21 @@ _ROUNDTRIP_BUILDS = [
         spectrum("0100"),
     ),
 ]
+
+
+def _edited(obj, *path, value=None):
+    """A copy of obj with the field at path set to value, or deleted when
+    value is None."""
+    obj = json.loads(json.dumps(obj))
+    *outer, last = path
+    inner = obj
+    for key in outer:
+        inner = inner[key]
+    if value is None:
+        del inner[last]
+    else:
+        inner[last] = value
+    return obj
 
 
 class TestRecipeSerialization:
@@ -1024,6 +1086,96 @@ class TestRecipeSerialization:
     def test_sympoly_json_refuses_text_for_coeffs(self):
         with pytest.raises(ValueError, match=re.escape("coeffs '101' is not a list")):
             SymPoly.from_json({"char": 2, "coeffs": "101"})
+
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            (lambda: recipe_from_json([]), "kind is missing from []"),
+            (
+                lambda: recipe_from_json(
+                    _edited(razborov_or(6, QUARTER, GF2).to_json(), "n")
+                ),
+                "n is missing from",
+            ),
+            (
+                lambda: recipe_from_json(
+                    _edited(razborov_or(6, QUARTER, GF2).to_json(), "params", "negate")
+                ),
+                "negate is missing",
+            ),
+            (
+                lambda: recipe_from_json(
+                    _edited(
+                        constant_recipe(GF2, 4, 1).to_json(), "params", value=[4, 1]
+                    )
+                ),
+                "params [4, 1] is not an object",
+            ),
+            (
+                lambda: recipe_from_json(
+                    _edited(
+                        amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)).to_json(),
+                        "params",
+                        "child",
+                        value=[razborov_or(2, QUARTER, GF2).to_json()],
+                    )
+                ),
+                "child [{",
+            ),
+            (
+                lambda: recipe_from_json(
+                    _edited(
+                        t_constant_recipe(
+                            spectrum("0111"), EIGHTH, GF2, practical_profile(GF2)
+                        ).to_json(),
+                        "profile",
+                        "A",
+                    )
+                ),
+                "profile A is missing",
+            ),
+            (lambda: SymPoly.from_json({"char": 2}), "coeffs is missing"),
+            (lambda: SymPoly.from_json("1 1"), "char is missing from '1 1'"),
+            (lambda: expr_from_json({"char": 3, "roots": []}), "nodes is missing"),
+            (
+                lambda: expr_from_json({"char": 3, "nodes": "ab", "roots": []}),
+                "nodes 'ab' is not a list",
+            ),
+            (
+                lambda: expr_from_json({"char": 3, "nodes": [7], "roots": [0]}),
+                "op is missing from 7",
+            ),
+            (
+                lambda: expr_from_json(
+                    {
+                        "char": 3,
+                        "nodes": [{"op": "linear", "coeffs": "12", "indices": [0, 1]}],
+                        "roots": [0],
+                    }
+                ),
+                "coeffs '12' is not a list",
+            ),
+            (
+                lambda: expr_from_json(
+                    {"char": 3, "nodes": [{"op": "mul", "factors": 0}], "roots": [0]}
+                ),
+                "factors 0 is not a list",
+            ),
+            (
+                lambda: expr_from_json({"char": 3, "nodes": [], "roots": 0}),
+                "roots 0 is not a list",
+            ),
+        ],
+        ids=[
+            "recipe-list", "recipe-no-n", "recipe-no-negate", "recipe-params-list",
+            "recipe-child-list", "recipe-profile-no-A", "sympoly-no-coeffs",
+            "sympoly-text", "expr-no-nodes", "expr-nodes-text", "expr-node-int",
+            "expr-linear-coeffs-text", "expr-factors-int", "expr-roots-int",
+        ],
+    )
+    def test_loaders_name_a_missing_or_mistyped_field(self, load, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load()
 
     def test_unknown_kind_rejected(self):
         r = constant_recipe(GF2, 4, 1)

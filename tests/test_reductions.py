@@ -687,6 +687,44 @@ class TestMalformedCertificate:
         ):
             ReductionCertificate.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda o: o.update(restrictions="ab"),
+                "certificate restrictions 'ab' is not a list",
+            ),
+            (lambda o: o.pop("claimed_degree"), "certificate claimed_degree is missing"),
+            (lambda o: o.update(target="MAJ"), "certificate target 'MAJ' is not an object"),
+            (lambda o: o["target"].pop("n"), "certificate target n is missing"),
+            (
+                lambda o: o["target"].update(params="3"),
+                "certificate target params '3' is not a list",
+            ),
+            (lambda o: o.update(combiner=[]), "certificate combiner [] is not an object"),
+            (
+                lambda o: o.update(combiner={"terms": "1"}),
+                "certificate terms '1' is not a list",
+            ),
+            (lambda o: o.update(extras=[]), "certificate extras [] is not an object"),
+        ],
+        ids=[
+            "restrictions-text", "no-claimed-degree", "target-text", "no-target-n",
+            "target-params-text", "combiner-list", "terms-text", "extras-list",
+        ],
+    )
+    def test_missing_or_mistyped_fields_are_named(self, edit, message):
+        obj = thr_restrictions(9, 3)[0].to_json()
+        edit(obj)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReductionCertificate.from_json(obj)
+
+    def test_non_object_is_refused(self):
+        with pytest.raises(ValueError, match=r"certificate target is missing from \[\]"):
+            ReductionCertificate.from_json([])
+        with pytest.raises(ValueError, match="certificate terms is missing from 'terms'"):
+            LiteralCombiner.from_json("terms")
+
     def test_combiner_from_json_is_strict(self):
         with pytest.raises(ValueError, match="coefficient 1.5 is not an int"):
             LiteralCombiner.from_json({"terms": [[1.5, [[0.9, True]]]]})

@@ -65,24 +65,28 @@ def seeded_digest(recipe) -> str:
 # disjunction per draw in place of the hashed branch: its draw 0 now errs at
 # weight 50.  Over GF(3) and Q draw 0 is right at every weight on both
 # routes, and the recipe JSON does not name the branch of its descendants.
+# MAJ, OR and THR 10 were re-recorded when the direct route came to
+# telescope through only the weights a spectrum steps at: MAJ's threshold
+# list and declared degree changed, and OR and THR 10 moved from the
+# decomposition route to the direct one.
 GENERAL_DIGESTS = {
     ("MAJ", "GF2"): (
-        "ab4616d750b118b9cc8b2f6a6b3666f5cbc0fb9b7612395af957af50452b5b47"
+        "1c255d84b127b22aea213e820be837414b04bf5714c90371d65da39b2e34c709"
     ),
     ("MAJ", "GF3"): (
-        "a946cbb94d142e342c42b8ead3a99abc0f4ffb122aec80fbd975161b7f237cba"
+        "55f6448ea00f70435fee9ef56969b06ff4e9e2f05a87aa9ea00ce41509d88161"
     ),
     ("MAJ", "Q"): (
-        "528a084ae3ffb87db845d9b63bf84b6a91fe978bc1bb6f0de6be8361702bce08"
+        "e5661e5603bc5c56dc0ad18a2f0eb82ae6825f325390be5261884021713cc0d5"
     ),
     ("OR", "GF2"): (
-        "f2ec2e742d58f39df2c30c4162dd07a525db03a367a7ffd11759d96e71e121d9"
+        "c388d6ccbb2d92ed5387f27c8c2af1523bf7fc74e7e41b5bcf479c611f771fc5"
     ),
     ("OR", "GF3"): (
-        "c52c65809a354f08a98d6284c8fcb97db53657b706a368f3d0f2c71827fc105f"
+        "4aa254c2dfa6f4d918a2cc97fa5d8ba48a81eb46d0652416089932578d2b1bd1"
     ),
     ("OR", "Q"): (
-        "79fae27531021961d395431b6f90cf4a8e9a7c4507808369d062530d9e0e68b5"
+        "fa980ce5f61f505b254f20c2c160e45f987e1fda54af876ed4ed3cb0345fe0e2"
     ),
     ("MOD 3 0", "GF2"): (
         "224d22d3c43c305a764cdb1bed805222ac67aa50d6fe5f72032b41996ac41d29"
@@ -94,13 +98,13 @@ GENERAL_DIGESTS = {
         "22f6a348950ff0eb9aa583e715065eac38837c39d771057b49d0ac0f411de4b5"
     ),
     ("THR 10", "GF2"): (
-        "2a066d78d0db0f3b36d4cd3aa84949fd04815fb17f903d3206472f738f348322"
+        "e8646fdd509e69d3ed6c6f04aeb61a35593da180df9645abc862f28caf2018c0"
     ),
     ("THR 10", "GF3"): (
-        "9fd116434bc96933b674582e7e6c6433d9a6f8a2f4d48999404f9233c836b43d"
+        "6ba30e3c469900ec0d08d4e8fa1d0e70efafe59589165b7e501476339fb63ec7"
     ),
     ("THR 10", "Q"): (
-        "b8593354eab87791f8225fa04e107446f8f817dbb58c97d42907173c9d735baa"
+        "b7d34e1fd571d5ff6b7a341f1974b7f95f2aa6b88dc4cab09f8dc71bc660be96"
     ),
 }
 
@@ -515,6 +519,8 @@ DRAW_RECIPES = {
     "amplify": lambda F: amplify(_or_recipe(8, QUARTER, F), Fraction(5, 32)),
 }
 
+# "general OR" was re-recorded when OR moved from the decomposition route to
+# the direct one, which telescopes through its one step.
 DRAW_JSON_DIGESTS = {
     ("amplify", "GF2"): (
         "2f426032fd08bae17f46369c99307a8ef55ea03e0fc85159082775adbb44d65d"
@@ -544,13 +550,13 @@ DRAW_JSON_DIGESTS = {
         "81cf9678444e711fb26b58bc7d4749482f287440252d30ab388357f9e132f182"
     ),
     ("general OR", "GF2"): (
-        "c3ebfe82aa0234e409491c4f9f7b6e064dd0574bbe8a8eaf0878964be8ed1deb"
+        "e0b41746e453704e3cea5e60e6b341a954b1ea052bf7a11fddc04225e51861e7"
     ),
     ("general OR", "GF3"): (
-        "df488cc1e1284c5c3e9e36d5ea81eb5365d71bb205fd4e99253dbcd7dd548e9f"
+        "d9d6840bbcb94ba608327c8a4b90a89224e3b221c703e3a217e2fb7d71d2f3cf"
     ),
     ("general OR", "Q"): (
-        "ec3ac13b3f8e13f9788bd4eab1383c101dac1d162d4e4adfef82d39f5b725047"
+        "fa53162875801f5dff977690f5cb6cfaef100d7259bb9fceabd4ed66cb60c655"
     ),
     ("general bounded", "GF2"): (
         "fa15745b787fe7765b696941c10d8ca7e86726f69c5141932990cae7fbbd7476"
