@@ -97,6 +97,14 @@ def json_field(name: str, value, kind: type):
     raise ValueError(f"{name} {bounded_repr(value)} is not {what}")
 
 
+def json_pair(name: str, value) -> list:
+    """value, read from the JSON field name, if it is a list of exactly two
+    entries; anything else raises ValueError naming the field."""
+    if type(value) is list and len(value) == 2:
+        return value
+    raise ValueError(f"{name} {bounded_repr(value)} is not a pair")
+
+
 def json_key(obj, name: str, kind: type | None = int, prefix: str = ""):
     """obj[name], read by json_field as kind, or unread for kind None (for a
     reader that checks its own type).  obj that is not a JSON object or has

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import compress, islice, product as iter_product
-from operator import attrgetter, not_
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 from .polyalg import (
@@ -30,6 +30,7 @@ from .polyalg import (
     fraction_text,
     json_field,
     json_key,
+    json_pair,
     log2_inv,
     periodic_exact,
     record_json,
@@ -58,7 +59,9 @@ class SeedStream:
 
     Children are derived by hashing a label into the parent key, so sibling
     streams are independent and the whole tree is a pure function of the
-    root seed.
+    root seed.  Each stream reads its bits from one SHAKE-256 output, so a
+    draw of any length is one C call, and a longer read extends a shorter
+    one.
     """
 
     __slots__ = ("key",)
@@ -75,29 +78,61 @@ class SeedStream:
             hashlib.sha256(self.key + b"/" + repr(label).encode()).digest()
         )
 
-    def rng(self) -> random.Random:
-        digest = hashlib.sha256(self.key + b"#rng").digest()
-        return random.Random(int.from_bytes(digest, "big"))
+    def _bytes(self, size: int) -> bytes:
+        return hashlib.shake_256(self.key + b"#bits").digest(size)
+
+    def bits(self, k: int) -> int:
+        """The stream's first k bits as an int: bit i is bit i % 8 of byte
+        i // 8, so bits(k1) == bits(k2) % 2**k1 for k1 <= k2."""
+        return int.from_bytes(self._bytes((k + 7) >> 3), "little") & ((1 << k) - 1)
+
+    def uniform(self, n: int, count: int) -> list[int]:
+        """count values drawn independently and exactly uniformly below n.
+
+        n = 2 reads the stream's bits one per value.  Otherwise the stream is
+        cut into chunks of w bytes, the fewest with 256**w >= n; a chunk c
+        below limit, the largest multiple of n at most 256**w, gives c % n,
+        and a chunk at or above it is rejected, so every value has the same
+        number of accepted chunks.  The draw is the first count accepted
+        chunks; at least half of all chunks are accepted.
+        """
+        if n < 1:
+            raise ValueError(f"cannot draw below {n}")
+        if n == 1 or count == 0:
+            return [0] * count
+        if n == 2:
+            binary = format(self.bits(count), f"0{count}b")[::-1]
+            return list(binary.encode().translate(_BIT_VALUES))
+        width = ((n - 1).bit_length() + 7) >> 3
+        span = 1 << (8 * width)
+        limit = span - span % n
+        chunks = (count + 4 * math.isqrt(count) + 8) * span // limit
+        while True:
+            data = self._bytes(chunks * width)
+            if width == 1:
+                values = data.translate(*_byte_rule(n))
+            else:
+                starts = range(0, len(data), width)
+                wide = (int.from_bytes(data[i : i + width], "little") for i in starts)
+                values = [c % n for c in wide if c < limit]
+            if len(values) >= count:
+                return list(values[:count])
+            chunks *= 2
 
 
-def _below(rng: random.Random, n: int, count: int) -> list[int]:
-    """[rng.randrange(n) for _ in range(count)], drawn without randrange's
-    Python frames.
+# The bytes '0' and '1' of a binary numeral as the bit values 0 and 1, and
+# as the keep flags 1 and 0 of _char0_or_expr's levels.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_KEEP = bytes.maketrans(b"01", b"\x01\x00")
 
-    CPython's randrange(n) (3.10 to 3.13) is _randbelow_with_getrandbits:
-    getrandbits(n.bit_length()) until the draw is below n.  The same calls
-    are made here in the same order, so the values and the generator state
-    afterwards are the ones randrange gives.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(r)
-    return out
+
+@cache
+def _byte_rule(n: int) -> tuple[bytes, bytes]:
+    """bytes.translate's table and delete set for one-byte chunks below n:
+    a byte c below the largest multiple of n at most 256 becomes c % n, and
+    the others are deleted."""
+    limit = 256 - 256 % n
+    return bytes(c % n for c in range(256)), bytes(range(limit, 256))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +576,11 @@ def expr_to_json(roots: Sequence[PolyExpr], field: FieldSpec) -> dict:
 
 
 def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
-    """Parse expr_to_json's node list.  A missing or mistyped field, a
-    variable index, node or root reference or exponent that is not an int
-    (bools included), a negative variable index, a reference to no earlier
-    node and a sym node whose polynomial is over another field raise
-    ValueError."""
+    """Parse expr_to_json's node list.  A missing or mistyped field, a sum
+    term that is not a pair, a variable index, node or root reference or
+    exponent that is not an int (bools included), a negative variable
+    index, a reference to no earlier node and a sym node whose polynomial
+    is over another field raise ValueError."""
     field = FieldSpec(json_key(obj, "char", None))
     parse = field.parse_element
     built: list[PolyExpr] = []
@@ -576,9 +611,10 @@ def expr_from_json(obj: dict) -> tuple[PolyExpr, ...]:
         elif op == "mul":
             e = Product(tuple(map(ref, json_key(node, "factors", list))))
         elif op == "sum":
+            terms = [json_pair("sum term", t) for t in json_key(node, "terms", list)]
             e = Sum(
                 parse(json_key(node, "constant", str)),
-                tuple((parse(c), ref(i)) for c, i in json_key(node, "terms", list)),
+                tuple((parse(c), ref(i)) for c, i in terms),
             )
         elif op == "sym":
             poly = SymPoly.from_json(json_key(node, "poly", dict))
@@ -899,8 +935,8 @@ def razborov_or(
     declared = (p - 1) * ell
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        rng = stream.rng()
-        alphas = [_below(rng, p, n) for _ in range(ell)]
+        flat = stream.uniform(p, ell * n)
+        alphas = [flat[k * n : (k + 1) * n] for k in range(ell)]
         return _razborov_exprs(field, n, alphas, negate)
 
     return Recipe(
@@ -938,17 +974,28 @@ def _char0_or_expr(
         return Constant(field.element(0))
     ell = max(1, ceil_log2_inv(eps))
     scales = char0_scales(m)
+    # Level 0 keeps every index and draws nothing.  Level j >= 1 reads the
+    # next j*m bits of the run's stream and keeps index i when its j bits,
+    # i*j up to i*j + j - 1, are all 0: with probability 2**-j.
+    size = m * scales * (scales + 1) // 2
     run_factors = []
     for run in range(ell):
-        # Level 0 keeps every index and draws nothing.
-        rng = stream.child(("run", run)).rng() if scales else None
+        bits = stream.child(("run", run)).bits(size) if size else 0
         level_factors = []
         for j in range(scales + 1):
             if j == 0:
                 chosen = tuple(indices)
             else:
-                # Each index is kept when its draw below 2^j is 0.
-                chosen = tuple(compress(indices, map(not_, _below(rng, 1 << j, m))))
+                width = j * m
+                level = bits & ((1 << width) - 1)
+                bits >>= width
+                # Bit i*j of `hit` is the OR of index i's j bits.
+                hit = level
+                for shift in range(1, j):
+                    hit |= level >> shift
+                # [::-j] reads bits 0, j, 2j, ... of the binary numeral.
+                keep = format(hit, f"0{width}b")[::-j].encode().translate(_KEEP)
+                chosen = tuple(compress(indices, keep))
             summed: PolyExpr
             if chosen:
                 summed = LinearForm((1,) * len(chosen), chosen)
@@ -1129,15 +1176,13 @@ def _hash_branch(n, thresholds, field, r, finish):
     eps_or = Fraction(1, 4)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        rng = stream.child("hash").rng()
         buckets: list[list[int]] = [[] for _ in range(r)]
-        for i, b in enumerate(_below(rng, r, n)):
+        for i, b in enumerate(stream.child("buckets").uniform(r, n)):
             buckets[b].append(i)
         detectors: list[PolyExpr] = []
         if p > 0:
-            # One coefficient per variable, drawn bucket by bucket: the n
-            # draws that follow the bucket draws, in that order.
-            coeffs = iter(_below(rng, p, n))
+            # One coefficient per variable, taken bucket by bucket.
+            coeffs = iter(stream.child("coeffs").uniform(p, n))
             for members in buckets:
                 if not members:
                     detectors.append(Constant(field.element(0)))
@@ -1221,8 +1266,7 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     structural = 2 * child_deg + max(window_deg, child_deg)
 
     def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        rng = stream.child("sub").rng()
-        sub = _below(rng, n, n_hat)
+        sub = stream.child("sub").uniform(n, n_hat)
         inner_exprs = sample_stream(child, stream.child("inner"))
         remapped = _remap_vars(inner_exprs, sub)
         out = []
@@ -1254,9 +1298,12 @@ def t_constant_recipe(
     Telescopes the spectrum into the threshold indicators of the weights it
     steps at, all at most t, served by a single shared threshold-vector
     draw, so the whole combination fails only when that one draw fails.
+    eps must be in (0, 1/3); a constant spectrum, which is drawn without
+    error and stores eps 0, also takes 0.
     """
     t = min_t_constant(f)
-    # A constant spectrum is drawn without error.
+    if t or eps:
+        _check_threshold_eps(Fraction(eps))
     eps = Fraction(eps) if t else Fraction(0)
     params = {"spectrum": f.text(), "t": t}
     return _telescoped("t_constant", f, eps, field, profile, params)

@@ -23,6 +23,7 @@ from .polyalg import (
     check_eps,
     json_field,
     json_key,
+    json_pair,
     log2_inv,
 )
 from .symfun import (
@@ -93,24 +94,27 @@ class LiteralCombiner:
 
     @staticmethod
     def from_json(obj: dict) -> "LiteralCombiner":
-        """Parse to_json's terms; terms that are not a list, a coefficient,
-        slot or polarity that is not an int (bools included) or a polarity
-        other than 0/1 raises ValueError naming the field."""
+        """Parse to_json's terms; terms or a term's literals that are not a
+        list, a term or literal that is not a pair, a coefficient, slot or
+        polarity that is not an int (bools included) or a polarity other
+        than 0/1 raises ValueError naming the field."""
 
-        def literal(slot, pol) -> tuple[int, int]:
+        def literal(lit) -> tuple[int, int]:
+            slot, pol = json_pair("certificate literal", lit)
             slot = json_field("certificate slot", slot, int)
             if json_field("certificate polarity", pol, int) not in (0, 1):
                 raise ValueError(f"certificate polarity must be 0 or 1, got {pol}")
             return slot, pol
 
-        return LiteralCombiner(
-            tuple(
-                (
-                    json_field("certificate coefficient", coeff, int),
-                    tuple(literal(*lit) for lit in literals),
-                )
-                for coeff, literals in json_key(obj, "terms", list, "certificate ")
+        def term(entry) -> tuple[int, tuple[tuple[int, int], ...]]:
+            coeff, literals = json_pair("certificate term", entry)
+            return (
+                json_field("certificate coefficient", coeff, int),
+                tuple(map(literal, json_field("certificate literals", literals, list))),
             )
+
+        return LiteralCombiner(
+            tuple(map(term, json_key(obj, "terms", list, "certificate ")))
         )
 
 
@@ -271,8 +275,11 @@ class ReductionCertificate:
             ),
             target_spectrum=text,
             restrictions=tuple(
-                tuple(json_field("certificate restriction", x, int) for x in (z, o))
-                for z, o in read(obj, "restrictions", list)
+                tuple(
+                    json_field("certificate restriction", x, int)
+                    for x in json_pair("certificate restriction", pair)
+                )
+                for pair in read(obj, "restrictions", list)
             ),
             combiner=LiteralCombiner.from_json(read(obj, "combiner", dict)),
             claimed_degree=read(obj, "claimed_degree", int),

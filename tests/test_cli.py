@@ -156,14 +156,16 @@ class TestSample:
 # OR digests were re-recorded when all-ones threshold tuples took one
 # disjunction per draw in place of the hashed branch.  MAJ, OR and THR 10
 # were re-recorded when the direct route came to telescope through only the
-# weights a spectrum steps at, which OR and THR 10 now take.
+# weights a spectrum steps at, which OR and THR 10 now take.  OR over GF(2)
+# and Q were re-recorded when samplers came to read SHAKE-256 streams in
+# place of random.Random: their draws changed.
 SAMPLE_DIGESTS = {
     ("MAJ", "2"): "fddc85ef96a213e1e3df0cc2362030f2dfcd4de3c2393df5a0575072d3e7f380",
     ("MAJ", "3"): "20dc3308cf4288b6b6ab3d4ff6aba08217873993b99a9449730d849a53ac7d18",
     ("MAJ", "0"): "cfe75435d36d2e494735b77f322f28ce01a945ca746781ab48ef0008bef67b59",
-    ("OR", "2"): "891fc34d93b8d3d77d90f4b2de077a0a9698ecb8f204c956b3dd0c92a18e6a03",
+    ("OR", "2"): "4f6c0e880efd1585c56f924394f3be3534723f46e66026df847db085e54ee099",
     ("OR", "3"): "d67cb997b8f2b829e5417a7de1d0deefd246ad9a93319f1032611cce01723848",
-    ("OR", "0"): "d23bc8d7500cdac87083ef4c1380703a0a935be61fa967d6d5a8028a1c8ffa11",
+    ("OR", "0"): "59eddfbbcfa71be8c49db7a1ce1bfbe7c763b5513d81ba9fea3f3817b7855f4d",
     ("MOD 3 0", "2"): "1cea4d553d4f7e4e4aa02bb17c8d6841ca0d48b4e5d7be5ba4114bc0aabfd671",
     ("MOD 3 0", "3"): "bd5537e5bc9b48857454420aeaca7f3ac75b0286dd542e7a22973b473a11ef5e",
     ("MOD 3 0", "0"): "6f11d28993ed0c54b86a3b1cbffe6ee562b6f9a2c2ad457c8878783b9685c9fa",
@@ -286,6 +288,21 @@ class TestVerify:
         payload = json.loads(proc.stdout)
         assert payload["error"]["type"] == "usage"
         assert "--jobs" in payload["error"]["message"]
+
+    def test_import_loads_no_random_module(self):
+        # Seeded draws read SHAKE-256 streams.  -S keeps site's own imports
+        # (some of which load random) out of the fresh interpreter.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        probe = (
+            "import sys, pdeg; "
+            "print(sorted(m for m in sys.modules if m in ('random', '_random')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestExtremeParameters:

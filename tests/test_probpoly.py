@@ -1,8 +1,8 @@
 import dataclasses
 import json
 import math
-import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -64,53 +64,102 @@ def draw_values(recipe, seed=0):
 
 class TestSeedStream:
     def test_deterministic(self):
-        a = SeedStream.from_seed(42).rng().random()
-        b = SeedStream.from_seed(42).rng().random()
+        a = SeedStream.from_seed(42).bits(256)
+        b = SeedStream.from_seed(42).bits(256)
         assert a == b
+        assert SeedStream(b"key").bits(100) == SeedStream(b"key").bits(100)
 
     def test_children_differ(self):
         root = SeedStream.from_seed(0)
-        r1 = root.child("a").rng().random()
-        r2 = root.child("b").rng().random()
-        r3 = root.child(("a", 1)).rng().random()
-        assert len({r1, r2, r3}) == 3
+        r0 = root.bits(128)
+        r1 = root.child("a").bits(128)
+        r2 = root.child("b").bits(128)
+        r3 = root.child(("a", 1)).bits(128)
+        assert len({r0, r1, r2, r3}) == 4
 
     def test_child_of_child_stable(self):
-        v1 = SeedStream.from_seed(1).child("x").child(2).rng().randrange(10**9)
-        v2 = SeedStream.from_seed(1).child("x").child(2).rng().randrange(10**9)
+        v1 = SeedStream.from_seed(1).child("x").child(2).uniform(10**9, 3)
+        v2 = SeedStream.from_seed(1).child("x").child(2).uniform(10**9, 3)
         assert v1 == v2
 
+    def test_longer_read_extends_shorter(self):
+        stream = SeedStream.from_seed(5)
+        widths = (0, 1, 7, 8, 9, 63, 64, 65, 1000, 4099)
+        for k2 in widths:
+            long = stream.bits(k2)
+            assert 0 <= long < 1 << k2
+            for k1 in widths:
+                if k1 <= k2:
+                    assert stream.bits(k1) == long % (1 << k1), (k1, k2)
 
-class TestBelow:
-    """_below must replay random.Random.randrange call for call: every
-    seeded draw of razborov_or, char0_or and the hashed and inductive
-    threshold branches depends on it."""
 
-    BOUNDS = sorted(
-        set(range(1, 301))
-        | {(1 << j) + d for j in range(1, 41) for d in (-1, 0, 1)}
-        | {2, 3, 5, 7, 101}
-    )
+class _Chunks(SeedStream):
+    """A stream whose bytes are the given ones, then zeros."""
 
-    def test_replays_randrange(self):
-        for seed in range(50):
-            mine, ref = random.Random(seed), random.Random(seed)
-            for n in self.BOUNDS:
-                count = 1 + (n + seed) % 5
-                want = [ref.randrange(n) for _ in range(count)]
-                assert probpoly._below(mine, n, count) == want, (
-                    f"random.randrange({n}) no longer draws as _below does "
-                    f"(seed {seed}); seeded draws would change"
-                )
-                # Draws of another width between the calls check the state.
-                assert mine.getrandbits(13) == ref.getrandbits(13), (seed, n)
-            assert mine.getstate() == ref.getstate(), seed
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        super().__init__(b"")
+        self.data = data
+
+    def _bytes(self, size: int) -> bytes:
+        return self.data[:size].ljust(size, b"\0")
+
+
+class TestUniform:
+    BOUNDS = (*range(1, 301), 10**4, 2**31 - 1)
+
+    def test_exactly_uniform(self):
+        """Feed every chunk value (or, past 2^16 of them, every preimage of
+        a sample of values) and count the accepted ones per value."""
+        def encode(chunks, width):
+            return b"".join(c.to_bytes(width, "little") for c in chunks)
+
+        every = {w: encode(range(1 << 8 * w), w) for w in (1, 2)}
+        for n in self.BOUNDS:
+            if n <= 2:
+                # n = 1 reads nothing; n = 2 reads one bit per value.
+                chunks, span, sample = [1, 0], 2, range(n)
+                data = bytes([0b01])
+            else:
+                width = ((n - 1).bit_length() + 7) // 8
+                span = 1 << (8 * width)
+                if width in every:
+                    chunks, sample, data = range(span), range(n), every[width]
+                else:
+                    sample = [*range(500), *range(n - 500, n)]
+                    chunks = [c for v in sample for c in range(v, span, n)]
+                    data = encode(chunks, width)
+            limit = span - span % n
+            accepted = sum(c < limit for c in chunks)
+            values = _Chunks(data).uniform(n, accepted)
+            assert Counter(values) == {v: accepted // len(sample) for v in sample}, n
+
+    def test_draws_are_in_range_and_prefixes(self):
+        stream = SeedStream.from_seed(7)
+        for n in (2, 3, 17, 101, 256, 257, 10**4, 2**31 - 1, 2**61 - 1):
+            values = stream.uniform(n, 300)
+            assert len(values) == 300 and all(0 <= v < n for v in values), n
+            assert stream.uniform(n, 40) == values[:40], n
+            assert len(set(values)) > 1, n
 
     def test_empty_count(self):
-        rng = random.Random(3)
-        state = rng.getstate()
-        assert probpoly._below(rng, 7, 0) == []
-        assert rng.getstate() == state
+        stream = SeedStream.from_seed(3)
+        assert stream.uniform(7, 0) == []
+        assert stream.uniform(1, 5) == [0] * 5
+        with pytest.raises(ValueError):
+            stream.uniform(0, 5)
+
+    @pytest.mark.parametrize("p", [17, 101, 2**61 - 1])
+    def test_razborov_over_large_primes(self, p):
+        field = FieldSpec(p)
+        r = razborov_or(6, QUARTER, field)
+        for seed in range(3):
+            (expr,) = sample(r, seed)
+            assert expr.deg <= r.declared_degree_bound
+            assert eval_expr(expr, [0] * 6, field) == 0
+            for x in weight_points(6)[1:]:
+                assert eval_expr(expr, x, field) in (0, 1)
 
 
 class TestProfiles:
@@ -275,6 +324,11 @@ class TestExprNodes:
                 "variable index 1.0 is not an int",
             ),
             ({"op": "sym", "poly": None, "inputs": [0.5]}, "reference 0.5"),
+            (
+                {"op": "sum", "constant": "0", "terms": [["1", 0, 5]]},
+                "sum term ['1', 0, 5] is not a pair",
+            ),
+            ({"op": "sum", "constant": "0", "terms": ["1"]}, "sum term '1' is not a pair"),
         ],
     )
     def test_expr_json_rejects_non_int_fields(self, node, message):
@@ -576,6 +630,21 @@ class TestTConstant:
         r = t_constant_recipe(spectrum("11111"), EIGHTH, GF2, practical_profile(GF2))
         assert r.eps == 0 and r.randomness_free
         assert draw_values(r) == [(1,) * 5]
+
+    @pytest.mark.parametrize("text", ["111", "011"])
+    @pytest.mark.parametrize("eps", [Fraction(5), Fraction(1, 3), Fraction(-1, 8)])
+    def test_eps_outside_the_range_is_refused(self, text, eps):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1/3\)"):
+            t_constant_recipe(spectrum(text), eps, GF2, practical_profile(GF2))
+
+    def test_constant_spectrum_round_trips_with_eps_zero(self):
+        r = t_constant_recipe(spectrum("111"), EIGHTH, GF2, practical_profile(GF2))
+        obj = r.to_json()
+        assert obj["eps"] == "0"
+        back = recipe_from_json(obj)
+        assert json.dumps(back.to_json(), sort_keys=True) == json.dumps(obj, sort_keys=True)
+        with pytest.raises(ValueError, match=r"must be in \(0, 1/3\)"):
+            t_constant_recipe(spectrum("011"), Fraction(0), GF2, practical_profile(GF2))
 
     def test_majority_small(self):
         f = named_spectrum("MAJ", 6)

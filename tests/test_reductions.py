@@ -707,10 +707,32 @@ class TestMalformedCertificate:
                 "certificate terms '1' is not a list",
             ),
             (lambda o: o.update(extras=[]), "certificate extras [] is not an object"),
+            (
+                lambda o: o.update(restrictions=[[4, 0, 1]]),
+                "certificate restriction [4, 0, 1] is not a pair",
+            ),
+            (
+                lambda o: o.update(restrictions=[4]),
+                "certificate restriction 4 is not a pair",
+            ),
+            (
+                lambda o: o.update(combiner={"terms": [[1]]}),
+                "certificate term [1] is not a pair",
+            ),
+            (
+                lambda o: o.update(combiner={"terms": [[1, 5]]}),
+                "certificate literals 5 is not a list",
+            ),
+            (
+                lambda o: o.update(combiner={"terms": [[1, [[0, 1, 1]]]]}),
+                "certificate literal [0, 1, 1] is not a pair",
+            ),
         ],
         ids=[
             "restrictions-text", "no-claimed-degree", "target-text", "no-target-n",
             "target-params-text", "combiner-list", "terms-text", "extras-list",
+            "restriction-triple", "restriction-int", "term-single", "literals-int",
+            "literal-triple",
         ],
     )
     def test_missing_or_mistyped_fields_are_named(self, edit, message):
@@ -728,6 +750,8 @@ class TestMalformedCertificate:
     def test_combiner_from_json_is_strict(self):
         with pytest.raises(ValueError, match="coefficient 1.5 is not an int"):
             LiteralCombiner.from_json({"terms": [[1.5, [[0.9, True]]]]})
+        with pytest.raises(ValueError, match="certificate literal 5 is not a pair"):
+            LiteralCombiner.from_json({"terms": [[1, [5]]]})
         with pytest.raises(ValueError) as info:
             LiteralCombiner.from_json({"terms": [["1" * 5000, []]]})
         assert len(str(info.value)) < 120

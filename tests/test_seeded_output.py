@@ -68,7 +68,9 @@ def seeded_digest(recipe) -> str:
 # MAJ, OR and THR 10 were re-recorded when the direct route came to
 # telescope through only the weights a spectrum steps at: MAJ's threshold
 # list and declared degree changed, and OR and THR 10 moved from the
-# decomposition route to the direct one.
+# decomposition route to the direct one.  ("OR", "GF2") was re-recorded
+# again when samplers came to read SHAKE-256 streams in place of
+# random.Random: its draw 0 changed.
 GENERAL_DIGESTS = {
     ("MAJ", "GF2"): (
         "1c255d84b127b22aea213e820be837414b04bf5714c90371d65da39b2e34c709"
@@ -80,7 +82,7 @@ GENERAL_DIGESTS = {
         "e5661e5603bc5c56dc0ad18a2f0eb82ae6825f325390be5261884021713cc0d5"
     ),
     ("OR", "GF2"): (
-        "c388d6ccbb2d92ed5387f27c8c2af1523bf7fc74e7e41b5bcf479c611f771fc5"
+        "c3ec01bc6b5124f00a39b3c2d7c010c53b0c5c6d33939325b4d28ae4026209d7"
     ),
     ("OR", "GF3"): (
         "4aa254c2dfa6f4d918a2cc97fa5d8ba48a81eb46d0652416089932578d2b1bd1"
@@ -292,6 +294,9 @@ def test_shrink_support_output_is_pinned():
 # Exhaustive error reports and multilinear expansions.  These digests were
 # recorded while exhaustive scoring still evaluated every cube point with
 # eval_expr and expand_expr still multiplied sparse MultilinearPoly terms.
+# Every digest of a recipe that draws randomness and whose draws moved was
+# re-recorded when samplers came to read SHAKE-256 streams in place of
+# random.Random.
 
 QUARTER = Fraction(1, 4)
 TINY_EPS = Fraction(1, 1 << 20)
@@ -343,55 +348,55 @@ CUBE_RECIPES = {
 
 EXHAUSTIVE_DIGESTS = {
     "amplify GF2 8": (
-        "25edd981bc99e841d78df4a4d5c77eb8c1b25ff5c5ec76bf2be5785062bd796e"
+        "3c52f7bf6083856ef8adc35e9c740e5a86ddc29f8760acbea4097eaa145ec5d4"
     ),
     "amplify GF3 8": (
-        "6e24ece3730b1b3974e62baf65594e3049b488b49e6ab0a2d758f5c00ac4eb14"
+        "652fcea054e212c0883cce297fd25bf96e9791bbe00271d34468f7e9933951c9"
     ),
     "char0_or Q 6": (
-        "0f5eceac82aa2950025363971fb1554b002bcac71c3ce35ef803eb433a4fc646"
+        "2dc5fe44e6ad818583a9accd92d98c6493a78f4747ec7b43289e86ee45fb2198"
     ),
     "compose GF2 8": (
-        "8ee2cd8eda3461454ca193b5adc3e34fe7e29015ec5143485558219c7247a7ce"
+        "c8e3e49d3f8d5af861593438e0069b6cb1a3084b83234dad3c9b66e56940e304"
     ),
     "razborov_and GF3 8": (
-        "0b5d6c2b298469efb4dd4181936d4841816e7661f645bbfb84fd30298089dfd7"
+        "40728f29059617f2508547315373209d2c9732d48638684394a247059f1a88c2"
     ),
     "razborov_or GF2 10": (
-        "330591c14b7295982eea7c38ad73010aff4094df0357f8e587dc2c3fbfa49ceb"
+        "b3664793c7495aaa2883c03dc9995801826f967c218a008d9baaf78c4d8935cf"
     ),
     "razborov_or GF5 8": (
-        "e456f6ed07c34c689cd9c3b03577b7e18adf2ec2f20fc47080144e77249b8186"
+        "bebdd6138905a8fecf5d8bfa740589a1b72747eed08b42d4811f865dccdf372f"
     ),
     "threshold hash GF3 8": (
-        "d42aea4da63aa8b80483f318cf54aa6ea5b2e610ce4be6486618bc43137351db"
+        "dde668ae3780015987f18c1f95333d8b73d681a889368ad8ab4f00356a811861"
     ),
     "threshold hash Q 8": (
         "dde668ae3780015987f18c1f95333d8b73d681a889368ad8ab4f00356a811861"
     ),
     "threshold inductive GF5 8": (
-        "802677f476b04139e3ebec46da44dac9279522d45ba9a88ed95e8f3008e898c6"
+        "099e802f8f9635aa06f0f84574eacdd66c4173c3ce5e924e0213fcc5cde322f7"
     ),
     "threshold inductive Q 8": (
-        "93485b77688827a58292d19bb22c05903a2fb6f73b4fc3c61fcd5b225d9e4bf4"
+        "e022896f01a5984ddc40bbf30f400ad841488ace680bddacc8eae12e89a21724"
     ),
     "xor GF2 8": (
-        "f81c5dbc76a492f7427249c8d5e110eed8ae1ea61bee4a2e9c8983c21918427a"
+        "2f11cf380b786f07fffc381f29331e3706b09732c78de24dce3b326c4c1a26e5"
     ),
 }
 
 EXPAND_DIGESTS = {
     "amplify GF2 8": (
-        "2981d8fed42ca32ba515ab6929beabb9d770bd52ab45e91c2fbe9fb1b0904354"
+        "50f6b5b385a157460e4a27fcd9fed30f7fb5b7933380d137f9ac8b0f3670f019"
     ),
     "amplify GF3 8": (
-        "b0b8ca54edd8439598a02d0c23118d5438b664243a77658943df8cc937620856"
+        "03436a42937c343bc4ddf2ab044ae54d4ee2124a727595c638827d64f4ecac63"
     ),
     "char0_or Q 6": (
-        "38c3edf0210b9631327780c1da7760b842cae2373481468a67316581157fd13e"
+        "12d42df4767ea088b94b777df71994ae4a99f54f250f4815b9c059729cb47307"
     ),
     "compose GF2 8": (
-        "d9a73220920eda8cf73c5d2cf259c8af044c919e52bb49f0a1dbd351058a797a"
+        "d738a8149da43904488cbc815de987fe7ad54df07e35909f914ec15401c1220c"
     ),
     "general MAJ GF2 8": (
         "af09212999ee6a88fba9f1a7ac05174d41a016e5dbfe91e93942d476218ffb3a"
@@ -400,13 +405,13 @@ EXPAND_DIGESTS = {
         "e177cf6bb644b181acd92039c0fa41e0da076d96ab56786c6b400334de2704aa"
     ),
     "razborov_and GF3 8": (
-        "b18a67e56d422388f50a745402a8fe9284a46b394096de57f32a1cab3b799879"
+        "49371aa9027aa4991693144de5bdfe8e9e5e3f8df87805817578b4c33f362b8e"
     ),
     "razborov_or GF2 10": (
-        "da8610ec1515dd26a31303208270147dc2e4d75a0225d5d839714ed2c4efecd0"
+        "44ba0adad2295ad2e7cc48a3077dd802f150a7d6137d92cbfd0d85704dda0453"
     ),
     "razborov_or GF5 8": (
-        "7a05bc4742d10096bd5920de45cb47239d4bbd39c86be7368257d3c646c2af3e"
+        "260f5f78e26598b30193a4618ff73d49d4f64c73ec89c3d7a9f42dd92c49760d"
     ),
     "threshold exact GF2 8": (
         "0e0a92c93d3f2165e373062d4e5b7be431412d0c4f1cb8db9ea7bc0a327ea56f"
@@ -418,13 +423,13 @@ EXPAND_DIGESTS = {
         "085adbe8798ae615c7ebd9ea0c71210a975baea6d44fb5ccabf8723df2e643d9"
     ),
     "threshold inductive GF5 8": (
-        "31e08752ee4a6b2e0bf223340c742eea218b011a3c48f31bc4a5debba3103306"
+        "96fa3b1eac4b620b36f790e27c028b283fe382190f6e507b23a8c1331b861ac8"
     ),
     "threshold inductive Q 8": (
-        "8d2c0c3d8518dd31bdb1e923aee97d7d92b1ca3457c5e93844d29e59ccc1ea8e"
+        "e561fc103ab0ee499e7c9d4d15fceb1be644b4d314ef1b7eb1c0f8d7c7b7e4d4"
     ),
     "xor GF2 8": (
-        "65be6f45685ef6685c6c2d32dfdeba47b7bf4455441f870d467317583e7edc9f"
+        "1ee5fa0397ffe74f1d68fcb577245867bac36890f0032f48621481936e0f9e22"
     ),
     "non-boolean GF3": (
         "e615c8d93eb7e1e7c6d856693c882971cafe14cc7cc8128051bfc209bd63afda"
@@ -483,7 +488,10 @@ def test_expansion_is_pinned(name):
 # draws were re-recorded once one_minus reduced its -1 coefficient into the
 # field: the JSON writes p - 1 where it wrote -1, and no value changed.
 # The three general OR digests were re-recorded again when all-ones threshold
-# tuples took one disjunction per draw in place of the hashed branch.
+# tuples took one disjunction per draw in place of the hashed branch.  The
+# threshold hash, threshold inductive, general OR, compose, xor and amplify
+# digests were re-recorded when samplers came to read SHAKE-256 streams in
+# place of random.Random; the other recipes draw nothing.
 
 
 def _or_recipe(n, eps, field):
@@ -523,22 +531,22 @@ DRAW_RECIPES = {
 # the direct one, which telescopes through its one step.
 DRAW_JSON_DIGESTS = {
     ("amplify", "GF2"): (
-        "2f426032fd08bae17f46369c99307a8ef55ea03e0fc85159082775adbb44d65d"
+        "423f6bc58519daa422ccc5bb3f6c9385fa6e322f3c9ba48c3bea5e03eec6976c"
     ),
     ("amplify", "GF3"): (
-        "277226d0042c46fc984ef261726941a9f862fd369b33b1fa6d353bb0147884a1"
+        "a0d64eea7da4cd8b22abba2cfcca364bc328f60efee13a38b5741566f0a10676"
     ),
     ("amplify", "Q"): (
-        "48c6f53c3fbc50125de33ced9214fb9c89b8e406d3ab44f48a6eb72bda09f403"
+        "ae6a46f47c893bb5ccae3d78dd21736f5efb194f84aea8765eaa174704e1b1ed"
     ),
     ("compose", "GF2"): (
-        "b83616afdb7ac8ab72342661923e674532ea48461868f668c1f9ede40579b1b9"
+        "337487c72cf101019d71227d6ad08307be3da0116dad8db38c8bce8809c70f1b"
     ),
     ("compose", "GF3"): (
-        "c5b69d7dfd072ce16d8ea29c7056780894925bfd169a085a57e38b228f9d8ad2"
+        "0faf4e8648aa266a3ec0f764eb049cfb5380dc8e4eff3dc98abee9f7d768cc4b"
     ),
     ("compose", "Q"): (
-        "25b762d048813d05a23306e50adb8c9448c9423f54958a28108f4e5a9a0911af"
+        "4ccbf95df2c7714000ae30077c2aa03405c2cf69dbe82726f8e4cad536bc51ce"
     ),
     ("general MAJ", "GF2"): (
         "990e11373283afd5135ad8495c18fea0873231495825677aab088ce1ebed4bfa"
@@ -550,13 +558,13 @@ DRAW_JSON_DIGESTS = {
         "81cf9678444e711fb26b58bc7d4749482f287440252d30ab388357f9e132f182"
     ),
     ("general OR", "GF2"): (
-        "e0b41746e453704e3cea5e60e6b341a954b1ea052bf7a11fddc04225e51861e7"
+        "e880a56ec1ed6853053029cf63ce1e56802fc7febaeb0cb5e5da47a95059a895"
     ),
     ("general OR", "GF3"): (
-        "d9d6840bbcb94ba608327c8a4b90a89224e3b221c703e3a217e2fb7d71d2f3cf"
+        "ff6f9795e61888ce7abe760ddac6a29fc0b74f30225c91039665cb1a9717f384"
     ),
     ("general OR", "Q"): (
-        "fa53162875801f5dff977690f5cb6cfaef100d7259bb9fceabd4ed66cb60c655"
+        "79dbb7acb53f9e6d9db8bce3cce857c052934c38ab741b7e1f9bf2fdc301d8ef"
     ),
     ("general bounded", "GF2"): (
         "fa15745b787fe7765b696941c10d8ca7e86726f69c5141932990cae7fbbd7476"
@@ -577,31 +585,31 @@ DRAW_JSON_DIGESTS = {
         "9d63010b3928c2263e064372dd1430da2bc3b2d2b06d789ce1c46c09b8bc0f54"
     ),
     ("threshold hash", "GF2"): (
-        "cce742b3854eb35175532864cb3c5e6d85f0f2d7f9d78ea94aa442d4bc5ec992"
+        "3ac295aab8d05e5791a4f84882f999117e28477f33818a854fff75c09033b3bd"
     ),
     ("threshold hash", "GF3"): (
-        "76bcf63bccf6e5aeda68ac1261b9c91c71b59332fa5517039ad42724c24ca96f"
+        "f1ce6e9c86a9855fb026e7fec2a23673414c30ac1d299ef8b1698da626be5cce"
     ),
     ("threshold hash", "Q"): (
-        "b7aed17979c048764e1fbd09b32a0140f225af8c6cdd5e12693acd0b9de53a92"
+        "baab6dd70bd7682d8febee125c760e85405f8944939b19e751840d4548c632ba"
     ),
     ("threshold inductive", "GF2"): (
-        "272c2afa14bced9fb876750dfa673a4804ea096274404eb68e4c30f386824945"
+        "1f519d039b65a249e2b7f9bb9197409801024241abd4cd00a95b069430ae96dd"
     ),
     ("threshold inductive", "GF3"): (
-        "4b9a1a3a6132a5344e5b9e78d20f952df9363e260c56cdd33793173b290944fa"
+        "b08f23afdb8b6fa18cb29a2eb405de62013e96b88f8d3a648935e293f732d8f9"
     ),
     ("threshold inductive", "Q"): (
-        "816f7ac631ad4e696044289073957301d301c52e6a21ac214870e8dcee3b96d7"
+        "f803e8ce2b0d795a506391b60777ef22dc25e7bb0727f3a5ea1d791a0db27f0d"
     ),
     ("xor", "GF2"): (
-        "b8cc8fab83c4c9876297892d03872032aec72f61a40ae77bc395c3b6eeb1abbf"
+        "945b7a6217e59c55e78d740ec41705bf887e8df9aa2fd50bd06edd6ad7186d47"
     ),
     ("xor", "GF3"): (
-        "60a172c06f2e96fab615633de0d807bc99b97a9b3c69b16edaf666cd1f651cf8"
+        "e039257d5aff11d7939f9569ed7d4f3b4b1329b266205d0d1f121aa7ae8e53e6"
     ),
     ("xor", "Q"): (
-        "5baddfc593cee19bf78be3db79b5ff5e382162636a442f1250b0af4cf02394ad"
+        "ffe1cf10aadd60e658f08620cf87b9b046ffc985725bd390e54842b9d97a96de"
     ),
 }
 

@@ -518,7 +518,30 @@ class TestUnknownNode:
             expand_expr(self.EXPR, 4, field)
 
 
+# Recipes with a closed-form error, at sizes that score exhaustively.
+CLOSED_FORMS = {
+    "razborov GF2": lambda: razborov_or(12, QUARTER, GF2),
+    "razborov GF3": lambda: razborov_or(8, QUARTER, GF3),
+    "razborov GF5": lambda: razborov_or(8, Fraction(1, 2), GF5),
+    "razborov GF17": lambda: razborov_or(6, Fraction(1, 2), FieldSpec(17)),
+    "char0_or": lambda: char0_or(8, Fraction(1, 2)),
+    "amplify": lambda: amplify(razborov_or(6, QUARTER, GF2), Fraction(5, 32)),
+}
+
+
 class TestExactError:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_seeded_draws_follow_the_closed_form(self, name):
+        # Every point's error frequency over independent draws has
+        # variance at most q(1 - q) / trials, and so has their mean.
+        r = CLOSED_FORMS[name]()
+        trials = 1000
+        report = empirical_error(r, trials=trials, seed=11)
+        assert report.mode == "exhaustive"
+        for got, want in zip(report.per_weight, exact_error(r)):
+            q = float(want)
+            assert abs(got - q) <= 5 * sqrt(q * (1 - q) / trials), (name, got, q)
+
     def test_randomness_free_all_zero(self):
         r = exact_recipe(GF3, [named_spectrum("THR", 5, 2)])
         assert exact_error(r) == (Fraction(0),) * 6
