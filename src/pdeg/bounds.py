@@ -116,7 +116,8 @@ def recurrence_report(
     Valid in the regime eps <= 2^-100 and t > 160000 * log2(1/eps), where a
     single iteration reduces the threshold scale by the subsample ratio and
     the child error is a quarter of the parent's.  Each entry lists the
-    quantity that must stay below its budget.
+    quantity that must stay below its budget.  The figures are floats, so t
+    must be below 2^1000.
     """
     eps = check_eps(eps)
     L = log2_inv(eps)
@@ -128,6 +129,11 @@ def recurrence_report(
         raise ValueError(
             f"audit regime requires t > 160000*log2(1/eps) = {160000 * L:.3g}, "
             f"got t = {t}"
+        )
+    if t >= 2**1000:
+        raise ValueError(
+            "the audit computes in floats, so t must be below 2^1000, "
+            f"got a {t.bit_length()}-bit t"
         )
 
     A = profile.A

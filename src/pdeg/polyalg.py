@@ -177,10 +177,16 @@ class FieldSpec:
         return str(a)
 
     def parse_element(self, text: str) -> FieldElement:
+        """The element written as text, an int or a fraction; a fraction
+        whose denominator is 0 in the field raises ValueError naming it."""
         text = json_field("field element", text, str).strip()
-        if "/" in text:
-            return self.element(Fraction(text))
-        return self.element(int(text))
+        try:
+            return self.element(Fraction(text) if "/" in text else int(text))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"field element {bounded_repr(text)} divides by 0 in "
+                f"characteristic {self.characteristic}"
+            ) from None
 
 
 RATIONALS = FieldSpec(0)
@@ -240,17 +246,27 @@ def fraction_text(x: Fraction, max_bits: int | None = None) -> str:
     return f"~2^-{log2_inv(x):.6g}"
 
 
+# The largest exponent parse_fraction reads, k in 2^-k and a/2^k and e in a
+# decimal literal's exponent: 10^e past it costs seconds to build, and 2^k
+# far past it more memory than there is.
+MAX_EXPONENT = 10**6
+
+
 def parse_fraction(text: str) -> Fraction:
     """Read 'a/b', '2^-k', 'a/2^k' or a decimal literal exactly; ValueError
-    on anything else, a value that is not a string included."""
+    on anything else, a value that is not a string or an exponent past
+    MAX_EXPONENT included."""
     text = json_field("fraction", text, str).strip()
     power = re.fullmatch(r"(?:(\d+)/2\^|2\^-)(\d+)", text)
+    exponent = re.search(r"(?:\^-?|[eE][-+]?)([\d_]+)$", text)
     try:
-        if power:
-            return Fraction(int(power.group(1) or 1), 1 << int(power.group(2)))
-        return Fraction(text)
+        if not exponent or int(exponent.group(1)) <= MAX_EXPONENT:
+            if power:
+                return Fraction(int(power.group(1) or 1), 1 << int(power.group(2)))
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {text!r} as a fraction") from exc
+    raise ValueError(f"{text!r} has an exponent past {MAX_EXPONENT}")
 
 
 def binomial_in_field(w: int, k: int, field: FieldSpec) -> FieldElement:

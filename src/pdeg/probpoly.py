@@ -24,6 +24,7 @@ from .polyalg import (
     FieldElement,
     FieldSpec,
     SymPoly,
+    bounded_repr,
     ceil_log2_inv,
     check_eps,
     exact_sympoly,
@@ -664,7 +665,9 @@ class ConstantsProfile:
     def from_json(obj: dict) -> "ConstantsProfile":
         """Parse to_json's object, each field read by json_key as the kind
         it is declared, so a number keeps its JSON type and writes back the
-        same JSON; a missing or mistyped field raises ValueError naming it."""
+        same JSON; a missing or mistyped field, or a profile that is not an
+        object, raises ValueError naming it."""
+        json_field("profile", obj, dict)
         kinds = get_type_hints(ConstantsProfile)
         return ConstantsProfile(
             **{
@@ -803,6 +806,7 @@ class Recipe:
         return self._children
 
     def to_json(self) -> dict:
+        """A fresh record, which can be changed without changing the recipe."""
         return {
             "schema_version": 1,
             "kind": self.kind,
@@ -813,8 +817,15 @@ class Recipe:
             "profile": self.profile.to_json() if self.profile else None,
             "declared_degree_bound": self.declared_degree_bound,
             "randomness_free": self.randomness_free,
-            "params": self.params,
+            "params": {name: _record_value(v) for name, v in self.params.items()},
         }
+
+
+def _record_value(value):
+    """A params value as fresh JSON: a recipe as its record, a list copied."""
+    if type(value) is list:
+        return list(map(_record_value, value))
+    return value.to_json() if type(value) is Recipe else value
 
 
 def sample_stream(recipe: Recipe, stream: SeedStream) -> tuple[PolyExpr, ...]:
@@ -1430,9 +1441,9 @@ def general_recipe(
     characteristic): split f = g XOR h, represent g exactly below its period
     and h through the bounded construction, then recombine as g + h - 2gh.
     Route two (always available): telescope f through one threshold-vector
-    polynomial on the weights f steps at.  Ties prefer route one.  The
-    routes are compared by declared degree before route two's child is
-    built, so only the winner is constructed.
+    polynomial on the weights f steps at.  Ties prefer route one.  Route
+    one is built whenever it exists; the routes are then compared by
+    declared degree, so route two's child is built only when route two wins.
     """
     eps = Fraction(eps)
     n = f.n
@@ -1526,6 +1537,11 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
     delta = Fraction(delta)
     if recipe.eps == 0:
         raise ValueError("recipe is already exact; nothing to amplify")
+    if recipe.eps >= Fraction(1, 2):
+        raise ValueError(
+            f"error {fraction_text(recipe.eps)} is at least 1/2, and no "
+            "majority of copies lowers it"
+        )
     if delta >= recipe.eps:
         raise ValueError(
             f"target error {fraction_text(delta)} is not below the current "
@@ -1552,7 +1568,7 @@ def amplify(recipe: Recipe, delta: Fraction) -> Recipe:
         profile=recipe.profile,
         eps=delta,
         declared_degree_bound=ell * recipe.declared_degree_bound,
-        params={"delta": fraction_text(delta), "votes": ell, "child": recipe.to_json()},
+        params={"delta": fraction_text(delta), "votes": ell, "child": recipe},
         sampler=sampler,
         targets=recipe.target_spectra(),
         children=(recipe,),
@@ -1608,8 +1624,8 @@ def compose(outer: Recipe, inners: Sequence[Recipe]) -> Recipe:
         eps=eps_total,
         declared_degree_bound=declared,
         params={
-            "outer": outer.to_json(),
-            "inners": [r.to_json() for r in inners],
+            "outer": outer,
+            "inners": list(inners),
         },
         sampler=sampler,
         targets=(composite,),
@@ -1656,7 +1672,7 @@ def sum_recipes(
         params={
             "coefficients": [field.format_element(c) for c in coeffs],
             "target": target.text(),
-            "parts": [r.to_json() for r in recipes],
+            "parts": list(recipes),
         },
         sampler=sampler,
         targets=(target,),
@@ -1684,7 +1700,7 @@ def xor_combine(a: Recipe, b: Recipe) -> Recipe:
         profile=a.profile,
         eps=a.eps + b.eps,
         declared_degree_bound=a.declared_degree_bound + b.declared_degree_bound,
-        params={"a": a.to_json(), "b": b.to_json()},
+        params={"a": a, "b": b},
         sampler=sampler,
         targets=(target,),
         children=(a, b),
@@ -1743,100 +1759,90 @@ def enumerate_draws(recipe: Recipe) -> Iterator[tuple[Fraction, tuple[PolyExpr, 
 
 
 def _spectrum_param(build: Callable[..., Recipe]) -> Callable[..., Recipe]:
-    """The rebuild of a kind built from params["spectrum"], eps, field and
-    profile."""
-    return lambda p, *args: build(parse_spectrum(json_key(p, "spectrum", str)), *args)
+    """The rebuild of a kind built from params["spectrum"], eps, field, profile."""
+    return lambda p, eps, field, profile: build(
+        parse_spectrum(json_key(p, "spectrum", str)),
+        eps,
+        field,
+        ConstantsProfile.from_json(profile),
+    )
 
 
-# Every recipe kind recipe_from_json rebuilds: the params that hold child
-# recipes in JSON, each a single recipe (dict) or a list of them (list), and
-# the rebuild, called as rebuild(params, eps, field, profile) with those
-# params already rebuilt into recipes.
-_RECIPE_KINDS: dict[str, tuple[dict[str, type], Callable[..., Recipe]]] = {
-    "constant": (
-        {},
-        lambda p, eps, field, _: constant_recipe(
-            field, json_key(p, "n"), json_key(p, "value")
-        ),
-    ),
-    "exact": (
-        {},
-        lambda p, eps, field, _: exact_recipe(
-            field,
-            [parse_spectrum(json_field("spectra", s, str)) for s in json_key(p, "spectra", list)],
-        ),
-    ),
-    "razborov_or": (
-        {},
-        lambda p, eps, field, _: razborov_or(
-            json_key(p, "n"), eps, field, json_key(p, "negate", bool)
-        ),
-    ),
-    "char0_or": ({}, lambda p, eps, *_: char0_or(json_key(p, "n"), eps)),
-    "threshold_tuple": (
-        {},
-        lambda p, *args: threshold_tuple(
-            json_key(p, "n"), tuple(json_key(p, "thresholds", list)), *args
-        ),
-    ),
-    "t_constant": ({}, _spectrum_param(t_constant_recipe)),
-    "bounded": ({}, _spectrum_param(bounded_recipe)),
-    "general": ({}, _spectrum_param(general_recipe)),
-    "amplify": (
-        {"child": dict},
-        lambda p, *_: amplify(p["child"], json_key(p, "delta", Fraction)),
-    ),
-    "compose": (
-        {"outer": dict, "inners": list},
-        lambda p, *_: compose(p["outer"], p["inners"]),
-    ),
-    "sum": (
-        {"parts": list},
-        lambda p, eps, field, _: sum_recipes(
-            p["parts"],
-            list(map(field.parse_element, json_key(p, "coefficients", list))),
-            parse_spectrum(json_key(p, "target", str)),
-        ),
-    ),
-    "xor": ({"a": dict, "b": dict}, lambda p, *_: xor_combine(p["a"], p["b"])),
-}
+def _child(p: dict, name: str, kind: type = dict):
+    """params[name] loaded as one recipe (kind dict) or a list of them."""
+    child = json_key(p, name, kind)
+    return recipe_from_json(child) if kind is dict else list(map(recipe_from_json, child))
 
 
-# The claims a recipe's JSON carries that its rebuild derives, and their kinds.
-_RECIPE_CLAIMS = {
-    "n": int, "arity": int, "declared_degree_bound": int, "randomness_free": bool
+# The rebuild of every recipe kind recipe_from_json loads, called as
+# rebuild(params, eps, field, profile) with the record's params and profile.
+_RECIPE_KINDS: dict[str, Callable[..., Recipe]] = {
+    "constant": lambda p, eps, field, _: constant_recipe(
+        field, json_key(p, "n"), json_key(p, "value")
+    ),
+    "exact": lambda p, eps, field, _: exact_recipe(
+        field,
+        [parse_spectrum(json_field("spectra", s, str)) for s in json_key(p, "spectra", list)],
+    ),
+    "razborov_or": lambda p, eps, field, _: razborov_or(
+        json_key(p, "n"), eps, field, json_key(p, "negate", bool)
+    ),
+    "char0_or": lambda p, eps, *_: char0_or(json_key(p, "n"), eps),
+    "threshold_tuple": lambda p, eps, field, profile: threshold_tuple(
+        json_key(p, "n"),
+        tuple(json_key(p, "thresholds", list)),
+        eps,
+        field,
+        ConstantsProfile.from_json(profile),
+    ),
+    "t_constant": _spectrum_param(t_constant_recipe),
+    "bounded": _spectrum_param(bounded_recipe),
+    "general": _spectrum_param(general_recipe),
+    "amplify": lambda p, *_: amplify(_child(p, "child"), json_key(p, "delta", Fraction)),
+    "compose": lambda p, *_: compose(_child(p, "outer"), _child(p, "inners", list)),
+    "sum": lambda p, eps, field, _: sum_recipes(
+        _child(p, "parts", list),
+        list(map(field.parse_element, json_key(p, "coefficients", list))),
+        parse_spectrum(json_key(p, "target", str)),
+    ),
+    "xor": lambda p, *_: xor_combine(_child(p, "a"), _child(p, "b")),
 }
 
 
 def recipe_from_json(obj: dict) -> Recipe:
-    """Rebuild a recipe from its serialized form by re-running its constructor.
-
-    Every recipe in the tree must derive the n, arity, declared degree bound
-    and randomness_free its JSON claims; ValueError names a field that is
-    missing or mistyped and a claim that differs."""
+    """Rebuild a recipe from its record by re-running its constructor.  The
+    recipe must write back that record, field for field and JSON type for
+    type; ValueError names the first field that is missing, mistyped or
+    differs, in the child record that holds it."""
     kind = json_key(obj, "kind", str)
     if kind not in _RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {kind!r}")
-    child_params, rebuild = _RECIPE_KINDS[kind]
     field = FieldSpec(json_key(obj, "field", None))
     eps = json_key(obj, "eps", Fraction)
-    profile = (
-        ConstantsProfile.from_json(obj["profile"]) if obj.get("profile") else None
-    )
-    params = dict(json_key(obj, "params", dict))
-    for name, child_kind in child_params.items():
-        child = json_key(params, name, child_kind)
-        params[name] = (
-            recipe_from_json(child)
-            if child_kind is dict
-            else list(map(recipe_from_json, child))
-        )
-    recipe = rebuild(params, eps, field, profile)
-    for name, claim_kind in _RECIPE_CLAIMS.items():
-        claimed = json_key(obj, name, claim_kind)
-        derived = getattr(recipe, name)
-        if claimed != derived:
-            raise ValueError(
-                f"{kind} recipe claims {name} {claimed!r}, but rebuilds with {derived!r}"
-            )
+    params = json_key(obj, "params", dict)
+    recipe = _RECIPE_KINDS[kind](params, eps, field, json_key(obj, "profile", None))
+    _check_record(kind, obj, recipe.to_json(), "")
     return recipe
+
+
+def _check_record(kind: str, claimed, rebuilt, path: str) -> None:
+    """Raise ValueError at the first field, by dotted path, where the record
+    claimed differs from rebuilt in value or JSON type (1, 1.0 and true all
+    differ), in json_key's and json_field's wording where it is missing or
+    of a type the rebuilt value's kind refuses."""
+    if type(claimed) is not type(rebuilt) and rebuilt is not None:
+        json_field(path, claimed, type(rebuilt))
+    prefix = path and path + "."
+    if type(rebuilt) is dict:
+        for key, value in rebuilt.items():
+            _check_record(kind, json_key(claimed, key, None, prefix), value, prefix + key)
+        for key in sorted(claimed.keys() - rebuilt.keys()):
+            raise ValueError(f"{kind} recipe claims {prefix}{key}, but rebuilds without it")
+    elif type(rebuilt) is list and len(claimed) == len(rebuilt):
+        for i, value in enumerate(rebuilt):
+            _check_record(kind, claimed[i], value, f"{prefix}{i}")
+    elif type(claimed) is not type(rebuilt) or claimed != rebuilt:
+        raise ValueError(
+            f"{kind} recipe claims {path} {bounded_repr(claimed)}, "
+            f"but rebuilds with {bounded_repr(rebuilt)}"
+        )

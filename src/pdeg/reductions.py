@@ -9,6 +9,7 @@ exactly.  Certificates can be re-checked from scratch and serialized.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -250,7 +251,7 @@ class ReductionCertificate:
             "restrictions": [[z, o] for z, o in self.restrictions],
             "combiner": self.combiner.to_json(),
             "claimed_degree": self.claimed_degree,
-            "extras": self.extras,
+            "extras": deepcopy(self.extras),
         }
 
     @staticmethod

@@ -26,6 +26,10 @@ class TestParseEps:
     def test_power_form(self):
         assert cli.parse_eps("2^-20") == Fraction(1, 1 << 20)
 
+    def test_power_form_up_to_the_exponent_cap(self):
+        assert cli.parse_eps("2^-100000") == Fraction(1, 1 << 100000)
+        assert cli.parse_eps("2^-1000000") == Fraction(1, 1 << 1000000)
+
     def test_decimal_form(self):
         assert cli.parse_eps("0.25") == Fraction(1, 4)
 
@@ -473,6 +477,25 @@ class TestUsageErrors:
         assert exc.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "eps", ["2^-1" + "0" * 30, "2^-1000000000000", "1e-10000000"]
+    )
+    def test_eps_past_the_exponent_cap(self, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--kind", "MAJ", "--n", "8", "--eps", eps])
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "usage"
+
+    def test_audit_t_past_the_float_range(self, capsys):
+        code, payload, _ = run_cli(
+            capsys,
+            ["bounds", "--audit", "--t", "1" + "0" * 400, "--eps", "2^-200",
+             "--kind", "MAJ", "--n", "8"],
+        )
+        assert code == 2
+        assert "t must be below 2^1000" in payload["error"]["message"]
 
     @pytest.mark.parametrize(
         "field, reason",

@@ -128,6 +128,18 @@ def test_fraction_text_round_trips():
         parse_fraction(text)
 
 
+def test_parse_fraction_caps_its_exponent(monkeypatch):
+    # A small cap puts both of its sides in reach without a huge int.
+    monkeypatch.setattr(polyalg, "MAX_EXPONENT", 64)
+    assert parse_fraction("2^-64") == Fraction(1, 1 << 64)
+    assert parse_fraction("3/2^64") == Fraction(3, 1 << 64)
+    assert parse_fraction("1e-64") == Fraction(1, 10**64)
+    assert parse_fraction("1.5E+64") == Fraction(15 * 10**63)
+    for text in ("2^-65", "3/2^65", "1e-65", "1E+65", "1e-6_5", "2^-1" + "0" * 30):
+        with pytest.raises(ValueError, match="has an exponent past 64"):
+            parse_fraction(text)
+
+
 class TestSymPoly:
     def test_strips_trailing_zeros(self):
         assert SymPoly(GF3, (1, 2, 3, 0)).coeffs == (1, 2)

@@ -810,6 +810,13 @@ class TestCombinators:
         with pytest.raises(ValueError):
             amplify(exact, Fraction(1, 8))
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(3, 4)])
+    def test_amplify_refuses_an_error_of_half_or_more(self, eps):
+        # No majority of copies lowers such an error, so the vote count
+        # search would never end.
+        with pytest.raises(ValueError, match="is at least 1/2"):
+            amplify(razborov_or(6, eps, GF2), QUARTER)
+
     def test_amplify_minimal_vote_count(self):
         child = razborov_or(2, QUARTER, GF2)
         # any target strictly below eps needs at least three votes
@@ -936,15 +943,18 @@ _ROUNDTRIP_BUILDS = [
 ]
 
 
-def _edited(obj, *path, value=None):
+_DELETED = object()
+
+
+def _edited(obj, *path, value=_DELETED):
     """A copy of obj with the field at path set to value, or deleted when
-    value is None."""
+    no value is given."""
     obj = json.loads(json.dumps(obj))
     *outer, last = path
     inner = obj
     for key in outer:
         inner = inner[key]
-    if value is None:
+    if value is _DELETED:
         del inner[last]
     else:
         inner[last] = value
@@ -1252,6 +1262,115 @@ class TestRecipeSerialization:
         obj["kind"] = "mystery"
         with pytest.raises(ValueError):
             recipe_from_json(obj)
+
+    @staticmethod
+    def _field_paths(obj, path=()):
+        """The path of every field in a JSON value, containers included."""
+        items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+        for key, value in items:
+            yield path + (key,)
+            yield from TestRecipeSerialization._field_paths(value, path + (key,))
+
+    @pytest.mark.parametrize("build", _ROUNDTRIP_BUILDS)
+    def test_every_edited_field_loads_back_as_written_or_is_refused(self, build):
+        record = build().to_json()
+        for path in self._field_paths(record):
+            old = record
+            for key in path:
+                old = old[key]
+            values = [None, True, 0, 1, -1, 7, 2.5, "x", "1/3", "0101", [], {}, [1]]
+            if type(old) is int:
+                values += [old - 1, old + 1]
+            for value in values:
+                edited = _edited(record, *path, value=value)
+                try:
+                    back = recipe_from_json(edited).to_json()
+                except ValueError:
+                    continue
+                # json.dumps tells 1, 1.0 and true apart, as == does not.
+                assert json.dumps(back) == json.dumps(edited), (path, value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("params", "forms", 1), "razborov_or recipe claims params.forms 1, but rebuilds with 2"),
+            (("schema_version", 2), "claims schema_version 2, but rebuilds with 1"),
+            (("schema_version", 1.0), "schema_version 1.0 is not an int"),
+            (("params", "forms", True), "params.forms True is not an int"),
+            (("params", "spare", 0), "claims params.spare, but rebuilds without it"),
+            (("profile", {}), "claims profile {}, but rebuilds with None"),
+        ],
+    )
+    def test_recipe_json_names_the_first_field_it_does_not_rebuild(self, edit, message):
+        *path, value = edit
+        obj = _edited(razborov_or(6, QUARTER, GF2).to_json(), *path, value=value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            recipe_from_json(obj)
+
+    def test_an_eps_the_rebuild_does_not_read_is_still_checked(self):
+        obj = amplify(razborov_or(2, QUARTER, GF2), Fraction(5, 32)).to_json()
+        obj["eps"] = "1/3"
+        message = "amplify recipe claims eps '1/3', but rebuilds with '5/32'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            recipe_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: threshold_tuple(40, (2,), EIGHTH, GF2, p),
+            lambda p: t_constant_recipe(named_spectrum("MAJ", 6), EIGHTH, GF2, p),
+            lambda p: bounded_recipe(spectrum("0100011"), EIGHTH, GF2, p),
+            lambda p: general_recipe(named_spectrum("MAJ", 6), EIGHTH, GF2, p),
+        ],
+        ids=["threshold_tuple", "t_constant", "bounded", "general"],
+    )
+    @pytest.mark.parametrize(
+        "profile, message",
+        [(None, "profile None is not an object"), ({}, "profile name is missing from {}")],
+        ids=["null", "empty"],
+    )
+    def test_profiled_kinds_refuse_a_missing_profile(self, build, profile, message):
+        obj = build(practical_profile(GF2)).to_json()
+        obj["profile"] = profile
+        with pytest.raises(ValueError, match=re.escape(message)):
+            recipe_from_json(obj)
+
+    def test_changing_a_record_leaves_the_recipe_as_it_was(self):
+        from pdeg.verify import exact_error
+
+        r = razborov_or(6, QUARTER, GF2)
+        r.to_json()["params"]["forms"] = 1
+        assert r.params["forms"] == 2 and max(exact_error(r)) == QUARTER
+        tree = compose(
+            exact_recipe(GF2, [named_spectrum("OR", 2)]),
+            [amplify(razborov_or(6, QUARTER, GF2), Fraction(5, 32)), r],
+        )
+        first = tree.to_json()
+        text = json.dumps(first)
+        first["params"]["inners"][0]["params"]["child"]["params"]["forms"] = 9
+        first["params"]["outer"]["params"]["spectra"].append("000")
+        first["params"]["inners"].pop()
+        assert json.dumps(tree.to_json()) == text
+        assert max(exact_error(r)) == QUARTER
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda: recipe_from_json(  # the last build is a sum over GF(3)
+                _edited(_ROUNDTRIP_BUILDS[-1]().to_json(), "params", "coefficients", 0, value="1/3")
+            ),
+            lambda: expr_from_json(
+                {"char": 3, "nodes": [{"op": "const", "value": "1/3"}], "roots": [0]}
+            ),
+            lambda: SymPoly.from_json({"char": 3, "coeffs": ["1", "1/3"]}),
+        ],
+        ids=["recipe-sum-coefficient", "expr-const", "sympoly-coeff"],
+    )
+    def test_loaders_refuse_an_element_that_divides_by_zero(self, load):
+        with pytest.raises(
+            ValueError, match=re.escape("field element '1/3' divides by 0 in characteristic 3")
+        ):
+            load()
 
 
 class TestRecipeFields:

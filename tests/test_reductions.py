@@ -389,6 +389,12 @@ class TestThrComplement:
         assert not cert.source_reflected
         assert cert.check(GF2) and cert.check(GF5) and cert.check(RATIONALS)
 
+    def test_changing_its_json_leaves_the_certificate_as_it_was(self):
+        cert = thr_complement_from_bounded(complement_spectrum(named_spectrum("OR", 18)))
+        cert.to_json()["extras"]["alpha"].append(99)
+        assert cert.extras["alpha"] == [1]
+        assert cert.to_json()["extras"]["alpha"] == [1]
+
     def test_radius_three(self):
         h = spectrum("001" + "0" * 16)
         cert = thr_complement_from_bounded(h)
