@@ -8,8 +8,15 @@ counts are checked exhaustively instead, on every point of the cube
 {0,1}^n.  Every mode scores a draw in one column pass: it computes every
 node's values at all the points at once, by its class's rule, in the order
 of probpoly's one iterative DAG walk, post_order, so no draw is walked once
-per point.  Over GF(2) a cube column is one 2^n-bit int, and Sum, Product
-and SymApply are XOR, AND and a bit-sliced counter.
+per point.  On lists a node costs one pass over the points, and a Sum or
+Product of more than two operands one more per extra operand: a SymApply on
+x_0..x_(m-1) alone is read off its value table as a slice (at 1^w 0^(n-w)
+it counts min(w, m) ones), SymApply nodes with equal var_indices share one
+count column per pass, a linear form on x_0..x_(n-1) in order takes its
+prefix sums straight from its coefficients, and Sum, Product and
+LinearForm reduce mod p in the pass that computes them.  Over GF(2) a cube
+column is one 2^n-bit int, and Sum, Product and SymApply are XOR, AND and
+a bit-sliced counter.
 
 The multilinear normal form of a draw is unique on the cube, so expand_expr
 reads its coefficients off the root's cube column with a Mobius
@@ -126,97 +133,154 @@ class _ColumnEvaluator:
     """Values of expressions on the points 1^w 0^(n-w), w = 0..n, as columns.
 
     One post-order pass per draw gives every node its column of values, one
-    per point, by its class's entry in rules.  A variable is the linear form
-    1 * x_index, and linear forms come from _linear; a weight polynomial
-    looks its input count up in its value table, SymPoly.table (a Lucas
-    transform in characteristic p), which the polynomial caches for every
-    evaluator and for eval_expr alike.  Arithmetic runs on raw ints or
-    Fractions and is reduced once per node.  _CubeColumns changes the point
-    set to the whole cube.
+    per point, by its class's entry in rules, and each rule is one list
+    pass over the points, plus one per operand past the second of a Sum or
+    Product:
+    - a SymApply on x_0..x_(m-1) and nothing else counts min(w, m) ones at
+      weight w, so its column is read off its weight polynomial's value
+      table, SymPoly.table, as a slice: no count column is built;
+    - any other SymApply reads that table at each point's count of ones.
+      SymApply nodes with equal var_indices share one count column per
+      columns() call, as they share one count per call in eval_expr;
+    - a variable is the linear form 1 * x_index, and a linear form is the
+      prefix sum of each variable's coefficient: a form on x_0..x_(n-1) in
+      order is its coefficient list already, so no per-index pass runs;
+    - Sum, Product, Power and LinearForm compute on raw ints or Fractions
+      and reduce mod p in the pass that computes them.
+    The tables are cached on the polynomials for every evaluator and for
+    eval_expr alike.  _CubeColumns changes the point set to the whole cube.
     """
 
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
         self.size = n + 1
-        p = field.characteristic or None  # pow(v, k, None) is v**k, over Q
+        self.all_indices = tuple(range(n))
+        # None leaves a value unreduced, over Q: pow(v, k, None) is v**k.
+        self.p = p = field.characteristic or None
+        self.counts: dict[Sequence[int], list[int]] = {}
         self.rules = {
             SymApply: self._sym_column,
             Sum: self._sum_column,
             Product: self._product_column,
             Power: lambda e, cols: [pow(v, e.exponent, p) for v in cols[id(e.base)]],
-            LinearForm: lambda e, cols: self._reduce(self._linear(e.coeffs, e.indices)),
-            Var: lambda e, cols: self._reduce(self._linear((1,), (e.index,))),
-            Constant: lambda e, cols: self._reduce([e.value] * self.size),
+            LinearForm: lambda e, cols: self._linear(e.coeffs, e.indices, p),
+            Var: lambda e, cols: self._linear((1,), (e.index,), p),
+            Constant: lambda e, cols: [e.value % p if p else e.value] * self.size,
         }
 
     def columns(self, roots: Sequence[PolyExpr]) -> list[list[FieldElement]]:
+        self.counts = {}  # this call's count columns, by var_indices
         return _post_order(roots, self.rules)
 
     def spectrum_column(self, values: Sequence[int]) -> list[FieldElement]:
-        """Column of a function of the weight, given its values by weight."""
-        return [self.field.element(v) for v in values]
+        """Column of a function of the weight, given its values by weight.
+
+        Spectrum values are plain 0/1 ints, canonical in every field.
+        """
+        return list(values)
 
     def wrong_by_weight(self, cols: Sequence, targets: Sequence) -> list:
         """Per weight, the points where some column misses its target.
 
-        With one point per weight that is a flag per point.
+        With one point per weight that is a flag per point.  A column that
+        matches its target throughout is passed over with one comparison.
         """
         wrong = [False] * self.size
         for col, target in zip(cols, targets):
-            wrong = list(map(or_, wrong, map(ne, col, target)))
+            if col != target:
+                wrong = list(map(or_, wrong, map(ne, col, target)))
         return wrong
 
-    def _linear(
+    def _by_var(
         self, coeffs: Iterable[FieldElement], indices: Sequence[int]
+    ) -> Iterable[FieldElement]:
+        """Each variable's total coefficient in sum_j coeffs[j] * x_indices[j].
+
+        A form on x_0..x_(n-1) in order already lists them.
+        """
+        if indices == self.all_indices:
+            return coeffs
+        _check_indices(indices, self.n)
+        by_var: list[FieldElement] = [0] * self.n
+        for c, i in zip(coeffs, indices):
+            by_var[i] += c
+        return by_var
+
+    def _linear(
+        self, coeffs: Iterable[FieldElement], indices: Sequence[int], p: int | None = None
     ) -> list[FieldElement]:
-        """Column of the sum of coeffs[j] * x_indices[j], unreduced.
+        """Column of sum_j coeffs[j] * x_indices[j], reduced mod p if given.
 
         At 1^w 0^(n-w) that is the sum of the coefficients of x_i, i < w:
         a prefix sum.
         """
-        _check_indices(indices, self.n)
-        hist: list[FieldElement] = [0] * self.n
-        for c, i in zip(coeffs, indices):
-            hist[i] += c
-        return list(accumulate(hist, initial=0))
+        sums = accumulate(self._by_var(coeffs, indices), initial=0)
+        return [v % p for v in sums] if p else list(sums)
+
+    def _prefix_read(self, table: Sequence[FieldElement], m: int) -> list[FieldElement]:
+        """table at the number of ones among x_0..x_(m-1), m <= n, at each
+        point: min(w, m) at 1^w 0^(n-w)."""
+        return [*table[: m + 1], *repeat(table[m], self.n - m)]
+
+    def _count_column(self, var_idx: Sequence[int]) -> list[int]:
+        """The number of ones among x_i, i in var_idx, at each point; one
+        column per var_indices per columns() call, never written to."""
+        counts = self.counts.get(var_idx)
+        if counts is None:
+            counts = self.counts[var_idx] = self._linear(repeat(1, len(var_idx)), var_idx)
+        return counts
 
     def _coordinate(self, i: int, point: int) -> int:
         """x_i at the point with index point."""
         return 1 if i < point else 0
 
-    def _reduce(self, col: list[FieldElement]) -> list[FieldElement]:
-        p = self.field.characteristic
-        return [v % p for v in col] if p else col
-
     def _product_column(self, e: Product, cols: dict) -> list[FieldElement]:
-        out = cols[id(e.factors[0])] if e.factors else [1] * self.size
-        for f in e.factors[1:]:
-            out = list(map(mul, out, cols[id(f)]))
-        return self._reduce(out)
+        p = self.p
+        if not e.factors:
+            return [1] * self.size
+        # Each factor after the first is one pass; the last pass reduces.
+        out, *rest = [cols[id(f)] for f in e.factors]
+        if not rest:
+            return [v % p for v in out] if p else out
+        *mid, last = rest
+        for col in mid:
+            out = list(map(mul, out, col))
+        return [a * b % p for a, b in zip(out, last)] if p else list(map(mul, out, last))
 
     def _sum_column(self, e: Sum, cols: dict) -> list[FieldElement]:
+        p, k = self.p, e.constant
         if not e.terms:
-            return self._reduce([e.constant] * self.size)
-        # The constant rides on the first term, so no constant column is built.
+            return [k % p if p else k] * self.size
+        # The constant rides on a term, so no constant column is built.  The
+        # last pass adds the last two terms and reduces; any earlier terms
+        # fold first, one pass each, into a partial sum of coefficient 1.
         (c, t), *rest = e.terms
-        k = e.constant
-        out = [k + c * v for v in cols[id(t)]]
-        for c, t in rest:
-            col = cols[id(t)]
-            if c == 1:
-                out = list(map(add, out, col))
-            else:
-                out = [a + c * v for a, v in zip(out, col)]
-        return self._reduce(out)
+        x = cols[id(t)]
+        if not rest:
+            return [(k + c * v) % p for v in x] if p else [k + c * v for v in x]
+        *mid, (d, u) = rest
+        if mid:
+            x = [k + c * v for v in x]
+            for ci, ti in mid:
+                x = [a + ci * v for a, v in zip(x, cols[id(ti)])]
+            k, c = 0, 1
+        y = cols[id(u)]
+        if p:
+            return [(k + c * a + d * b) % p for a, b in zip(x, y)]
+        return [k + c * a + d * b for a, b in zip(x, y)]
 
     def _sym_column(self, e: SymApply, cols: dict) -> list[FieldElement]:
         p = self.field.characteristic
         var_idx = e.var_indices
+        m = len(var_idx)
+        table = e.poly.table(len(e.inputs))
+        if not e.others:
+            if var_idx == range(m) and m <= self.n:
+                return self._prefix_read(table, m)
+            return list(map(table.__getitem__, self._count_column(var_idx)))
         others = [cols[id(t)] for t in e.others]
-        counts = self._linear(repeat(1), var_idx)
-        if others:
-            counts = list(map(add, counts, map(sum, zip(*others))))
+        counts = list(map(add, self._count_column(var_idx), map(sum, zip(*others))))
         # Over GF(2) every reduced value is 0 or 1; elsewhere an input may
         # take another value, and those points need the general kernel.
         bad: set[int] = set()
@@ -226,7 +290,6 @@ class _ColumnEvaluator:
                     bad.update(j for j, v in enumerate(col) if v != 0 and v != 1)
         for j in bad:
             counts[j] = 0
-        table = e.poly.table(len(e.inputs))
         # Over Q a count may be a Fraction with denominator 1.
         out = [table[int(c)] for c in counts] if p == 0 else [table[c] for c in counts]
         for j in bad:
@@ -252,8 +315,7 @@ class _CubeColumns(_ColumnEvaluator):
         return [m.bit_count() for m in range(self.size)]
 
     def spectrum_column(self, values: Sequence[int]) -> list[FieldElement]:
-        by_weight = super().spectrum_column(values)
-        return [by_weight[w] for w in self.weights]
+        return [values[w] for w in self.weights]
 
     def wrong_by_weight(self, cols: Sequence, targets: Sequence) -> list[int]:
         counts = [0] * (self.n + 1)
@@ -262,21 +324,27 @@ class _CubeColumns(_ColumnEvaluator):
         return counts
 
     def _linear(
-        self, coeffs: Iterable[FieldElement], indices: Sequence[int]
+        self, coeffs: Iterable[FieldElement], indices: Sequence[int], p: int | None = None
     ) -> list[FieldElement]:
-        """Column of the sum of coeffs[j] * x_indices[j], unreduced.
+        """Column of sum_j coeffs[j] * x_indices[j], reduced mod p if given.
 
         Built by the subset-sum recurrence: the points with x_i = 1 are the
         lower 2^i points shifted by 2^i, plus x_i's coefficient.
         """
-        _check_indices(indices, self.n)
-        by_var: list[FieldElement] = [0] * self.n
-        for c, i in zip(coeffs, indices):
-            by_var[i] += c
         col: list[FieldElement] = [0]
-        for c in by_var:
-            col += [v + c for v in col] if c else col
+        for c in self._by_var(coeffs, indices):
+            if p:
+                c %= p
+            if not c:
+                col += col
+            else:
+                col += [(v + c) % p for v in col] if p else [v + c for v in col]
         return col
+
+    def _prefix_read(self, table: Sequence[FieldElement], m: int) -> list[FieldElement]:
+        """x_0..x_(m-1) are the low m bits of the mask, so the column is its
+        first 2^m entries, repeated."""
+        return [table[w] for w in self.weights[: 1 << m]] * (1 << (self.n - m))
 
     def _coordinate(self, i: int, point: int) -> int:
         return (point >> i) & 1

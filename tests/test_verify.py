@@ -29,11 +29,13 @@ from pdeg.probpoly import (
     general_recipe,
     majority_tail,
     one_minus,
+    post_order,
     practical_profile,
     razborov_or,
     recipe_from_json,
     sample,
     sample_stream,
+    split_operands,
     threshold_tuple,
     xor_combine,
 )
@@ -42,6 +44,7 @@ from pdeg import verify as verify_module
 from pdeg.symfun import named_spectrum, spectrum
 from pdeg.verify import (
     _ColumnEvaluator,
+    _CubeColumns,
     _cube_evaluator,
     DegreeAudit,
     ErrorReport,
@@ -55,6 +58,8 @@ from pdeg.verify import (
 
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
+FIELDS = (GF2, GF3, RATIONALS)
+FIELD_IDS = ("GF2", "GF3", "Q")
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
 TINY_EPS = Fraction(1, 1 << 20)
@@ -318,33 +323,135 @@ def _non_boolean_sym(field):
     )
 
 
+def typed(col):
+    """Each entry with its type: pdeg sample prints entries with str, so a
+    True for 1 would change the output where == would not notice."""
+    return [(type(v), v) for v in col]
+
+
+def _sym_on(poly, indices):
+    return SymApply(poly, tuple(Var(i) for i in indices))
+
+
 class TestColumnEvaluator:
-    """Every column must equal eval_expr at each point 1^w 0^(n-w)."""
+    """Every column must equal eval_expr at each point 1^w 0^(n-w), entry
+    for entry and type for type."""
 
     @staticmethod
     def reference(draw, n, field):
         return [
-            [eval_expr(e, [1] * w + [0] * (n - w), field) for w in range(n + 1)]
+            typed([eval_expr(e, [1] * w + [0] * (n - w), field) for w in range(n + 1)])
             for e in draw
         ]
+
+    def check(self, evaluator, draw):
+        got = [typed(col) for col in evaluator.columns(draw)]
+        assert got == self.reference(draw, evaluator.n, evaluator.field)
 
     @pytest.mark.parametrize(
         "recipe", [r for _, r in _column_recipes()],
         ids=[name for name, _ in _column_recipes()],
     )
     def test_matches_eval_expr(self, recipe):
-        n, field = recipe.n, recipe.field
-        evaluator = _ColumnEvaluator(field, n)
+        evaluator = _ColumnEvaluator(recipe.field, recipe.n)
         for seed in range(4):
-            draw = sample(recipe, seed)
-            assert evaluator.columns(draw) == self.reference(draw, n, field)
+            self.check(evaluator, sample(recipe, seed))
 
     @pytest.mark.parametrize("field", [GF3, RATIONALS])
     def test_non_boolean_inputs(self, field):
-        draw = _non_boolean_sym(field)
-        assert _ColumnEvaluator(field, 5).columns(draw) == self.reference(
-            draw, 5, field
+        self.check(_ColumnEvaluator(field, 5), _non_boolean_sym(field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_prefix_inputs_read_off_the_table(self, field):
+        # A SymApply on x_0..x_(m-1) counts min(w, m) ones at weight w.
+        n = 7
+        draw = tuple(
+            _sym_on(SymPoly(field, tuple(range(1, m + 2))), range(m))
+            for m in (0, 1, n - 1, n)
         )
+        assert [e.var_indices for e in draw] == [range(m) for m in (0, 1, n - 1, n)]
+        self.check(_ColumnEvaluator(field, n), draw)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_shared_input_tuples(self, field):
+        # Two polynomials on one input tuple, repeats included, share one
+        # count column; a non-Boolean other input on the same Var inputs
+        # takes the general kernel at some points, which must not write to
+        # the shared counts.  A second call's draw on an equal tuple sees
+        # its own counts.
+        n = 6
+        poly1 = SymPoly(field, (0, 1, 2, 1))
+        poly2 = exact_sympoly(named_spectrum("MAJ", 5), field)
+        idx = (4, 1, 4, 0)
+        form = LinearForm((1, 1), (0, 1))
+        mixed = SymApply(poly2, (*(Var(i) for i in idx), form))
+        assert mixed.var_indices == idx
+        twin = (4, 1, 3, 2)
+        evaluator = _ColumnEvaluator(field, n)
+        self.check(evaluator, (mixed, _sym_on(poly1, idx), _sym_on(poly2, idx)))
+        self.check(evaluator, (_sym_on(poly1, twin), _sym_on(poly2, idx)))
+        self.check(evaluator, (_sym_on(poly2, twin),))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_sums_and_products(self, field):
+        # Each term or factor count, as each reduces in its last pass.
+        n = 5
+        xs = [LinearForm((1, 2, 1), (i, 4 - i, 2)) for i in range(4)]
+        terms = tuple(zip((2, 1, 3, 2), xs))
+        draw = tuple(Sum(4, terms[:k]) for k in range(5)) + tuple(
+            Product(tuple(xs[:k])) for k in range(4)
+        )
+        self.check(_ColumnEvaluator(field, n), draw)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_full_linear_form(self, field):
+        # A form on x_0..x_(n-1) in order skips the per-index histogram;
+        # the same coefficients with a repeated index, or a zero one, do not.
+        n = 6
+        coeffs = (1, 2, 0, 5, 1, 7)
+        draw = (
+            LinearForm(coeffs, tuple(range(n))),
+            LinearForm(coeffs, (0, 1, 2, 3, 3, 5)),
+            LinearForm(coeffs[:5] + (0,), tuple(range(n))),
+            Sum(0, ((1, LinearForm(coeffs, tuple(range(n)))), (2, Var(5)))),
+        )
+        self.check(_ColumnEvaluator(field, n), draw)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("cube", [False, True], ids=["stratified", "cube"])
+    def test_index_n_is_named(self, field, cube):
+        n = 4
+        evaluator = _CubeColumns(field, n) if cube else _ColumnEvaluator(field, n)
+        for expr in (
+            _sym_on(SymPoly(field, (0, 1)), range(n + 1)),
+            LinearForm((1, 1), (0, n)),
+            LinearForm((1,) * (n + 1), tuple(range(n + 1))),
+        ):
+            with pytest.raises(ValueError, match=f"variable index {n} out of range"):
+                evaluator.columns((expr,))
+
+    def test_count_columns_built(self, monkeypatch):
+        # Counts, not timings: _linear builds every count column.
+        built = []
+        linear = _ColumnEvaluator._linear
+        monkeypatch.setattr(
+            _ColumnEvaluator, "_linear",
+            lambda self, *args: built.append(args[1]) or linear(self, *args),
+        )
+        profile = practical_profile(GF3)
+        every = threshold_tuple(100, tuple(range(101)), EIGHTH, GF3, profile)
+        assert empirical_error(every, trials=2, seed=41).passed
+        assert built == []
+        inductive = threshold_tuple(100, (3, 7), EIGHTH, GF3, profile)
+        assert inductive.params["branch"] == "inductive"
+        draw = sample(inductive, 41)
+        children = {
+            e.var_indices for e, _ in post_order(draw, split_operands)
+            if type(e) is SymApply and e.var_indices != range(100)
+        }
+        assert len(children) == 1
+        _ColumnEvaluator(GF3, 100).columns(draw)
+        assert built == list(children)
 
     def test_tables_are_cached_on_the_polys(self):
         maj = exact_sympoly(named_spectrum("MAJ", 5), GF3)
@@ -433,6 +540,38 @@ def _cube_draws():
 CUBE_DRAWS = _cube_draws()
 
 
+def _small_cube_draws():
+    """(name, n, field, draw) at n <= 6: seeded draws, hand-built
+    non-Boolean inputs and the prefix, shared-tuple and full-form shapes."""
+    out = []
+    for field in FIELDS:
+        p = field.characteristic
+        profile = practical_profile(field)
+        base = razborov_or(6, EIGHTH, field) if p else char0_or(6, EIGHTH)
+        for name, recipe in (
+            ("or", base),
+            ("threshold-exact", threshold_tuple(6, (1, 3), EIGHTH, field, profile)),
+            ("threshold-inductive", threshold_tuple(6, (2, 5), QUARTER, field, TINY)),
+        ):
+            for seed in range(2):
+                out.append((f"{name}-{p}-{seed}", 6, field, sample(recipe, seed)))
+        poly = SymPoly(field, (1, 2, 0, 1))
+        form = LinearForm((1, 2, 0, 5, 1, 7), tuple(range(6)))
+        out += [
+            (f"non-boolean-{p}", 5, field, _non_boolean_sym(field)),
+            (f"prefix-{p}", 6, field, tuple(_sym_on(poly, range(m)) for m in (0, 1, 5, 6))),
+            (f"shared-tuple-{p}", 6, field, (
+                SymApply(poly, (Var(3), Var(0), Var(3), LinearForm((1, 1), (0, 1)))),
+                _sym_on(poly, (3, 0, 3)),
+            )),
+            (f"forms-{p}", 6, field, (form, LinearForm(form.coeffs, (0, 1, 2, 3, 3, 5)))),
+        ]
+    return out
+
+
+SMALL_CUBE_DRAWS = _small_cube_draws()
+
+
 def cube_values(col, n):
     """A cube column as a list in mask order; GF(2) columns are ints."""
     if isinstance(col, int):
@@ -493,7 +632,20 @@ class TestCubeColumns:
         points = [[(m >> i) & 1 for i in range(n)] for m in range(1 << n)]
         got = _cube_evaluator(field, n).columns(draw)
         for e, col in zip(draw, got):
-            assert cube_values(col, n) == [eval_expr(e, x, field) for x in points]
+            assert typed(cube_values(col, n)) == typed(
+                [eval_expr(e, x, field) for x in points]
+            )
+
+    @pytest.mark.parametrize(
+        "n, field, draw", [c[1:] for c in SMALL_CUBE_DRAWS],
+        ids=[c[0] for c in SMALL_CUBE_DRAWS],
+    )
+    def test_lists_match_eval_expr(self, n, field, draw):
+        # The list evaluator, in every field GF(2) included, on every point.
+        points = [[(m >> i) & 1 for i in range(n)] for m in range(1 << n)]
+        got = _CubeColumns(field, n).columns(draw)
+        for e, col in zip(draw, got):
+            assert typed(col) == typed([eval_expr(e, x, field) for x in points])
 
 
 class Foreign:
