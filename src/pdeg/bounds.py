@@ -88,7 +88,9 @@ def predicted_bounds(f: Spectrum, eps, field: FieldSpec) -> BoundReport:
 
     lower = upper
     if case != "constant":
-        if not Fraction(1, 1 << n) <= eps <= Fraction(1, 3):
+        # 2^-n <= eps <= 1/3, tested on eps's numerator and denominator.
+        num, den = eps.numerator, eps.denominator
+        if den > num << n or 3 * num > den:
             lower = None
             notes.append(
                 "lower bound omitted: error parameter outside [2^-n, 1/3]"

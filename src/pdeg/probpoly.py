@@ -920,10 +920,9 @@ def _razborov_exprs(
         if p > 2:
             form = Power(form, p - 1)
         factors.append(one_minus(form, field))
-    disjunction = one_minus(Product(tuple(factors)), field)
-    if negate:
-        return (one_minus(disjunction, field),)
-    return (disjunction,)
+    product = Product(tuple(factors))
+    # The conjunction is 1 - (1 - product): the product itself.
+    return (product,) if negate else (one_minus(product, field),)
 
 
 def razborov_or(
@@ -977,44 +976,44 @@ def _char0_or_expr(
     """Disjunction gadget over the given variable indices, rationals only.
 
     Each run samples one subset per density 2**-j; the run evaluates to
-    exactly 1 when some sampled sum is exactly 1.  Runs multiply the
-    failure probability.
+    exactly 1 when some sampled sum is exactly 1, that is when some level
+    factor 1 - s_j vanishes.  Runs multiply the failure probability, so the
+    gadget 1 - prod_r (1 - run_r) with run_r = 1 - prod_j (1 - s_j) is
+    1 - prod_(r, j) (1 - s_j): the two complements of each run cancel, and
+    the gadget is one product over every run's level factors.  A level that
+    keeps no index is the factor 1 - 0 and is left out.
     """
     m = len(indices)
     if m == 0:
         return Constant(field.element(0))
     ell = max(1, ceil_log2_inv(eps))
     scales = char0_scales(m)
-    # Level 0 keeps every index and draws nothing.  Level j >= 1 reads the
-    # next j*m bits of the run's stream and keeps index i when its j bits,
-    # i*j up to i*j + j - 1, are all 0: with probability 2**-j.
+    # Level 0 keeps every index and draws nothing, so every run shares its
+    # one factor node.  Level j >= 1 reads the next j*m bits of the run's
+    # stream and keeps index i when its j bits, i*j up to i*j + j - 1, are
+    # all 0: with probability 2**-j.
     size = m * scales * (scales + 1) // 2
-    run_factors = []
+    whole = one_minus(LinearForm((1,) * m, tuple(indices)), field)
+    factors = []
     for run in range(ell):
         bits = stream.child(("run", run)).bits(size) if size else 0
-        level_factors = []
-        for j in range(scales + 1):
-            if j == 0:
-                chosen = tuple(indices)
-            else:
-                width = j * m
-                level = bits & ((1 << width) - 1)
-                bits >>= width
-                # Bit i*j of `hit` is the OR of index i's j bits.
-                hit = level
-                for shift in range(1, j):
-                    hit |= level >> shift
-                # [::-j] reads bits 0, j, 2j, ... of the binary numeral.
-                keep = format(hit, f"0{width}b")[::-j].encode().translate(_KEEP)
-                chosen = tuple(compress(indices, keep))
-            summed: PolyExpr
+        factors.append(whole)
+        for j in range(1, scales + 1):
+            width = j * m
+            level = bits & ((1 << width) - 1)
+            bits >>= width
+            # Bit i*j of `hit` is the OR of index i's j bits.
+            hit = level
+            for shift in range(1, j):
+                hit |= level >> shift
+            # [::-j] reads bits 0, j, 2j, ... of the binary numeral.
+            keep = format(hit, f"0{width}b")[::-j].encode().translate(_KEEP)
+            chosen = tuple(compress(indices, keep))
             if chosen:
-                summed = LinearForm((1,) * len(chosen), chosen)
-            else:
-                summed = Constant(field.element(0))
-            level_factors.append(one_minus(summed, field))
-        run_factors.append(one_minus(Product(tuple(level_factors)), field))
-    return one_minus(Product(tuple(one_minus(r, field) for r in run_factors)), field)
+                factors.append(
+                    one_minus(LinearForm((1,) * len(chosen), chosen), field)
+                )
+    return one_minus(Product(tuple(factors)), field)
 
 
 def char0_or(n: int, eps: Fraction) -> Recipe:

@@ -10,6 +10,7 @@ operators that fix some inputs to constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence
 
 
@@ -230,7 +231,7 @@ def reflect_spectrum(s: Spectrum) -> Spectrum:
 def xor_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
     if a.n != b.n:
         raise ValueError("spectra must have equal length")
-    return Spectrum(tuple(x ^ y for x, y in zip(a.values, b.values)))
+    return Spectrum(tuple(map(xor, a.values, b.values)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,17 +282,21 @@ def standard_decomposition(f: Spectrum, characteristic: int = 0) -> Decompositio
     hi = (2 * n) // 3
     window = f.values[lo : hi + 1]
     b = _least_period(window)
-    g = Spectrum(tuple(window[(w - lo) % b] for w in range(n + 1)))
+    # g(w) = window[(w - lo) % b]: one period of the window, rotated so that
+    # it starts at weight 0, repeated.  A period of g would be one of the
+    # window it holds, so g's least period is b.
+    shift = -lo % b
+    cycle = window[shift:b] + window[:shift]
+    g = Spectrum((cycle * (n // b + 1))[: n + 1])
     h = xor_spectra(f, g)
-    per_g = period(g)
     radius_h, degenerate_h = bounded_radius_flagged(h)
     return DecompositionReport(
         f=f,
         g=g,
         h=h,
-        period_g=per_g,
+        period_g=b,
         bounded_radius_h=radius_h,
-        period_is_char_power=_is_char_power(per_g, characteristic),
+        period_is_char_power=_is_char_power(b, characteristic),
         radius_h_degenerate=degenerate_h,
     )
 

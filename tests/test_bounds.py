@@ -64,6 +64,21 @@ class TestPredictedBounds:
         ok = predicted_bounds(named_spectrum("MAJ", 10), Fraction(1, 1 << 10), GF2)
         assert ok.lower is not None
 
+    def test_lower_kept_exactly_on_the_range_ends(self):
+        # The lower bound is reported for 2^-n <= eps <= 1/3, ends included.
+        for n in (3, 10, 64):
+            f = named_spectrum("MAJ", n)
+            for eps in (Fraction(1, 1 << n), Fraction(1, 3)):
+                assert predicted_bounds(f, eps, GF2).lower is not None, (n, eps)
+            just_outside = (
+                Fraction(1, (1 << n) + 1),
+                Fraction(1, 3) + Fraction(1, 3 << n),
+            )
+            for eps in just_outside:
+                rep = predicted_bounds(f, eps, GF2)
+                assert rep.lower is None, (n, eps)
+                assert any("omitted" in note for note in rep.notes)
+
     def test_char_zero_note(self):
         rep = predicted_bounds(named_spectrum("MAJ", 12), EIGHTH, RATIONALS)
         assert any("characteristic 0" in note for note in rep.notes)

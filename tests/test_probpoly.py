@@ -409,6 +409,14 @@ class TestRazborovOr:
         assert wrong_by_weight[2] == 0
         assert all(err == Fraction(1, 9) for err in wrong_by_weight[:2])
 
+    def test_negated_draw_is_a_bare_product(self):
+        for field in (GF2, GF3, GF5):
+            r = razborov_or(5, EIGHTH, field, negate=True)
+            for seed in range(5):
+                (expr,) = sample(r, seed)
+                assert type(expr) is Product
+                assert len(expr.factors) == r.params["forms"]
+
 
 class TestChar0Or:
     def test_never_wrong_at_zero(self):
@@ -425,6 +433,34 @@ class TestChar0Or:
         assert worst <= QUARTER
         rep = empirical_error(r, trials=400, seed=3)
         assert rep.worst <= float(worst) + rep.slack
+
+    def test_draw_is_one_minus_one_product_of_level_factors(self):
+        for n in (1, 2, 5, 40):
+            r = char0_or(n, EIGHTH)
+            runs = r.params["runs"]
+            for seed in range(50):
+                (expr,) = sample(r, seed)
+                assert type(expr) is Sum and expr.constant == 1
+                ((coeff, product),) = expr.terms
+                assert coeff == -1 and type(product) is Product
+                for factor in product.factors:
+                    assert type(factor) is Sum and factor.constant == 1
+                    ((coeff, form),) = factor.terms
+                    assert coeff == -1 and type(form) is LinearForm
+                    assert form.coeffs == (1,) * len(form.indices)
+                    assert form.indices
+                    assert list(form.indices) == sorted(set(form.indices))
+                # Level 0 keeps every index; the runs share its one node.
+                whole = product.factors[0]
+                assert whole.terms[0][1].indices == tuple(range(n))
+                assert sum(f is whole for f in product.factors) == runs
+                factors = len(product.factors)
+                assert expr.deg == factors
+                assert factors <= runs * (probpoly.char0_scales(n) + 1)
+
+    def test_or_route_draw_node_count(self):
+        r = threshold_tuple(40, (1,), EIGHTH, RATIONALS, practical_profile(RATIONALS))
+        assert len(expr_to_json(sample(r, 0), RATIONALS)["nodes"]) == 46
 
     def test_single_variable(self):
         r = char0_or(1, EIGHTH)

@@ -491,7 +491,10 @@ def test_expansion_is_pinned(name):
 # tuples took one disjunction per draw in place of the hashed branch.  The
 # threshold hash, threshold inductive, general OR, compose, xor and amplify
 # digests were re-recorded when samplers came to read SHAKE-256 streams in
-# place of random.Random; the other recipes draw nothing.
+# place of random.Random; the other recipes draw nothing.  The five Q digests
+# of amplify, compose, general OR, threshold hash and xor were re-recorded
+# when the char-0 disjunction their draws hold became one product over every
+# run's level factors; values and tracked degrees did not move.
 
 
 def _or_recipe(n, eps, field):
@@ -537,7 +540,7 @@ DRAW_JSON_DIGESTS = {
         "a0d64eea7da4cd8b22abba2cfcca364bc328f60efee13a38b5741566f0a10676"
     ),
     ("amplify", "Q"): (
-        "ae6a46f47c893bb5ccae3d78dd21736f5efb194f84aea8765eaa174704e1b1ed"
+        "4e7020ef202f9a59e68a54a443d3fef066f051b3f3568e8899399ea6ff54a615"
     ),
     ("compose", "GF2"): (
         "337487c72cf101019d71227d6ad08307be3da0116dad8db38c8bce8809c70f1b"
@@ -546,7 +549,7 @@ DRAW_JSON_DIGESTS = {
         "0faf4e8648aa266a3ec0f764eb049cfb5380dc8e4eff3dc98abee9f7d768cc4b"
     ),
     ("compose", "Q"): (
-        "4ccbf95df2c7714000ae30077c2aa03405c2cf69dbe82726f8e4cad536bc51ce"
+        "eb69007627ce053995992191c92c260f21f6d799759ae7a0ef0fdc540a70473a"
     ),
     ("general MAJ", "GF2"): (
         "990e11373283afd5135ad8495c18fea0873231495825677aab088ce1ebed4bfa"
@@ -564,7 +567,7 @@ DRAW_JSON_DIGESTS = {
         "ff6f9795e61888ce7abe760ddac6a29fc0b74f30225c91039665cb1a9717f384"
     ),
     ("general OR", "Q"): (
-        "79dbb7acb53f9e6d9db8bce3cce857c052934c38ab741b7e1f9bf2fdc301d8ef"
+        "bc4041e343e2592dccff93607e5e8b65a4a92aff8b763b99107e7e4257ec51ab"
     ),
     ("general bounded", "GF2"): (
         "fa15745b787fe7765b696941c10d8ca7e86726f69c5141932990cae7fbbd7476"
@@ -591,7 +594,7 @@ DRAW_JSON_DIGESTS = {
         "f1ce6e9c86a9855fb026e7fec2a23673414c30ac1d299ef8b1698da626be5cce"
     ),
     ("threshold hash", "Q"): (
-        "baab6dd70bd7682d8febee125c760e85405f8944939b19e751840d4548c632ba"
+        "62f5c626f956e379bdf1535439b3535434bf09cf98bcfe262698e6565d19cc13"
     ),
     ("threshold inductive", "GF2"): (
         "1f519d039b65a249e2b7f9bb9197409801024241abd4cd00a95b069430ae96dd"
@@ -609,7 +612,7 @@ DRAW_JSON_DIGESTS = {
         "e039257d5aff11d7939f9569ed7d4f3b4b1329b266205d0d1f121aa7ae8e53e6"
     ),
     ("xor", "Q"): (
-        "ffe1cf10aadd60e658f08620cf87b9b046ffc985725bd390e54842b9d97a96de"
+        "979db5ded8495ddf5644fbf42813cf43d6e9ff14b7b5bb2e1d87edeb7f3e4edc"
     ),
 }
 

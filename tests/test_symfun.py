@@ -252,6 +252,8 @@ def test_decomposition_matches_slice_oracle():
             rep = standard_decomposition(s)
             assert rep.g.values == g, s.text()
             assert rep.period_g <= b
+            assert rep.period_g == period(rep.g), s.text()
+            assert rep.h == xor_spectra(s, rep.g), s.text()
 
 
 def test_decomposition_carries_the_radius_flag_of_h():
