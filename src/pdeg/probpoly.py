@@ -38,7 +38,6 @@ from .polyalg import (
     threshold_window,
 )
 from .symfun import (
-    BOOLEAN,
     Spectrum,
     bounded_radius_flagged,
     complement_spectrum,
@@ -274,11 +273,18 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
     by the nodes themselves (they hash by identity).  A Product multiplies
     its known factors in order, stops at the first zero partial product and
     pushes only its next unknown factor, so factors after a zero are never
-    evaluated.  When the point and a
-    SymApply's other inputs are all 0/1, the SymApply counts its ones and
-    reads its weight polynomial at that count; otherwise it evaluates the
-    elementary symmetric form, weight_poly_at_values.  Its Var inputs are
-    read straight off the point; nodes with equal var_indices share one
+    evaluated.  A Sum reads its Var terms straight off the point, so a
+    term like 1 - x_i costs no stack step.
+
+    The point's ones and zeros are counted once per call (_count_ones): the
+    point is 0/1 when they cover it.  When the point and a SymApply's other
+    inputs are all 0/1, counted the same way, the SymApply counts its ones
+    and reads its weight polynomial at that count; otherwise it evaluates
+    the elementary symmetric form, weight_poly_at_values.  Var inputs
+    x_0..x_(m-1) in order, stored as range(m), take the point's count of
+    ones, or one count over its first m coordinates, so no Python step runs
+    per input; other Var inputs are read index by index, and an index past
+    the point raises IndexError.  Nodes with equal var_indices share one
     count per call, and nodes with the same other inputs share their
     values.  The count is looked up in the polynomial's cached value table,
     which a miss builds (SymPoly.table) for the node's whole input count, so
@@ -286,7 +292,8 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
     """
     memo = {}
     p = field.characteristic
-    boolean_point = BOOLEAN.issuperset(x)
+    size = len(x)
+    point_ones = _count_ones(x)
     # Per call, keyed by value: equal var_indices share one count, and
     # equal tuples of other inputs share their values and count of ones.
     var_counts: dict[Sequence[int], int] = {}
@@ -298,27 +305,7 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
             stack.pop()
             continue
         kind = type(e)
-        if kind is Constant:
-            val = e.value
-        elif kind is Var:
-            val = x[e.index]
-        elif kind is LinearForm:
-            acc = 0
-            for c, i in zip(e.coeffs, e.indices):
-                xi = x[i]
-                if xi:
-                    acc += c * xi
-            val = acc % p if p else field.element(acc)
-        elif kind is Sum:
-            missing = [t for _, t in e.terms if t not in memo]
-            if missing:
-                stack += missing
-                continue
-            acc = e.constant
-            for c, t in e.terms:
-                acc += c * memo[t]
-            val = acc % p if p else field.element(acc)
-        elif kind is SymApply:
+        if kind is SymApply:
             others = e.others
             read = other_reads.get(others)
             if read is None:
@@ -327,14 +314,20 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
                     stack += missing
                     continue
                 vals = [memo[t] for t in others]
-                ones = int(sum(vals)) if BOOLEAN.issuperset(vals) else None
-                read = other_reads[others] = (vals, ones)
+                read = other_reads[others] = (vals, _count_ones(vals))
             other_vals, ones = read
-            if boolean_point and ones is not None:
+            if point_ones is not None and ones is not None:
                 var_idx = e.var_indices
                 count = var_counts.get(var_idx)
                 if count is None:
-                    count = var_counts[var_idx] = int(sum(map(x.__getitem__, var_idx)))
+                    # A range is always range(m), x_0..x_(m-1) in order; one
+                    # longer than the point is read by index, to raise.
+                    m = len(var_idx)
+                    if type(var_idx) is range and m <= size:
+                        count = point_ones if m == size else x[:m].count(1)
+                    else:
+                        count = int(sum(map(x.__getitem__, var_idx)))
+                    var_counts[var_idx] = count
                 count += ones
                 table = e.poly._table
                 if table is None or count >= len(table):
@@ -343,6 +336,22 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
             else:
                 vals = list(map(x.__getitem__, e.var_indices)) + other_vals
                 val = weight_poly_at_values(e.poly, vals, field)
+        elif kind is Sum:
+            acc = e.constant
+            missing = None
+            for c, t in e.terms:
+                v = memo.get(t)
+                if v is None:
+                    if type(t) is Var:
+                        v = x[t.index]
+                    else:
+                        missing = [t for _, t in e.terms if t not in memo]
+                        break
+                acc += c * v
+            if missing:
+                stack += missing
+                continue
+            val = acc % p if p else field.element(acc)
         elif kind is Product:
             val = 1
             pending = None
@@ -359,6 +368,17 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
                 continue
             if not p:
                 val = field.element(val)
+        elif kind is Constant:
+            val = e.value
+        elif kind is Var:
+            val = x[e.index]
+        elif kind is LinearForm:
+            acc = 0
+            for c, i in zip(e.coeffs, e.indices):
+                xi = x[i]
+                if xi:
+                    acc += c * xi
+            val = acc % p if p else field.element(acc)
         elif kind is Power:
             base = memo.get(e.base)
             if base is None:
@@ -370,6 +390,14 @@ def eval_expr(expr: PolyExpr, x: Sequence[FieldElement], field: FieldSpec) -> Fi
         memo[e] = val
         stack.pop()
     return memo[expr]
+
+
+def _count_ones(vals: Sequence[FieldElement]) -> int | None:
+    """How many entries of vals are 1, or None unless every entry is 0 or 1.
+
+    Two count passes, which run in C on a list or tuple."""
+    ones = vals.count(1)
+    return ones if ones + vals.count(0) == len(vals) else None
 
 
 def weight_poly_at_values(

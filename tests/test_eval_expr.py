@@ -191,6 +191,48 @@ def test_matches_recursive_reference(field):
                     assert _same(got, want), (name, seed, x, got, want)
 
 
+def _shaped_points(n, field, rng):
+    """0/1 points in other shapes: tuples, bools, Fractions over Q, and
+    points with trailing coordinates past n, so that a SymApply on
+    x_0..x_(n-1) counts a prefix of the point."""
+    cube = [[1] * w + [0] * (n - w) for w in range(0, n + 1, 3)]
+    cube += [[rng.randrange(2) for _ in range(n)] for _ in range(3)]
+    points = [tuple(x) for x in cube]
+    points += [[bool(v) for v in x] for x in cube]
+    if not field.characteristic:
+        points += [[Fraction(v) for v in x] for x in cube]
+    points += [x + [rng.randrange(2) for _ in range(3)] for x in cube]
+    return points
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_point_shapes_match_reference(field):
+    rng = random.Random(3 + field.characteristic)
+    for name, recipe in _recipes(field):
+        draw = sample(recipe, 0)
+        for x in _shaped_points(recipe.n, field, rng):
+            ref_memo = {}
+            for e in draw:
+                got = eval_expr(e, x, field)
+                want = _reference_eval(e, x, field, ref_memo)
+                assert _same(got, want), (name, x, got, want)
+    # The empty point, with a SymApply of no inputs.
+    e = SymApply(SymPoly(field, (field.element(2), 1)), ())
+    for x in ([], ()):
+        assert _same(eval_expr(e, x, field), _reference_eval(e, x, field, {}))
+
+
+def test_symapply_past_the_point_raises_index_error():
+    poly = SymPoly(GF3, (0, 1, 1))
+    prefix = SymApply(poly, tuple(Var(i) for i in range(5)))
+    scattered = SymApply(poly, (Var(0), Var(4)))
+    assert prefix.var_indices == range(5) and scattered.var_indices == (0, 4)
+    for e in (prefix, scattered):
+        for x in ([1, 0, 1], (0, 1, 1, 0), [True, False]):
+            with pytest.raises(IndexError):
+                eval_expr(e, x, GF3)
+
+
 def test_non_boolean_symapply_inputs_match_reference():
     maj3 = SymPoly(RATIONALS, (0, 0, 1, -2))
     form = LinearForm((1, 1), (0, 1))
