@@ -13,8 +13,7 @@ from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mod, mul
+from itertools import compress
 from typing import Sequence
 
 from .polyalg import (
@@ -40,7 +39,6 @@ from .symfun import (
     restrict,
     restricted_n,
     spectrum,
-    text_entries,
 )
 
 
@@ -157,17 +155,22 @@ class ReductionCertificate:
         return not self.failures(field)
 
     def failures(self, field: FieldSpec) -> list[tuple[int, FieldElement, int]]:
-        """Weights w where the combiner misses the target, as (w, got, want);
-        a combiner of degree above claimed_degree raises ValueError.
+        """Weights w where the combiner misses the target, as (w, got, want)
+        in weight order; a combiner of degree above claimed_degree raises
+        ValueError.
 
         Works on bit-packed 0/1 weight columns read straight from the stored
         text: slot (zeros, ones) reads the source at w + ones, so its column
         over the target's weights is the source bitmask shifted right by
-        ones.  Each term ANDs its literal columns into one column.  The
-        columns of each coefficient are counted per weight in bit planes
-        (plane k holds bit k of the count), and each plane adds its
-        coefficient times 2^k at every weight it covers, one list pass per
-        plane; the totals are then compared with the target at once.
+        ones.  Every slot is validated, but a column is built only when a
+        term first reads it.  Each term ANDs its literal columns into one
+        column, and the columns of each coefficient are counted in bit
+        planes (plane k holds bit k of the count).  The weights are then
+        kept as classes of equal total, one bitmask per class: each plane
+        splits every class into the weights it covers, whose total gains
+        the coefficient times 2^k, and the rest.  A class whose total is 1
+        inside the target, or 0 outside it, holds; tuples are built only
+        for the weights of the classes that miss.
         """
         source = _bit_string("source", self.source)
         target = _bit_string("target spectrum", self.target_spectrum)
@@ -175,7 +178,7 @@ class ReductionCertificate:
         full = (1 << (n + 1)) - 1
         # Bit w is the (possibly weight-reversed) source's value at weight w.
         src_bits = int(source if self.source_reflected else source[::-1], 2)
-        columns = []
+        shifts = []
         for slot, (zeros, ones) in enumerate(self.restrictions):
             try:
                 free = restricted_n(len(source) - 1, zeros, ones)
@@ -186,13 +189,13 @@ class ReductionCertificate:
                     f"slot {slot} {(zeros, ones)} leaves {free + 1} weights; "
                     f"the target needs {n + 1}"
                 )
-            columns.append((src_bits >> ones) & full)
+            shifts.append(ones)
         for _, literals in self.combiner.terms:
             for slot, _ in literals:
-                if not 0 <= slot < len(columns):
+                if not 0 <= slot < len(shifts):
                     raise ValueError(
                         f"combiner reads slot {slot}, but the certificate has "
-                        f"{len(columns)} restrictions"
+                        f"{len(shifts)} restrictions"
                     )
         if self.combiner.degree > self.claimed_degree:
             raise ValueError(
@@ -200,6 +203,7 @@ class ReductionCertificate:
                 f"{self.claimed_degree}"
             )
 
+        columns: dict[int, int] = {}
         planes: dict[FieldElement, list[int]] = {}
         for coeff, literals in self.combiner.terms:
             c = field.element(coeff)
@@ -207,7 +211,10 @@ class ReductionCertificate:
                 continue
             col = full
             for slot, pol in literals:
-                col &= columns[slot] if pol else full ^ columns[slot]
+                column = columns.get(slot)
+                if column is None:
+                    column = columns[slot] = (src_bits >> shifts[slot]) & full
+                col &= column if pol else full ^ column
                 if not col:
                     break
             counter = planes.setdefault(c, [])
@@ -218,23 +225,38 @@ class ReductionCertificate:
                 counter[k], col = counter[k] ^ col, counter[k] & col
                 k += 1
 
-        totals = [0] * (n + 1)
+        classes = {0: full}  # total -> bitmask of the weights that have it
         for c, counter in planes.items():
             for k, plane in enumerate(counter):
-                covered = text_entries(format(plane, "b").zfill(n + 1)[::-1])
-                step = map(mul, covered, repeat(c * (1 << k)))
-                totals = list(map(add, totals, step))
+                step = c * (1 << k)
+                split: dict[FieldElement, int] = {}
+                for total, mask in classes.items():
+                    hit = mask & plane
+                    if hit:
+                        split[total + step] = split.get(total + step, 0) | hit
+                    if hit != mask:
+                        split[total] = split.get(total, 0) | (mask ^ hit)
+                classes = split
 
         p = field.characteristic
-        got = list(map(mod, totals, repeat(p))) if p else totals
-        want = list(text_entries(target))
-        if got == want:
-            return []
-        return [
-            (w, field.element(total), field.element(bit))
-            for w, (value, bit, total) in enumerate(zip(got, want, totals))
-            if value != bit
-        ]
+        want = int(target[::-1], 2)
+        missed = []
+        for total, mask in classes.items():
+            value = total % p if p else total
+            if value == 1:
+                wrong = mask & ~want
+            elif value == 0:
+                wrong = mask & want
+            else:
+                wrong = mask
+            if wrong:
+                got = field.element(total)
+                bits = format(wrong, "b")[::-1]
+                missed += [
+                    (w, got, (want >> w) & 1) for w, bit in enumerate(bits) if bit == "1"
+                ]
+        missed.sort(key=lambda miss: miss[0])
+        return missed
 
     def to_json(self) -> dict:
         return {
@@ -333,9 +355,6 @@ def _shrink_masks(masks: list[int], m: int) -> ShrinkResult:
     if m < 1:
         raise ValueError("family domain has no points")
     full = (1 << m) - 1
-    # Walked from the back, each mask keeps the index of its first copy.
-    first_index = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
-
     supp = full
     chosen: list[int] = []
 
@@ -345,7 +364,7 @@ def _shrink_masks(masks: list[int], m: int) -> ShrinkResult:
         for idx, mask in enumerate(masks):
             size = mask.bit_count()
             if 0 < size < m:
-                start = idx if 2 * size <= m else first_index[full ^ mask]
+                start = idx if 2 * size <= m else masks.index(full ^ mask)
                 break
         if start is None:
             raise ValueError("hypothesis violation: no non-constant member")
@@ -376,7 +395,7 @@ def _shrink_masks(masks: list[int], m: int) -> ShrinkResult:
             chosen.append(pick)
             supp, size = keep, kept
         else:
-            chosen.append(first_index[full ^ masks[pick]])
+            chosen.append(masks.index(full ^ masks[pick]))  # its first copy
             supp, size = supp ^ keep, size - kept
 
     bound = m.bit_length() - 1  # floor(log2 m)
@@ -517,21 +536,76 @@ def mod_from_periodic(
     return tuple(certs)
 
 
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied pairwise in a balanced tree."""
+    while len(factors) > 1:
+        pairs = iter(factors)
+        factors = [a * b for a, b in zip(pairs, pairs)] + factors[len(factors) & ~1 :]
+    return factors[0] if factors else 1
+
+
+def _binomial(m: int, k: int) -> int:
+    """C(m, k) for 0 <= k <= m, as a product of prime powers.
+
+    Legendre's formula gives each prime's exponent: the number of carries
+    when k and m - k are added in base p (Kummer).
+    """
+    j = m - k
+    sieve = bytearray(2) + bytearray([1]) * (m - 1)
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes((m - p * p) // p + 1)
+    powers = []
+    for p in compress(range(m + 1), sieve):
+        e, q = 0, p
+        while q <= m:
+            e += m // q - k // q - j // q
+            q *= p
+        if e:
+            powers.append(p**e)
+    return _product(powers)
+
+
+def _ratio_split(
+    m: int, inside: set[int], lo: int, hi: int
+) -> tuple[int, int, int]:
+    """Binary splitting of C(m, w + 1) / C(m, w) = (m - w)/(w + 1) over lo..hi-1.
+
+    Returns (P, Q, T): the products of the numerators and of the
+    denominators, and T with T/Q = the sum, over the members w of inside
+    in the block, of C(m, w) / C(m, lo).  Blocks of up to 32 weights fold
+    one weight at a time; halves combine as T = T1·Q2 + P1·T2.
+    """
+    if hi - lo <= 32:
+        num = den = 1
+        acc = 0
+        for w in range(lo, hi):
+            if w in inside:
+                acc += num
+            num *= m - w
+            den *= w + 1
+            acc *= w + 1
+        return num, den, acc
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _ratio_split(m, inside, lo, mid)
+    p2, q2, t2 = _ratio_split(m, inside, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def _binomial_tail_outside(m: int, window: Sequence[int]) -> Fraction:
     """P[Binomial(m, 1/2) lands outside the given weight set], exact.
 
-    That is 2^-m times 2^m minus the binomials inside the set, which are
-    summed from lo to hi, the set's least and greatest weights in 0..m.
+    That is 2^-m times 2^m minus the binomials inside the set.  With lo
+    and hi the set's least and greatest weights in 0..m, their sum is
+    C(m, lo) · T / Q, where _ratio_split gives T and Q from the term
+    ratios over lo..hi and _binomial builds C(m, lo) from its primes.
     """
     inside = {w for w in window if 0 <= w <= m}
     total = 1 << m
     if inside:
         lo, hi = min(inside), max(inside)
-        coeff = math.comb(m, lo)  # walks comb(m, w) from lo to hi
-        for w in range(lo, hi + 1):
-            if w in inside:
-                total -= coeff
-            coeff = coeff * (m - w) // (w + 1)
+        _, den, acc = _ratio_split(m, inside, lo, hi + 1)
+        total -= _binomial(m, lo) * acc // den
     return Fraction(total, 1 << m)
 
 
@@ -841,16 +915,19 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
     # Pinning `ones` ones makes weight v read f at v + ones, so a member's
     # values there are the window f[ones+m+1 .. ones+2m], taken as a mask.
     # The pins always fit: ones >= lo - 2m > 0 and zeros >= 2*lo - hi > 0.
-    members: list[tuple[int, int]] = []  # (ones, zeros) pinned on f
-    masks: list[int] = []
+    # A pair i < j gives the member ones = deviation[j - i] - i, and both
+    # its pins and its mask depend on ones alone, so one member is kept per
+    # distinct ones, in first-seen order: the support shrink takes first
+    # copies, so it picks the same members as from the full list of pairs.
+    offsets = dict.fromkeys(
+        deviation[j - i] - i
+        for i in range(m + 1, 2 * m + 1)
+        for j in range(i + 1, 2 * m + 1)
+    )
+    members = [(ones, n - 3 * m - ones) for ones in offsets]  # (ones, zeros)
     f_bits = bits_mask(f.values)
     full = (1 << m) - 1
-    for i in range(m + 1, 2 * m + 1):
-        for j in range(i + 1, 2 * m + 1):
-            r = deviation[j - i]
-            ones = r - i
-            members.append((ones, n - 3 * m - r + i))
-            masks.append((f_bits >> (ones + m + 1)) & full)
+    masks = [(f_bits >> (ones + m + 1)) & full for ones in offsets]
 
     shrink = _shrink_masks(masks + [full ^ mask for mask in masks], m)
     a = shrink.support_point + m + 1

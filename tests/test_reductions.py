@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdeg import reductions
 from pdeg.polyalg import GF2, RATIONALS, FieldSpec, exact_sympoly, expand_multilinear
 from pdeg.reductions import (
     DeltaProduct,
@@ -176,6 +177,74 @@ class TestDeltaFromShifts:
                     v = int(u[(r + j) % m])
                     prod *= v if pol else 1 - v
                 assert prod == (1 if r == t else 0)
+
+
+def _dict_shrink(masks, m):
+    """The greedy support shrink as it was with an eager first-copy dict:
+    every mask hashed up front, walked from the back so each keeps the
+    index of its first copy.  The reference for _shrink_masks."""
+    full = (1 << m) - 1
+    first_index = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+    supp, chosen = full, []
+    if m > 1:
+        idx, mask = next((i, x) for i, x in enumerate(masks) if 0 < x.bit_count() < m)
+        start = idx if 2 * mask.bit_count() <= m else first_index[full ^ mask]
+        chosen.append(start)
+        supp = masks[start]
+    while supp.bit_count() > 1:
+        low_i = supp & -supp
+        low_j = (supp ^ low_i) & -(supp ^ low_i)
+        pick = next(i for i, x in enumerate(masks) if x & low_i and not x & low_j)
+        keep = supp & masks[pick]
+        if 2 * keep.bit_count() <= supp.bit_count():
+            chosen.append(pick)
+            supp = keep
+        else:
+            chosen.append(first_index[full ^ masks[pick]])
+            supp ^= keep
+    return ShrinkResult(chosen=tuple(chosen), support_point=supp.bit_length() - 1)
+
+
+class TestShrinkFirstCopies:
+    """_shrink_masks finds a complement's first copy only when it takes it;
+    its picks equal those of the eager first-copy dict."""
+
+    def test_every_aperiodic_pattern_up_to_twelve(self):
+        checked = 0
+        for m in range(2, 13):
+            full = (1 << m) - 1
+            for bits in range(1 << m):
+                shifts = [((bits >> j) | (bits << (m - j))) & full for j in range(m)]
+                if bits in shifts[1:]:
+                    continue  # fixed by a nontrivial shift
+                masks = shifts + [full ^ x for x in shifts]
+                want = _dict_shrink(masks, m)
+                literals = tuple((idx % m, 0 if idx >= m else 1) for idx in want.chosen)
+                pattern = format(bits, f"0{m}b")[::-1]  # bit r is entry r
+                assert delta_from_shifts(pattern) == DeltaProduct(
+                    length=m, index=want.support_point, literals=literals
+                ), pattern
+                checked += 1
+        assert checked > 7000
+        # The greedy takes the complement of shift 1, and its first copy is
+        # shift 4, not the complement half's copy at index 7.
+        assert delta_from_shifts("110001") == DeltaProduct(6, 1, ((0, 1), (4, 1)))
+
+    def test_families_with_repeated_masks(self):
+        rng = random.Random(2718)
+        repeated = 0
+        for _ in range(3000):
+            m = rng.randint(2, 12)
+            base = []
+            while len({tuple(f[i] for f in base) for i in range(m)}) < m:
+                base.append(tuple(rng.randint(0, 1) for _ in range(m)))
+            family = base + [tuple(1 - v for v in f) for f in base]
+            family += rng.choices(family, k=rng.randint(0, len(family)))
+            rng.shuffle(family)
+            masks = [sum(v << i for i, v in enumerate(f)) for f in family]
+            repeated += len(set(masks)) < len(masks)
+            assert shrink_support(family) == _dict_shrink(masks, m), family
+        assert repeated > 2000
 
 
 class TestModFromPeriodic:
@@ -510,6 +579,36 @@ class TestMajFromGeneral:
         )
         assert not bad.check(GF2)
 
+    def test_one_member_per_distinct_offset(self, monkeypatch):
+        # A pair i < j of interval points gives the member with
+        # ones = deviation[j - i] - i; only the first of each ones is kept.
+        handed = []
+        shrink = reductions._shrink_masks
+
+        def counting(masks, m):
+            handed.append(len(masks))
+            return shrink(masks, m)
+
+        monkeypatch.setattr(reductions, "_shrink_masks", counting)
+        rng = random.Random(2000)
+        n = 2000
+        lo, hi = -(-n // 3), 2 * n // 3
+        m = (n - 2 * lo) // 3
+        for f in (named_spectrum("MAJ", n), Spectrum(tuple(rng.choices((0, 1), k=n + 1)))):
+            deviation = {
+                k: next(r for r in range(lo, hi - k + 1) if f.values[r] != f.values[r + k])
+                for k in range(1, m + 1)
+            }
+            offsets = {
+                deviation[j - i] - i
+                for i in range(m + 1, 2 * m + 1)
+                for j in range(i + 1, 2 * m + 1)
+            }
+            handed.clear()
+            assert maj_from_general(f, GF2).check(GF2)
+            assert handed == [2 * len(offsets)]
+            assert len(offsets) < m * (m - 1) // 20
+
     def test_json_roundtrip(self):
         cert = maj_from_general(named_spectrum("MAJ", 18), GF2)
         back = ReductionCertificate.from_json(cert.to_json())
@@ -843,6 +942,71 @@ class TestFailuresFromText:
             cert.check(GF2)
 
 
+def _many_class_certificate():
+    """A hand-built certificate on 41 target weights whose combiner takes
+    many distinct values: coefficients 1, 2, 4, ... on single slots and odd
+    coefficients on products, over a random source."""
+    rng = random.Random(4099)
+    n = 40
+    source = "".join(rng.choice("01") for _ in range(2 * n + 1))
+    restrictions = tuple((n - ones, ones) for ones in range(n + 1))
+    terms = [(1 << k, ((3 * k, 1),)) for k in range(10)]
+    terms += [(2 * k + 3, ((k, 1), (k + 7, 0), (2 * k + 1, 1))) for k in range(12)]
+    terms += [(-5, ()), (7, ((40, 0), (0, 0)))]
+    target = "".join(rng.choice("01") for _ in range(n + 1))
+    return ReductionCertificate(
+        kind="hand_built",
+        source=source,
+        source_reflected=False,
+        target_label="RANDOM",
+        target_params=(),
+        target_spectrum=target,
+        restrictions=restrictions,
+        combiner=LiteralCombiner(tuple(terms)),
+        claimed_degree=3,
+        extras={},
+    )
+
+
+class TestFailuresOnManyClasses:
+    @pytest.mark.parametrize(
+        "field", [GF2, GF3, GF5, RATIONALS], ids=["GF2", "GF3", "GF5", "Q"]
+    )
+    def test_matches_pointwise_reference(self, field):
+        cert = _many_class_certificate()
+        slots = cert.slot_spectra()
+        totals = {
+            cert.combiner.evaluate([s.values[w] for s in slots], RATIONALS)
+            for w in range(cert.target_n + 1)
+        }
+        assert len(totals) >= 30  # nearly one class per weight over Q
+        rng = random.Random(field.characteristic + 17)
+        for base in (cert, dataclasses.replace(cert, source_reflected=True)):
+            for mutant in _mutants(base, field, rng):
+                want = pointwise_failures(mutant, field)
+                got = mutant.failures(field)
+                assert got == want
+                assert [tuple(map(type, f)) for f in got] == [
+                    tuple(map(type, f)) for f in want
+                ]
+
+    def test_only_classes_off_zero_and_one_miss(self):
+        cert = _many_class_certificate()
+        for field in (GF2, GF3, GF5, RATIONALS):
+            slots = cert.slot_spectra()
+            values = [
+                cert.combiner.evaluate([field.element(s.values[w]) for s in slots], field)
+                for w in range(cert.target_n + 1)
+            ]
+            # With the target at 1 exactly where the combiner gives 1, the
+            # classes at 1 and at 0 hold, and every other class misses.
+            hits = "".join("1" if v == 1 else "0" for v in values)
+            fixed = dataclasses.replace(cert, target_spectrum=hits)
+            assert fixed.failures(field) == [
+                (w, v, 0) for w, v in enumerate(values) if v not in (0, 1)
+            ]
+
+
 def _full_row_tail(m, window):
     """The full-row walk _binomial_tail_outside used to be: every weight."""
     inside = set(window)
@@ -882,6 +1046,32 @@ class TestBinomialTail:
             assert _binomial_tail_outside(m, []) == 1
             assert _binomial_tail_outside(m, [-3, m + 1, m + 9]) == 1
             assert _binomial_tail_outside(m, range(-2, m + 3)) == 0
+
+    def test_binomials_from_primes(self):
+        for m in range(130):
+            for k in range(m + 1):
+                assert reductions._binomial(m, k) == math.comb(m, k), (m, k)
+        for m, k in ((654, 250), (2048, 1024), (9276, 4305)):
+            assert reductions._binomial(m, k) == math.comb(m, k)
+
+    def test_windows_at_scale(self):
+        # Intervals and holed windows at m in the hundreds to low thousands,
+        # with lengths on both sides of the 32-weight leaf block and of its
+        # doublings, so the splitting recursion ends both on leaf edges and
+        # off them.
+        rng = random.Random(28)
+        lengths = [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513]
+        for m in (257, 654, 1000, 1701, 2900):
+            for length in lengths:
+                lo = rng.randint(-3, max(-3, m - length + 3))
+                window = range(lo, lo + length)
+                holed = [w for w in window if rng.random() < 0.8] + [m + 2, -1]
+                for win in (window, holed):
+                    assert _binomial_tail_outside(m, win) == _full_row_tail(m, win), (
+                        m,
+                        lo,
+                        length,
+                    )
 
     def test_bench_scale_case(self):
         # maj_from_periodic at n = 10300, b = 1024 selects m = 9276.
