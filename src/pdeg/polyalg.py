@@ -15,9 +15,9 @@ reference threshold_window is tested against.
 SymPoly.table tabulates a polynomial at weights 0..m and caches the table;
 it is the one way the package reads a weight polynomial's values.  An
 interpolant whose values are known when it is built (a step window from
-weight 0, an exact spectrum) has its table seeded with them there, so
-reading it builds nothing.  Any other table is built from the
-coefficients.  In every characteristic p, GF(2) included, that uses
+weight 0, an exact spectrum, a fixed sum of them) has its table seeded with
+them there, so reading it builds nothing.  Any other table is built from
+the coefficients.  In every characteristic p, GF(2) included, that uses
 Lucas' theorem on the whole table where that is cheap: the binomial matrix
 C(w, k) mod p factors over base-p digits, so the table is a digit-by-digit
 transform of the coefficients, packed one per fixed-width slot of a single
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .symfun import Spectrum, _is_char_power, period
 
@@ -409,8 +409,9 @@ class SymPoly:
     and reports degree 0).  table(m) is the one read of its values: it
     returns the table cached on the polynomial, in _table, which equality,
     hashing and repr ignore.  The interpolants threshold_window (from weight
-    0) and exact_sympoly seed that table when they build the polynomial;
-    otherwise table(m) builds it at weights 0..m in one transform.
+    0) and exact_sympoly, and sympoly_sum, seed that table when they build
+    the polynomial; otherwise table(m) builds it at weights 0..m in one
+    transform.
     value_at_weight reads one weight and is the reference the table is
     tested against; the package itself does not call it.
     """
@@ -547,6 +548,34 @@ def exact_sympoly(f: Spectrum, field: FieldSpec) -> SymPoly:
     return _seeded(SymPoly(field, tuple(_forward_differences(f.values))), f.values)
 
 
+def sympoly_sum(
+    field: FieldSpec,
+    constant: FieldElement,
+    terms: Iterable[tuple[FieldElement, SymPoly]],
+    values: Sequence[int],
+) -> SymPoly:
+    """constant + sum_i c_i * P_i as one polynomial, its coefficients added
+    in the field, with its table seeded with values: the sum's 0/1 values
+    at weights 0..len(values) - 1, which the caller knows."""
+    coeffs = [constant]
+    for c, poly in terms:
+        coeffs.extend([0] * (len(poly.coeffs) - len(coeffs)))
+        for k, a in enumerate(poly.coeffs):
+            if a:
+                coeffs[k] += c * a
+    return _seeded(SymPoly(field, tuple(coeffs)), values)
+
+
+def reflected_sympoly(poly: SymPoly, n: int) -> SymPoly:
+    """The polynomial c -> poly(n - c), of poly's degree d <= n: Newton's
+    forward formula on poly's values at weights n, n - 1, ..., n - d."""
+    d = poly.degree
+    if d > n:
+        raise ValueError(f"degree {d} does not fit weights 0..{n}")
+    values = poly.table(n)[n - d : n + 1][::-1]
+    return SymPoly(poly.field, tuple(_forward_differences(values)))
+
+
 def interpolate_window(
     values: Sequence[int], lo: int, field: FieldSpec
 ) -> SymPoly:
@@ -672,7 +701,7 @@ class MultilinearPoly:
 
     @property
     def degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
+        return max(map(int.bit_count, self.terms), default=0)
 
     @property
     def term_count(self) -> int:

@@ -27,6 +27,7 @@ from .polyalg import (
     bounded_repr,
     ceil_log2_inv,
     check_eps,
+    constant_sympoly,
     exact_sympoly,
     fraction_text,
     json_field,
@@ -35,6 +36,8 @@ from .polyalg import (
     log2_inv,
     periodic_exact,
     record_json,
+    reflected_sympoly,
+    sympoly_sum,
     threshold_window,
 )
 from .symfun import (
@@ -533,7 +536,11 @@ def _remap_vars(roots: Sequence[PolyExpr], sub: Sequence[int]) -> tuple[PolyExpr
 
 
 def _reflect_vars(roots: Sequence[PolyExpr], field: FieldSpec) -> tuple[PolyExpr, ...]:
-    """Substitute x_i -> 1 - x_i everywhere, preserving node sharing."""
+    """Substitute x_i -> 1 - x_i everywhere, preserving node sharing.
+
+    Serves a randomized bounded recipe, whose right half is reflected per
+    draw; a fixed right half is reflected once, as a weight polynomial
+    (polyalg.reflected_sympoly)."""
 
     def leaf(e: PolyExpr) -> PolyExpr:
         if type(e) is Var:
@@ -901,6 +908,33 @@ def constant_recipe(field: FieldSpec, n: int, value: int) -> Recipe:
         sampler=lambda stream: (expr,),
         targets=(named_spectrum("CONST", n, value),),
     )
+
+
+def _fixed_poly(recipe: Recipe) -> SymPoly:
+    """The weight polynomial of a randomness-free one-output recipe whose
+    draw is a Constant or a SymApply on x_0..x_(n-1)."""
+    (e,) = sample(recipe, 0)
+    return e.poly if type(e) is SymApply else constant_sympoly(recipe.field, e.value)
+
+
+def _folded(
+    field: FieldSpec,
+    constant: FieldElement,
+    terms: Iterable[tuple[FieldElement, SymPoly]],
+    target: Spectrum,
+    inputs: tuple[PolyExpr, ...] | None = None,
+) -> tuple[PolyExpr]:
+    """The fixed draw constant + sum_i c_i * P_i as one node, for weight
+    polynomials P_i on x_0..x_(n-1) whose sum is exact on weights 0..n: the
+    target's interpolant, so the node's degree is the draw's true degree.
+    A SymApply on inputs (a new x_0..x_(n-1) when None), or a Constant when
+    the target is constant."""
+    poly = sympoly_sum(field, constant, terms, target.values)
+    if not poly.degree:
+        return (Constant(poly.coeffs[0]),)
+    if inputs is None:
+        return _on_all_inputs((poly,), target.n)
+    return (SymApply(poly, inputs),)
 
 
 def _on_all_inputs(polys: Iterable[SymPoly], n: int) -> tuple[SymApply, ...]:
@@ -1358,14 +1392,23 @@ def _telescoped(
     """f as a_0 + sum_j a_j [w >= j] over the weights j where f steps
     (a_j != 0), every step served by one threshold_tuple draw; the recipe
     declares that tuple's bound.  A spectrum with no step is the constant
-    draw, declaring 0."""
+    draw, declaring 0.
+
+    When the tuple is randomness-free, each of its parts is a window exact
+    on weights 0..n, so the sum is f's interpolant: it is folded once, here,
+    into one SymApply on the parts' shared inputs, which every draw returns.
+    A randomized tuple's parts are summed per draw."""
     coeffs = threshold_combination(f)
     steps = tuple(j for j in range(1, f.n + 1) if coeffs[j])
     if not steps:
         child = constant_recipe(field, f.n, coeffs[0])
         sampler = child._sampler
+    elif (child := threshold_tuple(f.n, steps, eps, field, profile)).randomness_free:
+        parts = sample(child, 0)
+        terms = [(coeffs[j], e.poly) for j, e in zip(steps, parts)]
+        folded = _folded(field, coeffs[0], terms, f, parts[0].inputs)
+        sampler = lambda stream: folded
     else:
-        child = threshold_tuple(f.n, steps, eps, field, profile)
         terms = [coeffs[j] for j in steps]
 
         def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
@@ -1406,7 +1449,14 @@ def _bounded_recipe(
     h: Spectrum, k: int, eps: Fraction, field: FieldSpec, profile: ConstantsProfile
 ) -> Recipe:
     """bounded_recipe for a spectrum whose bounded radius k is known and
-    whose middle window [k, n-k] is not empty."""
+    whose middle window [k, n-k] is not empty.
+
+    A randomness-free recipe draws one fixed SymApply on x_0..x_(n-1), built
+    here: 1 - P for the complement's P, or 1 + P_L - P_R(n - c) for the
+    halves' weight polynomials, each exact on weights 0..n, so the fold is
+    h's interpolant.  A randomized recipe builds 1 - inner, or the halves'
+    sum with the right half's inputs reflected, per draw.
+    """
     eps = Fraction(eps)
     n = h.n
     middle = h.values[k]
@@ -1414,10 +1464,14 @@ def _bounded_recipe(
     if middle == 1:
         # The complement has the same radius.
         inner = _bounded_recipe(complement_spectrum(h), k, eps, field, profile)
+        if inner.randomness_free:
+            folded = _folded(field, 1, [(-1, _fixed_poly(inner))], h)
+            sampler = lambda stream: folded
+        else:
 
-        def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-            (inner_expr,) = sample_stream(inner, stream)
-            return (one_minus(inner_expr, field),)
+            def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+                (inner_expr,) = sample_stream(inner, stream)
+                return (one_minus(inner_expr, field),)
 
         return Recipe(
             kind="bounded",
@@ -1437,12 +1491,17 @@ def _bounded_recipe(
     )
     left = t_constant_recipe(h1, eps / 2, field, profile)
     right = t_constant_recipe(h2, eps / 2, field, profile)
+    if left.randomness_free and right.randomness_free:
+        terms = [(1, _fixed_poly(left)), (-1, reflected_sympoly(_fixed_poly(right), n))]
+        folded = _folded(field, 1, terms, h)
+        sampler = lambda stream: folded
+    else:
 
-    def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        (left_expr,) = sample_stream(left, stream.child("left"))
-        (right_expr,) = sample_stream(right, stream.child("right"))
-        (reflected,) = _reflect_vars((right_expr,), field)
-        return (sum_of(field, [(1, left_expr), (-1, reflected)], constant=1),)
+        def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+            (left_expr,) = sample_stream(left, stream.child("left"))
+            (right_expr,) = sample_stream(right, stream.child("right"))
+            (reflected,) = _reflect_vars((right_expr,), field)
+            return (sum_of(field, [(1, left_expr), (-1, reflected)], constant=1),)
 
     return Recipe(
         kind="bounded",

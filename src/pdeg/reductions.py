@@ -880,6 +880,42 @@ def _thr_complement_core(
     return cert
 
 
+def _pair_offsets(deviation: dict[int, int], m: int) -> list[int]:
+    """The distinct deviation[j - i] - i over m < i < j <= 2m, in the order
+    the pairs (i ascending, then j) first meet them; every deviation is at
+    least 2m.
+
+    Row i meets the deviations at d = j - i <= 2m - i, shifted down by i:
+    with D the int whose bit v is set when some d <= 2m - i has
+    deviation[d] = v, the row is D >> i.  One mask of the offsets met so far
+    leaves each row's new ones, which it meets in the order of the first d
+    with deviation[d] = v + i.  So the pairs cost a shift and a mask per
+    row, not a step each.
+    """
+    first_d: dict[int, int] = {}
+    for d in range(1, m):
+        first_d.setdefault(deviation[d], d)
+    met = sum(1 << v for v in first_d)
+    seen = 0
+    offsets: list[int] = []
+    for i in range(m + 1, 2 * m + 1):
+        row = met >> i
+        new = row & ~seen
+        seen |= row
+        fresh = []
+        while new:
+            low = new & -new
+            fresh.append(low.bit_length() - 1)
+            new ^= low
+        fresh.sort(key=lambda v: first_d[v + i])
+        offsets += fresh
+        # The next row meets d <= 2m - i - 1.
+        d = 2 * m - i
+        if d and first_d[deviation[d]] == d:
+            met ^= 1 << deviation[d]
+    return offsets
+
+
 def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
     """Majority from any spectrum whose middle window has no short period.
 
@@ -897,19 +933,17 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
     if m < 1:
         raise ValueError(f"middle segment too small: n1={n1}")
 
+    f_bits = bits_mask(f.values)
     deviation: dict[int, int] = {}
     for k in range(1, m + 1):
-        found = None
-        for r in range(lo, hi - k + 1):
-            if f.values[r] != f.values[r + k]:
-                found = r
-                break
-        if found is None:
+        # Bit r - lo is set where f[r] != f[r + k], for r in lo..hi - k.
+        differ = ((f_bits ^ (f_bits >> k)) >> lo) & ((1 << (hi - k - lo + 1)) - 1)
+        if not differ:
             raise ValueError(
                 f"middle window agrees under shift {k}; "
                 "use the periodic reductions instead"
             )
-        deviation[k] = found
+        deviation[k] = lo + (differ & -differ).bit_length() - 1
 
     # Restrictions separating interval points m+1 .. 2m (locally 0 .. m-1).
     # Pinning `ones` ones makes weight v read f at v + ones, so a member's
@@ -919,13 +953,8 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
     # its pins and its mask depend on ones alone, so one member is kept per
     # distinct ones, in first-seen order: the support shrink takes first
     # copies, so it picks the same members as from the full list of pairs.
-    offsets = dict.fromkeys(
-        deviation[j - i] - i
-        for i in range(m + 1, 2 * m + 1)
-        for j in range(i + 1, 2 * m + 1)
-    )
+    offsets = _pair_offsets(deviation, m)
     members = [(ones, n - 3 * m - ones) for ones in offsets]  # (ones, zeros)
-    f_bits = bits_mask(f.values)
     full = (1 << m) - 1
     masks = [(f_bits >> (ones + m + 1)) & full for ones in offsets]
 
@@ -963,25 +992,29 @@ def maj_from_general(f: Spectrum, field: FieldSpec) -> ReductionCertificate:
     if any(z < 0 for z in pin_zeros) or any(o < 0 for o in pin_ones):
         raise ValueError("pinning counts fall outside the input budget")
 
-    copies = []
+    # Copy i at weight w reads g at w + pin_ones[i], and pin_ones runs over
+    # a - m1 .. a, so one row of g from base = a - m1 serves every copy.
+    base = min(pin_ones)
+    row = [g_value(v) for v in range(base, max(pin_ones) + m1 + 1)]
     for i in range(m1 + 1):
-        values = tuple(g_value(w + pin_ones[i]) for w in range(m1 + 1))
-        if values[pivot_of[i]] != 1:
+        if row[pivot_of[i] + pin_ones[i] - base] != 1:
             raise AssertionError(f"copy {i} lacks its unit pivot")
-        copies.append(values)
 
     maj = named_spectrum("MAJ", m1)
     alpha = [0] * (m1 + 1)
-    solved = set()
+    copy_at = [0] * (m1 + 1)
+    for i, w in enumerate(pivot_of):
+        copy_at[w] = i
+    solved: list[int] = []  # the copies solved so far with alpha != 0
     for w in weight_order:
         # The copy pivoting at w is determined by the others already solved.
-        i_w = pivot_of.index(w)
         acc = maj.values[w]
-        for i in range(m1 + 1):
-            if i != i_w and i in solved:
-                acc -= alpha[i] * copies[i][w]
+        for i in solved:
+            acc -= alpha[i] * row[w + pin_ones[i] - base]
+        i_w = copy_at[w]
         alpha[i_w] = acc
-        solved.add(i_w)
+        if acc:
+            solved.append(i_w)
 
     # Flatten (copy, pick) into one restriction list for the certificate.
     restrictions = []

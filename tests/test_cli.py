@@ -162,7 +162,10 @@ class TestSample:
 # were re-recorded when the direct route came to telescope through only the
 # weights a spectrum steps at, which OR and THR 10 now take.  OR over GF(2)
 # and Q were re-recorded when samplers came to read SHAKE-256 streams in
-# place of random.Random: their draws changed.
+# place of random.Random: their draws changed.  MOD 3 0 over GF(2) was
+# re-recorded when a randomness-free telescoped draw came to be one weight
+# polynomial folded at build: its values did not move, and its tracked
+# degree fell from 60 to its true degree, 59.
 SAMPLE_DIGESTS = {
     ("MAJ", "2"): "fddc85ef96a213e1e3df0cc2362030f2dfcd4de3c2393df5a0575072d3e7f380",
     ("MAJ", "3"): "20dc3308cf4288b6b6ab3d4ff6aba08217873993b99a9449730d849a53ac7d18",
@@ -170,7 +173,7 @@ SAMPLE_DIGESTS = {
     ("OR", "2"): "4f6c0e880efd1585c56f924394f3be3534723f46e66026df847db085e54ee099",
     ("OR", "3"): "d67cb997b8f2b829e5417a7de1d0deefd246ad9a93319f1032611cce01723848",
     ("OR", "0"): "59eddfbbcfa71be8c49db7a1ce1bfbe7c763b5513d81ba9fea3f3817b7855f4d",
-    ("MOD 3 0", "2"): "1cea4d553d4f7e4e4aa02bb17c8d6841ca0d48b4e5d7be5ba4114bc0aabfd671",
+    ("MOD 3 0", "2"): "c455e158d131f539ce854f69b105aaee2256eb364dd63542251deda109595b73",
     ("MOD 3 0", "3"): "bd5537e5bc9b48857454420aeaca7f3ac75b0286dd542e7a22973b473a11ef5e",
     ("MOD 3 0", "0"): "6f11d28993ed0c54b86a3b1cbffe6ee562b6f9a2c2ad457c8878783b9685c9fa",
     ("THR 10", "2"): "080011fb6a30f9aac3f5f463f052069ea1a800a686a9c963f6a36dc14af8f829",

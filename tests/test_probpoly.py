@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -9,7 +10,14 @@ from itertools import product
 import pytest
 
 from pdeg import probpoly
-from pdeg.polyalg import GF2, RATIONALS, FieldSpec, SymPoly, exact_sympoly
+from pdeg.polyalg import (
+    GF2,
+    RATIONALS,
+    FieldSpec,
+    SymPoly,
+    exact_sympoly,
+    reflected_sympoly,
+)
 from pdeg.probpoly import (
     ConstantsProfile,
     SeedStream,
@@ -38,7 +46,15 @@ from pdeg.probpoly import (
     xor_combine,
 )
 from pdeg.probpoly import LinearForm, Power, Product, Sum, SymApply, Var
-from pdeg.symfun import Spectrum, named_spectrum, spectrum, xor_spectra
+from pdeg.symfun import (
+    Spectrum,
+    bounded_radius_flagged,
+    named_spectrum,
+    spectrum,
+    threshold_combination,
+    xor_spectra,
+)
+from pdeg.verify import expand_expr
 
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
@@ -821,6 +837,124 @@ class TestTelescoped:
         r = general_recipe(named_spectrum("MAJ", n), EIGHTH, GF2, practical_profile(GF2))
         (child,) = r.children()
         assert r.params["route"] == "direct" and len(child.params["thresholds"]) == 1
+
+
+def _unfolded(recipe):
+    """A randomness-free telescoped or bounded recipe's draw built the way
+    a randomized one is, per node: the tuple's parts summed with the
+    telescoping coefficients, and the bounded halves summed with the right
+    half's inputs reflected (or the complement's draw subtracted from 1)."""
+    field = recipe.field
+    if recipe.kind == "bounded":
+        if recipe.params["complemented"]:
+            (inner,) = recipe.children()
+            return probpoly.one_minus(_unfolded(inner), field)
+        left, right = recipe.children()
+        (reflected,) = probpoly._reflect_vars((_unfolded(right),), field)
+        return probpoly.sum_of(field, [(1, _unfolded(left)), (-1, reflected)], constant=1)
+    (child,) = recipe.children()
+    parts = sample(child, 0)
+    if child.kind == "constant":
+        return parts[0]
+    coeffs = threshold_combination(recipe.target_spectra()[0])
+    terms = [coeffs[j] for j in child.params["thresholds"]]
+    return probpoly.sum_of(field, zip(terms, parts), constant=coeffs[0])
+
+
+def _fixed_builds(f, field):
+    """Every randomness-free general, t_constant and bounded recipe of f."""
+    profile = practical_profile(field)
+    builds = [general_recipe, t_constant_recipe]
+    if not bounded_radius_flagged(f)[1]:
+        builds.append(bounded_recipe)
+    for build in builds:
+        try:
+            recipe = build(f, EIGHTH, field, profile)
+        except ValueError:
+            continue  # a decomposition whose h has no constant middle
+        assert recipe.randomness_free
+        yield recipe
+
+
+class TestFoldedDraws:
+    """A randomness-free telescoped or bounded recipe draws one weight
+    polynomial, folded when the recipe is built; randomized recipes still
+    build their sums and reflections per draw."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_every_small_spectrum_draws_its_interpolant(self, field):
+        for n in range(3, 9):
+            for bits in product((0, 1), repeat=n + 1):
+                f = Spectrum(bits)
+                exact = exact_sympoly(f, field)
+                for r in _fixed_builds(f, field):
+                    (e,) = sample(r, 0)
+                    if r.params.get("route") == "decomposition":
+                        # g + h - 2gh over the bounded child's folded node.
+                        (h_recipe,) = r.children()
+                        assert e.terms[1][1] is sample(h_recipe, 0)[0]
+                        expanded = expand_expr(e, n, field)
+                        assert r.declared_degree_bound >= e.deg >= expanded.degree
+                        continue
+                    assert sample(r, 1)[0] is e
+                    if exact.degree == 0:
+                        assert type(e) is probpoly.Constant
+                        assert e.value == exact.coeffs[0]
+                    else:
+                        assert type(e) is SymApply and e.var_indices == range(n)
+                        assert e.poly == exact and e.deg == exact.degree
+                        assert e.poly.table(n)[: n + 1] == tuple(
+                            exact.value_at_weight(w) for w in range(n + 1)
+                        )
+                    expanded = expand_expr(e, n, field)
+                    assert expanded.terms == expand_expr(_unfolded(r), n, field).terms
+                    # declared >= tracked >= expanded, tracked = expanded.
+                    assert r.declared_degree_bound >= e.deg == expanded.degree
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_reflected_sympoly_reads_weights_backwards(self, field):
+        for bits in product((0, 1), repeat=7):
+            poly = exact_sympoly(Spectrum(bits), field)
+            back = reflected_sympoly(poly, 6)
+            assert back.degree == poly.degree
+            assert back.table(6)[:7] == poly.table(6)[6::-1]
+        with pytest.raises(ValueError, match="does not fit"):
+            reflected_sympoly(exact_sympoly(Spectrum((1, 0, 0, 0)), field), 2)
+
+    # sha256 of expr_to_json over seeds 0..2, recorded before fixed draws
+    # were folded: a randomized recipe builds the same DAG per draw.
+    RANDOMIZED = {
+        "general MAJ 1000": (
+            lambda: general_recipe(
+                named_spectrum("MAJ", 1000), EIGHTH, GF2, practical_profile(GF2)
+            ),
+            "d9267fac75ac6495862db608a53b2270b26be06d576545c49b9c58e43e1a7813",
+        ),
+        "bounded": (
+            lambda: bounded_recipe(_two_ends(200, 0), EIGHTH, GF2, practical_profile(GF2)),
+            "9c8a5d7d269c61b4746525a7c0065cd28d547f73fc248ffc9cb170ed3c45956f",
+        ),
+        "bounded complemented": (
+            lambda: bounded_recipe(_two_ends(200, 1), EIGHTH, GF2, practical_profile(GF2)),
+            "3d12eb8d36e31d5cd07f7c8d1713f33a26e2ca049628f71000a983020862fc75",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANDOMIZED))
+    def test_randomized_draws_keep_their_dag(self, name):
+        build, digest = self.RANDOMIZED[name]
+        r = build()
+        assert not r.randomness_free
+        assert not any(c.randomness_free for c in r.children())
+        blob = json.dumps([expr_to_json(sample(r, s), GF2) for s in range(3)], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _two_ends(n, middle):
+    """middle everywhere but weights 1 and n - 1."""
+    values = [middle] * (n + 1)
+    values[1] = values[n - 1] = 1 - middle
+    return Spectrum(tuple(values))
 
 
 class TestCombinators:

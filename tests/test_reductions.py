@@ -609,6 +609,21 @@ class TestMajFromGeneral:
             assert handed == [2 * len(offsets)]
             assert len(offsets) < m * (m - 1) // 20
 
+    def test_pair_offsets_in_first_seen_order(self):
+        # _pair_offsets finds, row by row, what walking every pair finds.
+        rng = random.Random(29)
+        for _ in range(2000):
+            m = rng.randint(1, 30)
+            spread = rng.choice((0, 1, 3, m, 3 * m))
+            base = 2 * m + rng.randint(0, 4)
+            deviation = {k: base + rng.randint(0, spread) for k in range(1, m + 1)}
+            pairs = dict.fromkeys(
+                deviation[j - i] - i
+                for i in range(m + 1, 2 * m + 1)
+                for j in range(i + 1, 2 * m + 1)
+            )
+            assert reductions._pair_offsets(deviation, m) == list(pairs)
+
     def test_json_roundtrip(self):
         cert = maj_from_general(named_spectrum("MAJ", 18), GF2)
         back = ReductionCertificate.from_json(cert.to_json())

@@ -494,7 +494,13 @@ def test_expansion_is_pinned(name):
 # place of random.Random; the other recipes draw nothing.  The five Q digests
 # of amplify, compose, general OR, threshold hash and xor were re-recorded
 # when the char-0 disjunction their draws hold became one product over every
-# run's level factors; values and tracked degrees did not move.
+# run's level factors; values and tracked degrees did not move.  The six
+# general MAJ and general bounded digests were re-recorded when a
+# randomness-free telescoped or bounded recipe came to draw one weight
+# polynomial folded at build, in place of a sum of windows (and, on the
+# bounded half, reflected inputs); values did not move, and the bounded
+# draws' tracked degrees fell to their true degrees (60 to 59 over GF(2),
+# 60 to 56 over GF(3)).
 
 
 def _or_recipe(n, eps, field):
@@ -552,13 +558,13 @@ DRAW_JSON_DIGESTS = {
         "eb69007627ce053995992191c92c260f21f6d799759ae7a0ef0fdc540a70473a"
     ),
     ("general MAJ", "GF2"): (
-        "990e11373283afd5135ad8495c18fea0873231495825677aab088ce1ebed4bfa"
+        "03568b4ef83f3e877d5255e8bb2e61f7f11a0d78d536375036efa751b4333faa"
     ),
     ("general MAJ", "GF3"): (
-        "c5aa1a2863f43df9da531ef7021c9fdfce241c0f248f3ed08df9f288f2fa9f16"
+        "ce62c422a05d92a48f4344340ea208047a42d5d629aff63a25f1a4c84e022e62"
     ),
     ("general MAJ", "Q"): (
-        "81cf9678444e711fb26b58bc7d4749482f287440252d30ab388357f9e132f182"
+        "bbe9094094f2433de54b7e25d551080689bf888ba8ba5726b8d457d8179866c5"
     ),
     ("general OR", "GF2"): (
         "e880a56ec1ed6853053029cf63ce1e56802fc7febaeb0cb5e5da47a95059a895"
@@ -570,13 +576,13 @@ DRAW_JSON_DIGESTS = {
         "bc4041e343e2592dccff93607e5e8b65a4a92aff8b763b99107e7e4257ec51ab"
     ),
     ("general bounded", "GF2"): (
-        "fa15745b787fe7765b696941c10d8ca7e86726f69c5141932990cae7fbbd7476"
+        "ee057e6cf644829a67ae06a9400b88052f467e98c07fcb612422bb23f28755c8"
     ),
     ("general bounded", "GF3"): (
-        "cbb1ea46c24652b70a75a90f55501aa5d051a0d3ae72d4284d538402b32c0df2"
+        "08aef32595aef88dee59285eed3d6b3461329c48226ff8720f9008750e8aff17"
     ),
     ("general bounded", "Q"): (
-        "433000d7d737219a2456feb72801495e09a83ede60fee6149cea49858a1a0966"
+        "90082da610d8ea1f04f8f196aecf46026a316fb2c74def7c20da2a8c11277573"
     ),
     ("threshold exact", "GF2"): (
         "a529301106fdd697c10fb8216fe1927484574293a50869f8f156c8165708b073"
