@@ -363,15 +363,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         payload, code = _COMMANDS[args.command](args)
     except (ValueError, NotImplementedError, OSError) as exc:
-        _emit(
-            {
-                "schema_version": 1,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        )
-        return 2
-    _emit({**payload, "schema_version": 1, "command": args.command})
-    return code
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    except MemoryError as exc:
+        # Python usually raises it with no text of its own.
+        message = str(exc) or f"{args.command} ran out of memory"
+        error = {"type": "MemoryError", "message": message}
+    else:
+        _emit({**payload, "schema_version": 1, "command": args.command})
+        return code
+    _emit({"schema_version": 1, "error": error})
+    return 2
 
 
 if __name__ == "__main__":

@@ -536,16 +536,19 @@ def _forward_differences(values: Sequence[int]) -> list[int]:
     return out
 
 
-def exact_sympoly(f: Spectrum, field: FieldSpec) -> SymPoly:
+def exact_sympoly(f: Spectrum, field: FieldSpec, degree: int | None = None) -> SymPoly:
     """The unique polynomial of degree <= n matching Spec f on every weight.
 
     In the binomial basis the interpolation matrix C(w, k) for w, k in [0, n]
     is triangular with unit diagonal, so the coefficients are the forward
     differences of the spectrum.  Computing them over the integers first and
     reducing afterwards gives the same matching values in any field, so the
-    table is seeded with f's values.
+    table is seeded with f's values.  A caller that knows the polynomial's
+    degree is at most `degree` passes it, and only the differences of the
+    first degree + 1 values are taken.
     """
-    return _seeded(SymPoly(field, tuple(_forward_differences(f.values))), f.values)
+    values = f.values if degree is None else f.values[: degree + 1]
+    return _seeded(SymPoly(field, tuple(_forward_differences(values))), f.values)
 
 
 def sympoly_sum(

@@ -926,14 +926,20 @@ def _folded(
 ) -> tuple[PolyExpr]:
     """The fixed draw constant + sum_i c_i * P_i as one node, for weight
     polynomials P_i on x_0..x_(n-1) whose sum is exact on weights 0..n: the
-    target's interpolant, so the node's degree is the draw's true degree.
-    A SymApply on inputs (a new x_0..x_(n-1) when None), or a Constant when
-    the target is constant."""
-    poly = sympoly_sum(field, constant, terms, target.values)
+    target's interpolant, so the node's degree is the draw's true degree
+    (see _fixed_draw)."""
+    return _fixed_draw(sympoly_sum(field, constant, terms, target.values), target.n, inputs)
+
+
+def _fixed_draw(
+    poly: SymPoly, n: int, inputs: tuple[PolyExpr, ...] | None = None
+) -> tuple[PolyExpr]:
+    """poly as a one-node draw: a Constant when poly is constant, else a
+    SymApply on inputs (a new x_0..x_(n-1) when None)."""
     if not poly.degree:
         return (Constant(poly.coeffs[0]),)
     if inputs is None:
-        return _on_all_inputs((poly,), target.n)
+        return _on_all_inputs((poly,), n)
     return (SymApply(poly, inputs),)
 
 
@@ -1133,7 +1139,9 @@ def threshold_tuple(
     eps/2 if every threshold is 1 and it beats the hashed degree (or the
     hashing range is too small), else a hashed split-and-recombine
     construction; and otherwise recursion on a subsampled input vector with
-    exact interpolation near each threshold.
+    exact interpolation near each threshold.  Where that recursion's child
+    is randomness-free, its part of each component is folded into weight
+    polynomials when the recipe is built, so a draw only picks the subsample.
     """
     thresholds = tuple(json_field("threshold", t, int) for t in thresholds)
     if n < 1:
@@ -1290,6 +1298,11 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     Each component interpolates the threshold exactly on a window around t_i
     and asks the subsampled copy which side of the window the weight falls
     on; windows that already cover [0, n] make the component deterministic.
+    A randomized child is drawn and relabelled onto the subsample per draw,
+    and a component is t' + (1 - t+) t- (e - t') over its parts.  A
+    randomness-free child is never drawn: each component is A + B e, with A
+    and B weight polynomials on the subsample folded from the child's parts
+    when the recipe is built, so a draw picks the subsample and applies them.
     """
     t_max = max(thresholds)
     theta = math.sqrt(t_max * L)
@@ -1332,26 +1345,68 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     if child.randomness_free:
         # The child's polynomials are fixed, so budget its true degree
         # rather than the (much coarser) declared formula.
-        child_deg = max(e.deg for e in sample(child, 0))
+        parts = sample(child, 0)
+        child_deg = max(e.deg for e in parts)
+        # Each part is exact on counts 0..n_hat: the step [c >= t] at its
+        # threshold t.  So a mixed component t' + (1 - t+) t- (e - t') is
+        # A + B e for B = (1 - t+) t- and A = t' (1 - B), 0/1 functions of
+        # the count that jump only at t', t+ or t-: each is folded here, once,
+        # into one weight polynomial, its value at 0 plus its jumps times
+        # those steps, with its table seeded.  Components that share
+        # (t', t+, t-) share A and B.
+        steps = dict(zip(child_thresholds, (e.poly for e in parts)))
+
+        @cache
+        def fold(own: tuple[int, int, int]) -> tuple[SymPoly, SymPoly]:
+            t_prime, t_plus, t_minus = (steps[t].table(n_hat)[: n_hat + 1] for t in own)
+            near = [(1 - up) * down for up, down in zip(t_plus, t_minus)]
+            keep = [v * (1 - b) for v, b in zip(t_prime, near)]
+            return tuple(
+                sympoly_sum(
+                    field,
+                    values[0],
+                    [(values[t] - values[t - 1], steps[t]) for t in set(own) if t],
+                    values,
+                )
+                for values in (keep, near)
+            )
+
+        folds = [
+            fold(tuple(child_thresholds[slot : slot + 3])) if kind == "mixed" else None
+            for kind, _, slot in plans
+        ]
+
+        def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+            sub_vars = tuple(map(Var, stream.child("sub").uniform(n, n_hat)))
+            out = []
+            for pair, e_expr in zip(folds, e_exprs):
+                if pair is None:
+                    out.append(e_expr)
+                    continue
+                keep, near = pair
+                near_e = Product((SymApply(near, sub_vars), e_expr))
+                out.append(sum_of(field, [(1, SymApply(keep, sub_vars)), (1, near_e)]))
+            return tuple(out)
+
     else:
         child_deg = child.declared_degree_bound
+
+        def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+            sub = stream.child("sub").uniform(n, n_hat)
+            inner_exprs = sample_stream(child, stream.child("inner"))
+            remapped = _remap_vars(inner_exprs, sub)
+            out = []
+            for (kind, _, slot), e_expr in zip(plans, e_exprs):
+                if kind == "exact":
+                    out.append(e_expr)
+                    continue
+                t_prime_e, t_plus_e, t_minus_e = remapped[slot : slot + 3]
+                near = Product((one_minus(t_plus_e, field), t_minus_e))
+                correction = Product((near, sum_of(field, [(1, e_expr), (-1, t_prime_e)])))
+                out.append(sum_of(field, [(1, t_prime_e), (1, correction)]))
+            return tuple(out)
+
     structural = 2 * child_deg + max(window_deg, child_deg)
-
-    def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-        sub = stream.child("sub").uniform(n, n_hat)
-        inner_exprs = sample_stream(child, stream.child("inner"))
-        remapped = _remap_vars(inner_exprs, sub)
-        out = []
-        for (kind, _, slot), e_expr in zip(plans, e_exprs):
-            if kind == "exact":
-                out.append(e_expr)
-                continue
-            t_prime_e, t_plus_e, t_minus_e = remapped[slot : slot + 3]
-            near = Product((one_minus(t_plus_e, field), t_minus_e))
-            correction = Product((near, sum_of(field, [(1, e_expr), (-1, t_prime_e)])))
-            out.append(sum_of(field, [(1, t_prime_e), (1, correction)]))
-        return tuple(out)
-
     return finish(
         "inductive",
         sampler,
@@ -1525,9 +1580,11 @@ def general_recipe(
 
     Route one (when the middle-window period is 1 or a power of the
     characteristic): split f = g XOR h, represent g exactly below its period
-    and h through the bounded construction, then recombine as g + h - 2gh.
-    Route two (always available): telescope f through one threshold-vector
-    polynomial on the weights f steps at.  Ties prefer route one.  Route
+    and h through the bounded construction, then recombine as g + h - 2gh;
+    when h's recipe is randomness-free that is f on every weight, so every
+    draw is f's interpolant, one node built here.  Route two (always
+    available): telescope f through one threshold-vector polynomial on the
+    weights f steps at.  Ties prefer route one.  Route
     one is built whenever it exists; the routes are then compared by
     declared degree, so route two's child is built only when route two wins.
     """
@@ -1555,14 +1612,21 @@ def general_recipe(
         report, g_poly, h_recipe = decomposition
         decomp_declared = g_poly.degree + h_recipe.declared_degree_bound
         if decomp_declared <= direct_declared:
-            (g_expr,) = _on_all_inputs((g_poly,), n)
+            if h_recipe.randomness_free:
+                # g + h - 2gh is f on weights 0..n, of degree at most
+                # deg g + deg h.
+                degree = g_poly.degree + _fixed_poly(h_recipe).degree
+                folded = _fixed_draw(exact_sympoly(f, field, degree), n)
+                sampler = lambda stream: folded
+            else:
+                (g_expr,) = _on_all_inputs((g_poly,), n)
 
-            def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
-                (h_expr,) = sample_stream(h_recipe, stream)
-                gh = Product((g_expr, h_expr))
-                return (
-                    sum_of(field, [(1, g_expr), (1, h_expr), (-2, gh)]),
-                )
+                def sampler(stream: SeedStream) -> tuple[PolyExpr, ...]:
+                    (h_expr,) = sample_stream(h_recipe, stream)
+                    gh = Product((g_expr, h_expr))
+                    return (
+                        sum_of(field, [(1, g_expr), (1, h_expr), (-2, gh)]),
+                    )
 
             return Recipe(
                 kind="general",

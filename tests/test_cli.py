@@ -332,6 +332,23 @@ class TestExtremeParameters:
         assert payload["report"]["eps"] == payload["recipe"]["eps"] == "2^-20000"
         assert payload["exact_error"] == ["0"] * 13
 
+    @pytest.mark.parametrize("text", ["", "cannot allocate 2^40 masks"])
+    def test_memory_error_is_exit_2_with_the_error_payload(self, capsys, monkeypatch, text):
+        def exhausted(args):
+            raise MemoryError(text) if text else MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "reduce", exhausted)
+        code, payload, _ = run_cli(
+            capsys,
+            ["reduce", "--kind", "MAJ", "--n", "20", "--reduction", "maj-general",
+             "--field", "2"],
+        )
+        assert code == 2
+        assert payload == {
+            "schema_version": 1,
+            "error": {"type": "MemoryError", "message": text or "reduce ran out of memory"},
+        }
+
     def test_large_prime_fields_are_decided_quickly(self):
         # Run in a child with a time limit: trial division up to sqrt(p)
         # would never finish.

@@ -5,7 +5,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -16,7 +16,9 @@ from pdeg.polyalg import (
     FieldSpec,
     SymPoly,
     exact_sympoly,
+    periodic_exact,
     reflected_sympoly,
+    threshold_window,
 )
 from pdeg.probpoly import (
     ConstantsProfile,
@@ -51,10 +53,11 @@ from pdeg.symfun import (
     bounded_radius_flagged,
     named_spectrum,
     spectrum,
+    standard_decomposition,
     threshold_combination,
     xor_spectra,
 )
-from pdeg.verify import expand_expr
+from pdeg.verify import _ColumnEvaluator, expand_expr
 
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
@@ -840,11 +843,20 @@ class TestTelescoped:
 
 
 def _unfolded(recipe):
-    """A randomness-free telescoped or bounded recipe's draw built the way
-    a randomized one is, per node: the tuple's parts summed with the
-    telescoping coefficients, and the bounded halves summed with the right
-    half's inputs reflected (or the complement's draw subtracted from 1)."""
+    """A randomness-free telescoped, bounded or decomposed recipe's draw
+    built the way a randomized one is, per node: the tuple's parts summed
+    with the telescoping coefficients, the bounded halves summed with the
+    right half's inputs reflected (or the complement's draw subtracted from
+    1), and g + h - 2gh over g's interpolant and h's unfolded draw."""
     field = recipe.field
+    if recipe.params.get("route") == "decomposition":
+        f = recipe.target_spectra()[0]
+        g = standard_decomposition(f, field.characteristic).g
+        (g_expr,) = probpoly._on_all_inputs((periodic_exact(g, field),), f.n)
+        (h_recipe,) = recipe.children()
+        h_expr = _unfolded(h_recipe)
+        gh = Product((g_expr, h_expr))
+        return probpoly.sum_of(field, [(1, g_expr), (1, h_expr), (-2, gh)])
     if recipe.kind == "bounded":
         if recipe.params["complemented"]:
             (inner,) = recipe.children()
@@ -877,25 +889,19 @@ def _fixed_builds(f, field):
 
 
 class TestFoldedDraws:
-    """A randomness-free telescoped or bounded recipe draws one weight
-    polynomial, folded when the recipe is built; randomized recipes still
-    build their sums and reflections per draw."""
+    """A randomness-free telescoped, bounded or decomposed recipe draws one
+    weight polynomial, folded when the recipe is built; randomized recipes
+    still build their sums, products and reflections per draw."""
 
     @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
     def test_every_small_spectrum_draws_its_interpolant(self, field):
+        routes = Counter()
         for n in range(3, 9):
             for bits in product((0, 1), repeat=n + 1):
                 f = Spectrum(bits)
                 exact = exact_sympoly(f, field)
                 for r in _fixed_builds(f, field):
                     (e,) = sample(r, 0)
-                    if r.params.get("route") == "decomposition":
-                        # g + h - 2gh over the bounded child's folded node.
-                        (h_recipe,) = r.children()
-                        assert e.terms[1][1] is sample(h_recipe, 0)[0]
-                        expanded = expand_expr(e, n, field)
-                        assert r.declared_degree_bound >= e.deg >= expanded.degree
-                        continue
                     assert sample(r, 1)[0] is e
                     if exact.degree == 0:
                         assert type(e) is probpoly.Constant
@@ -907,9 +913,24 @@ class TestFoldedDraws:
                             exact.value_at_weight(w) for w in range(n + 1)
                         )
                     expanded = expand_expr(e, n, field)
-                    assert expanded.terms == expand_expr(_unfolded(r), n, field).terms
+                    unfolded = _unfolded(r)
+                    assert expanded.terms == expand_expr(unfolded, n, field).terms
                     # declared >= tracked >= expanded, tracked = expanded.
                     assert r.declared_degree_bound >= e.deg == expanded.degree
+                    assert e.deg <= unfolded.deg
+                    routes[r.params.get("route")] += 1
+        assert routes["decomposition"] > 0 and routes["direct"] > 0
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_decomposed_mod_draws_one_node(self, field):
+        """MOD 3 0 at n = 100 splits into g and a constant h; the draw is
+        f's interpolant, not g + 0 - 2 g 0."""
+        r = general_recipe(named_spectrum("MOD", 100, 3, 0), EIGHTH, field, practical_profile(field))
+        if field is GF3:
+            assert r.params["route"] == "decomposition"
+            (e,) = sample(r, 0)
+            assert type(e) is SymApply and e.deg == 2
+        assert _walked(sample(r, 0)) == 1
 
     @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
     def test_reflected_sympoly_reads_weights_backwards(self, field):
@@ -922,17 +943,25 @@ class TestFoldedDraws:
             reflected_sympoly(exact_sympoly(Spectrum((1, 0, 0, 0)), field), 2)
 
     # sha256 of expr_to_json over seeds 0..2, recorded before fixed draws
-    # were folded: a randomized recipe builds the same DAG per draw.
+    # were folded: a randomized recipe builds the same DAG per draw.  "general
+    # MAJ 1000" was re-recorded when an inductive draw over a fixed child,
+    # here its grandchild, became A + B e (tracked degree 704 -> 606, values
+    # the same).
     RANDOMIZED = {
         "general MAJ 1000": (
             lambda: general_recipe(
                 named_spectrum("MAJ", 1000), EIGHTH, GF2, practical_profile(GF2)
             ),
-            "d9267fac75ac6495862db608a53b2270b26be06d576545c49b9c58e43e1a7813",
+            "620bc044a7a4e0e6184e4f86e77260f92d27eee5e1f282d139948b42c829b5f1",
         ),
         "bounded": (
             lambda: bounded_recipe(_two_ends(200, 0), EIGHTH, GF2, practical_profile(GF2)),
             "9c8a5d7d269c61b4746525a7c0065cd28d547f73fc248ffc9cb170ed3c45956f",
+        ),
+        # Recorded before decompositions over a fixed h were folded.
+        "general decomposition": (
+            lambda: general_recipe(_two_ends(200, 0), EIGHTH, GF2, practical_profile(GF2)),
+            "7e020f783c03d1ec761496e33815815d3b99f19a0b2f006a78f287bf8d0fbda3",
         ),
         "bounded complemented": (
             lambda: bounded_recipe(_two_ends(200, 1), EIGHTH, GF2, practical_profile(GF2)),
@@ -948,6 +977,104 @@ class TestFoldedDraws:
         assert not any(c.randomness_free for c in r.children())
         blob = json.dumps([expr_to_json(sample(r, s), GF2) for s in range(3)], sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _walked(draw):
+    """The nodes a column pass walks in a draw: every node but a SymApply's
+    Var inputs."""
+    return len(probpoly.post_order(draw, probpoly.split_operands))
+
+
+# Subsamples a quarter of the inputs, so at 11 <= n <= 24 the child works on
+# at most base_n = 6 inputs and is exact, and windows of half-width
+# 0.5 sqrt(t log2 1/eps) leave most tuples a mixed component.
+SUBSAMPLED = ConstantsProfile(
+    name="subsampled",
+    A=24,
+    B=24,
+    r_multiplier=10,
+    small_error_exponent_divisor=1,
+    subsample_ratio=Fraction(1, 4),
+    window_inner_multiplier=0.5,
+    window_outer_multiplier=0.5,
+    base_n=6,
+    amplify_arity=4,
+)
+
+
+def _unfolded_inductive(recipe, seed):
+    """A draw of an inductive threshold tuple over a fixed child, built the
+    way a randomized child's draw is: the child's draw relabelled onto the
+    same subsample, and t' + (1 - t+) t- (e - t') per mixed component."""
+    field, n = recipe.field, recipe.n
+    (child,) = recipe.children()
+    sub = SeedStream.from_seed(seed).child("sub").uniform(n, child.n)
+    remapped = probpoly._remap_vars(sample(child, 0), sub)
+    H = recipe.params["window_halfwidth"]
+    out, slot = [], 0
+    for t in recipe.params["thresholds"]:
+        lo, hi = max(0, t - H), min(n, t + H)
+        (e,) = probpoly._on_all_inputs((threshold_window(t, lo, hi, field),), n)
+        if t == 0 or (lo == 0 and hi == n):
+            out.append(e)
+            continue
+        t_prime, t_plus, t_minus = remapped[slot : slot + 3]
+        slot += 3
+        near = Product((probpoly.one_minus(t_plus, field), t_minus))
+        correction = Product((near, probpoly.sum_of(field, [(1, e), (-1, t_prime)])))
+        out.append(probpoly.sum_of(field, [(1, t_prime), (1, correction)]))
+    return tuple(out)
+
+
+class TestFoldedInductiveDraws:
+    """An inductive threshold tuple whose child is randomness-free folds
+    each mixed component into A + B e, A and B weight polynomials on the
+    subsample, built once; a draw only applies them to its subsample."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_every_small_tuple_matches_the_unfolded_draw(self, field):
+        checked = lowered = 0
+        for n in range(11, 25):
+            evaluator = _ColumnEvaluator(field, n)
+            for size in (1, 2):
+                for thresholds in combinations(range(n + 1), size):
+                    r = threshold_tuple(n, thresholds, EIGHTH, field, SUBSAMPLED)
+                    if r.params["branch"] != "inductive" or not r.children():
+                        continue
+                    assert r.children()[0].randomness_free
+                    seed = checked  # one draw a tuple, each on its own seed
+                    draw = sample(r, seed)
+                    reference = _unfolded_inductive(r, seed)
+                    assert evaluator.columns(draw) == evaluator.columns(reference)
+                    for e, ref in zip(draw, reference):
+                        assert e.deg <= ref.deg <= r.declared_degree_bound
+                        lowered += e.deg < ref.deg
+                        if type(e) is Sum:
+                            # A mixed component, A + B e.  Columns read A's
+                            # and B's seeded tables; their coefficients must
+                            # interpolate those tables too.
+                            m = r.children()[0].n
+                            for poly in (e.terms[0][1].poly, e.terms[1][1].factors[0].poly):
+                                table = Spectrum(poly.table(m)[: m + 1])
+                                assert poly == exact_sympoly(table, field)
+                    if n <= 14 and size == 1:
+                        (e,), (ref,) = draw, reference
+                        expanded = expand_expr(e, n, field)
+                        assert expanded.terms == expand_expr(ref, n, field).terms
+                        assert r.declared_degree_bound >= e.deg >= expanded.degree
+                    checked += 1
+        assert checked > 2000 and lowered > 0
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["GF2", "GF3", "Q"])
+    def test_verify_mc_tuple_walks_ten_nodes(self, field):
+        """threshold_tuple(100, (3, 7)): two components of A + B e, five
+        nodes each; unfolded, each was nine."""
+        r = threshold_tuple(100, (3, 7), EIGHTH, field, practical_profile(field))
+        assert r.params["branch"] == "inductive" and r.children()[0].randomness_free
+        for seed in range(3):
+            draw = sample(r, seed)
+            assert _walked(draw) == 10
+            assert _walked(_unfolded_inductive(r, seed)) == 18
 
 
 def _two_ends(n, middle):

@@ -537,7 +537,11 @@ DRAW_RECIPES = {
 }
 
 # "general OR" was re-recorded when OR moved from the decomposition route to
-# the direct one, which telescopes through its one step.
+# the direct one, which telescopes through its one step.  "threshold
+# inductive" was re-recorded when a draw over a fixed child became A + B e
+# per mixed component (tracked degrees fell, e.g. 12 -> 7 over GF(2)), and
+# "general bounded", a decomposition over a fixed h, when its draw became
+# f's interpolant; every value is the same.
 DRAW_JSON_DIGESTS = {
     ("amplify", "GF2"): (
         "423f6bc58519daa422ccc5bb3f6c9385fa6e322f3c9ba48c3bea5e03eec6976c"
@@ -576,13 +580,13 @@ DRAW_JSON_DIGESTS = {
         "bc4041e343e2592dccff93607e5e8b65a4a92aff8b763b99107e7e4257ec51ab"
     ),
     ("general bounded", "GF2"): (
-        "ee057e6cf644829a67ae06a9400b88052f467e98c07fcb612422bb23f28755c8"
+        "128d4847b02c1d4374ee121296c839ff39360ea72eda9fdd68f8484847f5369c"
     ),
     ("general bounded", "GF3"): (
-        "08aef32595aef88dee59285eed3d6b3461329c48226ff8720f9008750e8aff17"
+        "7afe69056b55d2df68b133f2419eb9c6cd9396b634f112cc29d8d30d4e214ec2"
     ),
     ("general bounded", "Q"): (
-        "90082da610d8ea1f04f8f196aecf46026a316fb2c74def7c20da2a8c11277573"
+        "c5a32e92ccd2801fe368217ff16f90d2241672c95da1900352c6b78b11fea3f4"
     ),
     ("threshold exact", "GF2"): (
         "a529301106fdd697c10fb8216fe1927484574293a50869f8f156c8165708b073"
@@ -603,13 +607,13 @@ DRAW_JSON_DIGESTS = {
         "62f5c626f956e379bdf1535439b3535434bf09cf98bcfe262698e6565d19cc13"
     ),
     ("threshold inductive", "GF2"): (
-        "1f519d039b65a249e2b7f9bb9197409801024241abd4cd00a95b069430ae96dd"
+        "147a98162d2c70eae0d1bd51429cedabacf535feb5e4789cd503817af1418768"
     ),
     ("threshold inductive", "GF3"): (
-        "b08f23afdb8b6fa18cb29a2eb405de62013e96b88f8d3a648935e293f732d8f9"
+        "eb11953c3e0d01e7e62520d006d9d37c8039f29879a8487104796be07ac02182"
     ),
     ("threshold inductive", "Q"): (
-        "f803e8ce2b0d795a506391b60777ef22dc25e7bb0727f3a5ea1d791a0db27f0d"
+        "6a762148667a694084791e9ab6bca70cc8b5880d935b32ecb591eaf7f6491fde"
     ),
     ("xor", "GF2"): (
         "945b7a6217e59c55e78d740ec41705bf887e8df9aa2fd50bd06edd6ad7186d47"
