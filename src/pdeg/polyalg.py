@@ -6,9 +6,13 @@ weight w.  That basis makes exact interpolation a triangular solve and keeps
 every coefficient an exact field element; floating point never enters a
 polynomial value.
 
-Threshold steps [w >= t] on a window of weights, the piece every
-construction starts from, are built in closed form by threshold_window: their
+Threshold steps [w >= t] on a window of weights are the piece every
+construction starts from.  threshold_window builds one in closed form: its
 forward differences are signed binomials, taken in the field directly.
+threshold_windows builds a tuple's windows as chains: those from weight 0
+read one running binomial column, advanced by prefix sums, and the others
+step from their neighbour at the same offset t - lo by a suffix sum; a chain
+head, or a member past a wide gap, is threshold_window's.
 interpolate_window interpolates general values on a window and is the
 reference threshold_window is tested against.
 
@@ -27,6 +31,7 @@ int.  Over Q it is Horner's rule.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from array import array
@@ -408,10 +413,10 @@ class SymPoly:
     len(coeffs) - 1 is the degree (the zero polynomial keeps one coefficient
     and reports degree 0).  table(m) is the one read of its values: it
     returns the table cached on the polynomial, in _table, which equality,
-    hashing and repr ignore.  The interpolants threshold_window (from weight
-    0) and exact_sympoly, and sympoly_sum, seed that table when they build
-    the polynomial; otherwise table(m) builds it at weights 0..m in one
-    transform.
+    hashing and repr ignore.  The interpolants threshold_window and
+    threshold_windows (from weight 0) and exact_sympoly, and sympoly_sum,
+    seed that table when they build the polynomial; otherwise table(m)
+    builds it at weights 0..m in one transform.
     value_at_weight reads one weight and is the reference the table is
     tested against; the package itself does not call it.
     """
@@ -649,6 +654,144 @@ def threshold_window(t: int, lo: int, hi: int, field: FieldSpec) -> SymPoly:
                         coeffs[k - j] += shift * d
         poly = SymPoly(field, tuple(coeffs))
     return _seeded(poly, (0,) * s + (1,) * (size - s)) if lo == 0 else poly
+
+
+# A chain of windows steps to its next member one weight at a time while
+# they are at most this many weights apart; past that gap threshold_window
+# builds the member afresh.  A step is a few C-level passes over the
+# coefficients.  A fresh window from weight 0 costs one binomial per
+# coefficient, as much as 8 steps over GF(2), 12 to 20 over GF(3) and more
+# over Q (timed at 100 and 1000 weights); past weight 0 it also changes basis
+# in quadratic time.
+_STEP_GAP = 8
+
+
+def _sums(xs: Sequence[FieldElement], p: int) -> list[FieldElement]:
+    """Prefix sums of xs, reduced mod p when p > 0 (over GF(2), a XOR prefix)."""
+    if p == 2:
+        return list(accumulate(xs, operator.xor))
+    return [v % p for v in accumulate(xs)] if p else list(accumulate(xs))
+
+
+def _twisted(xs: Sequence[FieldElement], p: int) -> list[FieldElement]:
+    """xs with entry i multiplied by (-1)^i; unreduced, and xs itself over GF(2)."""
+    out = list(xs)
+    if p != 2:
+        out[1::2] = [-v for v in out[1::2]]
+    return out
+
+
+def _padded(poly: SymPoly, size: int) -> tuple[FieldElement, ...]:
+    """poly's coefficients c_0..c_(size-1), its stripped top zeros put back."""
+    return poly.coeffs + (0,) * (size - len(poly.coeffs))
+
+
+def threshold_windows(
+    spans: Sequence[tuple[int, int, int]], field: FieldSpec
+) -> list[SymPoly]:
+    """threshold_window(t, lo, hi, field) for each span (t, lo, hi), in order,
+    equal to it in coefficients and seeded tables, built as chains.
+
+    A repeated span gives the same polynomial object.  Constant windows
+    (t <= lo or t > hi) come from threshold_window.  The windows from weight 0
+    form one chain in t (_column_chain); the others one chain per offset
+    t - lo, in lo (_shift_chain).  A chain's first member, and any member more
+    than _STEP_GAP weights past the one before it, is built by
+    threshold_window; the others are stepped to.  By uniqueness of the
+    interpolant of degree <= hi - lo every member is threshold_window's.
+    """
+    built: dict[tuple[int, int, int], SymPoly] = {}
+    column: list[tuple[int, int, int]] = []
+    shifts: dict[int, list[tuple[int, int, int]]] = {}
+    for span in sorted(set(spans)):
+        t, lo, hi = span
+        if not lo < t <= hi:
+            built[span] = threshold_window(t, lo, hi, field)
+        elif lo == 0:
+            column.append(span)
+        else:
+            shifts.setdefault(t - lo, []).append(span)
+    _column_chain(column, field, built)
+    for chain in shifts.values():
+        _shift_chain(chain, field, built)
+    return [built[span] for span in spans]
+
+
+def _column_chain(spans, field, built) -> None:
+    """Windows (t, 0, hi), 0 < t <= hi, ascending in t, into built.
+
+    Coefficient k of such a window is (-1)^(k-t) C(k-1, t-1) for t <= k <= hi
+    and 0 below t.  One running column holds C(k-1, t-1) for k = t..top, where
+    top is the largest hi still to come; by the hockey stick
+    C(k-1, t) = sum_(t <= j < k) C(j-1, t-1), the column for t + 1 is the
+    prefix sums of the one for t without its last entry.  Each window reads
+    the column's first hi - t + 1 entries, signs them and seeds its table
+    with the step's values.
+    """
+    p = field.characteristic
+    tops = list(accumulate([hi for *_, hi in reversed(spans)], max))[::-1]
+    at, head, column = 0, None, None
+    for (t, _, hi), top in zip(spans, tops):
+        if head is None or t - at > _STEP_GAP:
+            at, head, column = t, threshold_window(t, 0, top, field), None
+            if hi == top:
+                built[t, 0, hi] = head
+                continue
+        if column is None:
+            column = _twisted(_padded(head, top + 1)[at:], p)
+        while at < t:
+            column = _sums(column[: top - at], p)
+            at += 1
+        poly = SymPoly(field, [0] * t + _twisted(column[: hi - t + 1], p))
+        built[t, 0, hi] = _seeded(poly, (0,) * t + (1,) * (hi - t + 1))
+
+
+def _shift_chain(spans, field, built) -> None:
+    """Windows (lo + s, lo, hi), 0 < lo, at one offset s, ascending in lo,
+    into built.
+
+    The window at lo + 1 with hi + 1 is the one at lo read at w - 1 (the same
+    step, one weight on), and C(w - 1, i) = sum_(j <= i) (-1)^(i-j) C(w, j),
+    so its coefficients are c'_j = (-1)^j sum_(i >= j) (-1)^i c_i: a suffix
+    sum of the twisted coefficients d_i = (-1)^i c_i, which the chain keeps.
+    A window clamped at the same hi has one weight fewer.  With m = hi - lo,
+    C(w - lo - 1, m) is 0 on lo + 1..hi and its C(w, m) coefficient is 1, so
+    the shifted polynomial minus its top coefficient times it has degree < m;
+    in twisted coefficients that takes d'_m C(lo + m - i, m - i) from d'_i,
+    a Pascal column C(lo + j, j) read backwards.  By the hockey stick that
+    column at lo + 1 is its own prefix sums, so it advances with the chain.
+    A member past a gap of more than _STEP_GAP, or one whose hi grows by more
+    than its lo (or shrinks), is built fresh.
+    """
+    p = field.characteristic
+    lo = hi = 0
+    twisted: list[FieldElement] = []
+    pascal: list[FieldElement] | None = None
+    for span in spans:
+        _, lo_next, hi_next = span
+        if not twisted or not 0 <= hi_next - hi <= lo_next - lo <= _STEP_GAP:
+            lo, hi, pascal = lo_next, hi_next, None
+            poly = threshold_window(*span, field)
+            twisted = _twisted(_padded(poly, hi - lo + 1), p)
+            built[span] = poly
+            continue
+        while lo < lo_next:
+            twisted = _sums(twisted[::-1], p)[::-1]
+            lo += 1
+            if hi < hi_next:
+                hi += 1
+                pascal = None
+                continue
+            m = len(twisted) - 1
+            if pascal is None:
+                pascal = [binomial_in_field(lo - 1 + j, j, field) for j in range(m + 1)]
+            top = twisted.pop()
+            if top:
+                twisted = [a - top * b for a, b in zip(twisted, pascal[:0:-1])]
+                if p:
+                    twisted = [v % p for v in twisted]
+            pascal = _sums(pascal[:m], p)
+        built[span] = SymPoly(field, _twisted(twisted, p))
 
 
 def periodic_exact(g: Spectrum, field: FieldSpec) -> SymPoly:

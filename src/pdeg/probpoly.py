@@ -39,6 +39,7 @@ from .polyalg import (
     reflected_sympoly,
     sympoly_sum,
     threshold_window,
+    threshold_windows,
 )
 from .symfun import (
     Spectrum,
@@ -1188,8 +1189,7 @@ def threshold_tuple(
         )
 
     def exact_tuple(branch_label: str):
-        windows = {t: threshold_window(t, 0, n, field) for t in set(thresholds)}
-        polys = [windows[t] for t in thresholds]
+        polys = threshold_windows([(t, 0, n) for t in thresholds], field)
         exprs = _on_all_inputs(polys, n)
         structural = max(poly.degree for poly in polys)
         return finish(branch_label, lambda stream: exprs, structural)
@@ -1249,8 +1249,7 @@ def _hash_branch(n, thresholds, field, r, finish):
         )
     # The low part on weights 0..r and the exact r-variable threshold are the
     # same window polynomial.
-    windows = {t: threshold_window(t, 0, r, field) for t in set(thresholds)}
-    polys = [windows[t] for t in thresholds]
+    polys = threshold_windows([(t, 0, r) for t in thresholds], field)
     lows = _on_all_inputs(polys, n)
 
     eps_or = Fraction(1, 4)
@@ -1310,15 +1309,10 @@ def _inductive_branch(n, thresholds, eps, field, profile, L, finish):
     ratio = profile.subsample_ratio
     n_hat = int(n * ratio)
 
-    windows: dict[int, SymPoly] = {}
+    spans = [(t, max(0, t - H), min(n, t + H)) for t in thresholds]
     plans = []
     child_thresholds: list[int] = []
-    for t in thresholds:
-        lo = max(0, t - H)
-        hi = min(n, t + H)
-        if t not in windows:
-            windows[t] = threshold_window(t, lo, hi, field)
-        e_poly = windows[t]
+    for (t, lo, hi), e_poly in zip(spans, threshold_windows(spans, field)):
         if t == 0 or (lo == 0 and hi == n):
             plans.append(("exact", e_poly, None))
             continue

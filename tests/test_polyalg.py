@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -22,6 +23,7 @@ from pdeg.polyalg import (
     parse_fraction,
     periodic_exact,
     threshold_window,
+    threshold_windows,
 )
 from pdeg.probpoly import Var, _majority_vote
 from pdeg.symfun import Spectrum, named_spectrum, period, spectrum
@@ -360,6 +362,91 @@ class TestThresholdWindow:
             threshold_window(2, 3, 2, GF2)
 
 
+SEED_FIELDS = [GF2, GF3, GF5, RATIONALS]
+
+
+def _window_key(poly):
+    """A window's coefficients and seeded table, element types included."""
+    table = poly._table
+    return (
+        [(c, type(c)) for c in poly.coeffs],
+        None if table is None else [(v, type(v)) for v in table],
+    )
+
+
+@cache
+def _rational_step_oracle(t, lo, hi):
+    """step_window_oracle's integer coefficients, shared by every field:
+    interpolate_window reduces them into the field only at the end."""
+    return step_window_oracle(t, lo, hi, RATIONALS).coeffs
+
+
+def _window_chains(top):
+    """Span lists to build in one call each: every window up to top, in
+    chains of one size stepping one weight at a time; then at each gap 1..5,
+    chains clamped at top from the interior or from their start, windows
+    from weight 0 at every hi, and the inductive branch's spans at every
+    half-width."""
+    for size in range(1, top + 2):
+        yield [
+            (lo + s, lo, lo + size - 1)
+            for s in range(-1, size + 1)
+            for lo in range(top - size + 2)
+        ]
+    for gap in range(1, 6):
+        for size in (3, top // 2, top + 1):
+            yield [
+                (lo + s, lo, min(top, lo + size - 1))
+                for s in range(1, size)
+                for lo in range(0, top + 1, gap)
+            ]
+        for hi in range(top + 1):
+            yield [(t, 0, hi) for t in range(0, hi + 2, gap)]
+        for half in range(top + 1):
+            yield [
+                (t, max(0, t - half), min(top, t + half))
+                for t in range(0, top + 1, gap)
+            ]
+
+
+class TestThresholdWindows:
+    @pytest.mark.parametrize("field", SEED_FIELDS, ids=_field_id)
+    def test_chains_and_single_spans_equal_the_closed_form(self, field):
+        top = 24
+        want = {}
+        for lo in range(top + 1):
+            for hi in range(lo, top + 1):
+                for t in range(lo - 1, hi + 2):
+                    key = _window_key(threshold_window(t, lo, hi, field))
+                    oracle = SymPoly(field, _rational_step_oracle(t, lo, hi))
+                    assert key[0] == _window_key(oracle)[0], (t, lo, hi)
+                    (single,) = threshold_windows([(t, lo, hi)], field)
+                    assert _window_key(single) == key, (t, lo, hi)
+                    want[t, lo, hi] = key
+        covered = set()
+        for spans in _window_chains(top):
+            for span, poly in zip(spans, threshold_windows(spans, field)):
+                if span not in want:
+                    # A clamped chain runs past t = hi + 1: constant windows.
+                    want[span] = _window_key(threshold_window(*span, field))
+                assert _window_key(poly) == want[span], span
+                covered.add(span)
+        assert covered == set(want)
+
+    def test_repeated_spans_share_one_polynomial(self):
+        spans = [(3, 0, 9), (5, 2, 9), (3, 0, 9), (0, 0, 9), (5, 2, 9)]
+        got = threshold_windows(spans, GF3)
+        assert got[0] is got[2] and got[1] is got[4]
+        assert [_window_key(p) for p in got] == [
+            _window_key(threshold_window(*span, GF3)) for span in spans
+        ]
+
+    def test_invalid_spans_rejected(self):
+        for spans in ([(2, -1, 3)], [(2, 3, 2)], [(1, 0, 5), (3, -1, 4)]):
+            with pytest.raises(ValueError):
+                threshold_windows(spans, GF2)
+
+
 class TestPeriodicExact:
     def test_parity_mod_two(self):
         par = spectrum("10101")
@@ -393,9 +480,6 @@ class TestPeriodicExact:
                     assert poly.table(n) == tuple(
                         field.element(v) for v in s.values
                     )
-
-
-SEED_FIELDS = [GF2, GF3, GF5, RATIONALS]
 
 
 def _assert_seeded(poly):

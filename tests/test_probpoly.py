@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pdeg import probpoly
+from pdeg import polyalg, probpoly
 from pdeg.polyalg import (
     GF2,
     RATIONALS,
@@ -617,6 +617,63 @@ def _threshold_tuples(recipe):
         else:
             stack.extend(r.children())
     return found
+
+
+class TestWindowWork:
+    """A tuple's windows are built as chains: counts of the work, no times."""
+
+    @OR_FIELDS
+    def test_every_threshold_takes_at_most_2n_binomials(self, field, monkeypatch):
+        # One closed form per window took n(n + 1)/2 = 5050 binomials here.
+        n, calls = 100, []
+        binomial = polyalg.binomial_in_field
+        monkeypatch.setattr(
+            polyalg, "binomial_in_field", lambda *args: calls.append(args) or binomial(*args)
+        )
+        threshold_tuple(n, tuple(range(n + 1)), EIGHTH, field, practical_profile(field))
+        assert 0 < len(calls) <= 2 * n
+
+    def test_one_closed_form_per_chain(self, monkeypatch):
+        batches, closed = [], []
+        batch, single = polyalg.threshold_windows, polyalg.threshold_window
+        monkeypatch.setattr(
+            probpoly,
+            "threshold_windows",
+            lambda spans, f: batches.append(spans) or batch(spans, f),
+        )
+        monkeypatch.setattr(
+            polyalg,
+            "threshold_window",
+            lambda t, lo, hi, f: closed.append(lo < t <= hi) or single(t, lo, hi, f),
+        )
+        profile = practical_profile(RATIONALS)
+        general_recipe(named_spectrum("MOD", 300, 3, 0), EIGHTH, RATIONALS, profile)
+        assert batches
+        chains = 0
+        for spans in batches:
+            # Windows from weight 0 chain in t, the others in lo at one
+            # offset t - lo; MOD 3 0 leaves no gap wider than _STEP_GAP.
+            members: dict[int | None, list[int]] = {}
+            for t, lo, hi in sorted(set(spans)):
+                if lo < t <= hi:
+                    members.setdefault(t - lo if lo else None, []).append(t)
+            for ts in members.values():
+                gaps = [b - a for a, b in zip(ts, ts[1:])]
+                assert max(gaps, default=0) <= polyalg._STEP_GAP
+            chains += len(members)
+        assert 0 < sum(closed) <= chains
+
+    def test_far_apart_thresholds_take_one_closed_form_each(self, monkeypatch):
+        # Stepping 4998 times would cost more than a second closed form.
+        n, closed, steps = 5000, [], []
+        single, sums = polyalg.threshold_window, polyalg._sums
+        monkeypatch.setattr(
+            polyalg, "threshold_window", lambda *args: closed.append(args) or single(*args)
+        )
+        monkeypatch.setattr(polyalg, "_sums", lambda *args: steps.append(1) or sums(*args))
+        got = polyalg.threshold_windows([(1, 0, n), (n - 1, 0, n)], GF3)
+        assert closed == [(1, 0, n, GF3), (n - 1, 0, n, GF3)] and steps == []
+        assert [poly.coeffs for poly in got] == [single(*args).coeffs for args in closed]
 
 
 class TestOrRoute:
